@@ -84,7 +84,6 @@ class RunConfig:
     out: Optional[str] = None
     format: Optional[str] = None
     seed: int = 0
-    threads: int = 1
     verbose: bool = False
     # per-command extras
     k: Optional[int] = None
@@ -129,8 +128,6 @@ class RunConfig:
             raise UsageError("k must be positive")
         if self.s is not None and self.s < 2:
             raise UsageError("s must be at least 2")
-        if self.threads < 1:
-            raise UsageError("threads must be positive")
         if self.w is not None and len(self.w) != 4:
             raise UsageError("w takes re1,im1,re2,im2")
         if self.command == "cheb" and self.alpha is None and self.theta is None:
@@ -411,6 +408,7 @@ def _cmd_tdiam(cfg: RunConfig) -> None:
         "estimates": series.estimates,
         "van_root_estimates": series.van_root_estimates,
         "points": len(points),
+        "meta": series.meta,
         "config": cfg.report_dict(),
     }
     _emit(cfg, payload, csv_rows=(["n", "m_n", "l_n", "logVan", "estimate"], rows))
@@ -469,7 +467,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"))
     p.add_argument("--precision", choices=("exact", "float"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--verbose", action="store_const", const=True)
 
 

@@ -67,10 +67,19 @@ def greedy_fekete(
         monomials = list(basis)[:n]
     if len(monomials) < n:
         raise ValueError("basis does not provide enough monomials")
-    e = evaluate_monomials(monomials, points).copy()
+    return _greedy_select(points, monomials, evaluate_monomials(monomials, points))
+
+
+def _greedy_select(
+    points: SampledSet, monomials: list[Monomial], values: np.ndarray
+) -> VandermondeLedger:
+    """Greedy Fekete selection on values, the (points, monomials) matrix;
+    values is left unchanged."""
+    n = len(monomials)
     npts = len(points)
     if npts < n:
         raise EstimateError(f"set has {npts} points, fewer than n = {n}")
+    e = values.copy()
     avail = np.ones(npts, dtype=bool)
     selected: list[int] = []
     step_logs = np.full(n, NEG_INF)
@@ -89,8 +98,10 @@ def greedy_fekete(
         avail[idx] = False
         step_logs[t] = math.log(abs(pivot))
         if t + 1 < n:
-            factors = e[avail, t] / pivot
-            e[avail, t + 1 :] -= np.outer(factors, e[idx, t + 1 :])
+            # every row is updated in place, which needs one temporary instead
+            # of the two a masked update takes; rows already taken are never
+            # read again
+            e[:, t + 1 :] -= np.outer(e[:, t] / pivot, e[idx, t + 1 :])
     return VandermondeLedger(
         monomials=monomials,
         selected=selected,
@@ -171,9 +182,8 @@ def transfinite_diameter(
         l_run += level * (m_counts[level - 1] - prev)
         l_counts.append(l_run)
 
-    ledger = greedy_fekete(points, monomials, len(monomials))
-
     e = evaluate_monomials(monomials, points)
+    ledger = _greedy_select(points, monomials, e)
     y = np.empty(len(monomials))
     estimates_meta = {"irls_converged": 0, "irls_steps": 0}
     y[0] = float(np.abs(e[:, 0]).max())
@@ -328,6 +338,7 @@ def pullback_check(
             "base_points": len(base),
             "lift_points": len(lifted),
             "levels": n_max,
-            "near_discriminant_fibers": lifted.meta.get("near_discriminant_fibers", 0),
+            "near_discriminant_fibers": lifted.meta["near_discriminant_fibers"],
+            "roots_missing": lifted.meta["roots_missing"],
         },
     )

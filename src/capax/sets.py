@@ -4,9 +4,13 @@ A SampledSet carries points in the w-coordinates and, when it came from a
 graph lift, the matching z-coordinates on {w = f(z)}.  Estimators downstream
 only ever see these arrays.
 
-Fiber solving is numerical: eliminate z1 through a Sylvester determinant
-interpolated on a circle, read eliminant roots from the companion matrix,
-back-substitute, then polish with Newton and certify residuals.
+Fiber solving is numerical and batched over base points: one solver core
+per map eliminates z1 through Sylvester determinants sampled on a circle
+(stacked over points and samples, one FFT per point), reads eliminant and z1
+roots from stacked companion matrices, back-substitutes, runs Newton on every
+candidate at once, and then certifies each fiber on its own: residuals, root
+dedupe, and the near-discriminant flag.  fiber, graph_lift and
+fiber_average_poly all go through it, FIBER_CHUNK base points at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ DUPLICATE_TOL = 1e-12
 FIBER_RESIDUAL_TOL = 1e-9
 NEAR_DISCRIMINANT_TOL = 1e-6
 ROOT_DEDUPE_TOL = 1e-8
+FIBER_CHUNK = 16  # base points per batched solve; bounds the Sylvester tensor
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,9 @@ class SampledSet:
                 raise MeshError("z points must align with w points")
         coords = self.z if self.z is not None else self.w
         scale = max(1.0, float(np.abs(coords).max()))
-        rounded = np.round(coords / (DUPLICATE_TOL * scale))
-        seen = {(int(a.real), int(a.imag), int(b.real), int(b.imag)) for a, b in rounded}
-        if len(seen) != len(coords):
+        rounded = np.round(coords / (DUPLICATE_TOL * scale)) + 0.0  # + 0.0 folds -0.0 into 0.0
+        keys = np.column_stack([rounded.real, rounded.imag])
+        if len(np.unique(keys, axis=0)) != len(coords):
             raise MeshError("duplicate points in the sample (closer than 1e-12)")
 
     def __len__(self) -> int:
@@ -113,6 +118,13 @@ def _mesh_counts(counts) -> tuple[int, int]:
     if len(c) != 2:
         raise MeshError("mesh counts: one integer or a pair")
     return c
+
+
+def _grid(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """All pairs (a, b), a from first and b from second, the second index fastest."""
+    return np.column_stack(
+        [np.repeat(first, len(second)), np.tile(second, len(first))]
+    ).astype(complex)
 
 
 def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
@@ -145,8 +157,7 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
             raise MeshError("torus meshes need at least 4 points per circle")
         t1 = r1 * np.exp(2j * np.pi * np.arange(n1) / n1)
         t2 = r2 * np.exp(2j * np.pi * np.arange(n2) / n2)
-        w = np.array([[a, b] for a in t1 for b in t2])
-        return SampledSet(w=w, provenance="mesh", spec=spec)
+        return SampledSet(w=_grid(t1, t2), provenance="mesh", spec=spec)
 
     if spec.kind == "polydisc":
         r1, r2 = spec.params
@@ -160,9 +171,7 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
             golden = math.pi * (3 - math.sqrt(5))
             return rho * np.exp(1j * golden * k)
 
-        d1, d2 = disc(r1, n1), disc(r2, n2)
-        w = np.array([[a, b] for a in d1 for b in d2])
-        return SampledSet(w=w, provenance="mesh", spec=spec)
+        return SampledSet(w=_grid(disc(r1, n1), disc(r2, n2)), provenance="mesh", spec=spec)
 
     if spec.kind == "box":
         a, b, c, d = spec.params
@@ -176,9 +185,7 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
                 raise MeshError("box meshes need at least 4 points per interval")
             return np.linspace(lo, hi, n)
 
-        s1, s2 = seg(a, b, n1), seg(c, d, n2)
-        w = np.array([[x, y] for x in s1 for y in s2], dtype=complex)
-        return SampledSet(w=w, provenance="mesh", spec=spec)
+        return SampledSet(w=_grid(seg(a, b, n1), seg(c, d, n2)), provenance="mesh", spec=spec)
 
     raise MeshError(f"unknown set kind {spec.kind!r}")
 
@@ -205,50 +212,238 @@ def _poly_coeff_grid(p: Polynomial) -> np.ndarray:
     return grid
 
 
-def _eval_z2(grid: np.ndarray, value: complex) -> np.ndarray:
-    """Coefficients in z1 after fixing z2 = value."""
-    powers = value ** np.arange(grid.shape[1])
-    return grid @ powers
+def _horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """sum_k coeffs[..., k] * x**k, with x broadcasting against coeffs[..., 0]."""
+    acc = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], np.shape(x)), dtype=complex)
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = acc * x + coeffs[..., k]
+    return acc
 
 
-def _trim(coeffs: np.ndarray, rel: float = 1e-10) -> np.ndarray:
+def _trimmed_lengths(coeffs: np.ndarray, rel: float) -> np.ndarray:
+    """Per row, the length left after dropping trailing coefficients at or
+    below rel times the row's largest magnitude; at least 1."""
     mags = np.abs(coeffs)
-    top = mags.max()
-    if top == 0:
-        return coeffs[:1] * 0
-    keep = len(coeffs)
-    while keep > 1 and mags[keep - 1] <= rel * top:
-        keep -= 1
-    return coeffs[:keep]
+    big = mags > rel * mags.max(axis=1, keepdims=True)
+    last = coeffs.shape[1] - np.argmax(big[:, ::-1], axis=1)
+    return np.where(big.any(axis=1), last, 1)
 
 
-def _sylvester_det_samples(g1: np.ndarray, g2: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """det of the z1-Sylvester matrix of g1, g2 at each z2 sample."""
-    n1, n2 = g1.shape[0] - 1, g2.shape[0] - 1
-    size = n1 + n2
-    out = np.empty(len(samples), dtype=complex)
-    mats = np.zeros((len(samples), size, size), dtype=complex)
-    a = np.array([_eval_z2(g1, s) for s in samples])
-    b = np.array([_eval_z2(g2, s) for s in samples])
+def _stacked_roots(coeffs: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.roots of each row's first lengths[i] coefficients (lowest first).
+
+    Rows whose trimmed polynomial has the same effective degree share one
+    stack of companion matrices, built as np.roots builds them; exact zeros at
+    the low end come back as zero roots after the eigenvalues.  Returns
+    (roots, valid), both of shape (rows, max(lengths) - 1).
+    """
+    width = int(lengths.max(initial=1)) - 1
+    roots = np.zeros((len(coeffs), width), dtype=complex)
+    valid = np.arange(width) < (lengths - 1)[:, None]
+    low_zeros = np.argmax(coeffs != 0, axis=1)
+    size = lengths - 1 - low_zeros
+    for m in np.unique(size[size > 0]):
+        idx = np.nonzero(size == m)[0]
+        p = coeffs[idx[:, None], low_zeros[idx, None] + np.arange(m + 1)][:, ::-1]
+        comp = np.zeros((len(idx), m, m), dtype=complex)
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        roots[idx, :m] = np.linalg.eigvals(comp)
+    return roots, valid
+
+
+def _greedy_distinct(values: np.ndarray, valid: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Keep, per row, each valid entry that is not within tol of an earlier kept one.
+
+    values has shape (rows, k, coords); the distance is the sum of coordinate
+    gaps and the tolerance scales with 1 + the earlier entry's magnitudes.
+    Returns the kept mask and the (rows, k, k) distance table.
+    """
+    gap = np.abs(values[:, :, None, :] - values[:, None, :, :]).sum(axis=-1)
+    close = gap <= tol * (1 + np.abs(values).sum(axis=-1))[:, None, :]
+    keep = np.zeros_like(valid)
+    for k in range(values.shape[1]):
+        keep[:, k] = valid[:, k] & ~(close[:, k, :k] & keep[:, :k]).any(axis=1)
+    return keep, gap
+
+
+@dataclass
+class _FiberBatch:
+    z: np.ndarray             # (roots, 2): certified roots, fibers in base-point order
+    residuals: np.ndarray     # (roots,)
+    counts: np.ndarray        # (points,) roots kept per fiber
+    near: np.ndarray          # (points,) near-discriminant flags
+    errors: dict[int, str]    # point index -> why its fiber failed
+
+
+def _z1_coefficients(grids: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Coefficients in z1 of stacked z-grids after fixing z2 (broadcasting).
+
+    Each row is its own matrix-vector product grid @ z2**arange, so it rounds
+    the same in any batch, a batch of one included.  That matters: the
+    eigenvalue order of a nearly real polynomial's companion matrix can flip
+    under a last-bit change, and the order of the roots is the order of the
+    lifted points.
+    """
+    powers = z2[..., None] ** np.arange(grids.shape[-1])
+    return np.matmul(grids, powers[..., None])[..., 0]
+
+
+def _sylvester_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z1-Sylvester matrices of stacked coefficient rows (lowest first)."""
+    n1, n2 = a.shape[-1] - 1, b.shape[-1] - 1
+    mats = np.zeros(a.shape[:-1] + (n1 + n2, n1 + n2), dtype=complex)
     for i in range(n2):
-        for j in range(n1 + 1):
-            mats[:, i, i + j] = a[:, n1 - j]
+        mats[..., i, i : i + n1 + 1] = a[..., ::-1]
     for i in range(n1):
-        for j in range(n2 + 1):
-            mats[:, n2 + i, i + j] = b[:, n2 - j]
-    out[:] = np.linalg.det(mats)
-    return out
+        mats[..., n2 + i, i : i + n2 + 1] = b[..., ::-1]
+    return mats
 
 
-def _cluster_values(values: np.ndarray, tol: float) -> list[complex]:
-    reps: list[complex] = []
-    for v in values:
-        for r in reps:
-            if abs(v - r) <= tol * (1 + abs(r)):
-                break
+class _FiberSolver:
+    """Batched solver for f(z) = w over many base points w of one map.
+
+    Per map it builds the z-coefficient grids of f1, f2 and of the Jacobian
+    and, when both components involve z1, the Sylvester matrices sampled on
+    the unit circle; a base point only moves the two constant terms.
+    """
+
+    def __init__(self, f: GraphMap) -> None:
+        g = f.to_float()
+        self.g1, self.g2 = _poly_coeff_grid(g.f1), _poly_coeff_grid(g.f2)
+        # z1-degrees of the two components
+        self.n1, self.n2 = self.g1.shape[0] - 1, self.g2.shape[0] - 1
+        if self.n1 == 0 and self.n2 == 0:
+            raise FiberError("neither component depends on z1; fiber is not finite")
+        self.power = g.d1
+        self.expected = g.d1 * g.d2
+        self.constants = np.array([self.g1[0, 0], self.g2[0, 0]])
+        self.scale_floor = max(
+            1.0, *(float(np.abs(grid).ravel()[1:].max(initial=0.0)) for grid in (self.g1, self.g2))
+        )
+        # f1, f2, d1/dz1, d1/dz2, d2/dz1, d2/dz2 on one padded grid
+        stack = np.zeros((6, max(self.n1, self.n2) + 1, max(self.g1.shape[1], self.g2.shape[1])), dtype=complex)
+        for k, grid in enumerate((self.g1, self.g2)):
+            r, c = grid.shape
+            stack[k, :r, :c] = grid
+            stack[2 + 2 * k, : r - 1, :c] = grid[1:] * np.arange(1, r)[:, None]
+            stack[3 + 2 * k, :r, : c - 1] = grid[:, 1:] * np.arange(1, c)
+        self.stack = stack
+        if self.n1 and self.n2:
+            degree_cap = self.n2 * g.d1 + self.n1 * g.d2 + 2  # det degree bound over z2
+            m_samples = 1 << max(4, math.ceil(math.log2(2 * degree_cap)))
+            self.samples = np.exp(2j * np.pi * np.arange(m_samples) / m_samples)
+
+    def solve(self, w: np.ndarray) -> _FiberBatch:
+        """Fibers over the rows of w, FIBER_CHUNK base points at a time."""
+        parts = [self._solve_chunk(w[s : s + FIBER_CHUNK]) for s in range(0, len(w), FIBER_CHUNK)]
+        return _FiberBatch(
+            z=np.concatenate([p.z for p in parts]),
+            residuals=np.concatenate([p.residuals for p in parts]),
+            counts=np.concatenate([p.counts for p in parts]),
+            near=np.concatenate([p.near for p in parts]),
+            errors={s * FIBER_CHUNK + i: msg for s, p in enumerate(parts) for i, msg in p.errors.items()},
+        )
+
+    def _shifted(self, k: int, w: np.ndarray) -> np.ndarray:
+        """Grids of f_k - w_k, one per value in w, stacked."""
+        grids = np.repeat((self.g1, self.g2)[k][None], len(w), axis=0)
+        grids[:, 0, 0] += -w
+        return grids
+
+    def _z2_candidates(self, w: np.ndarray, errors: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct eliminant roots as (point index, z2) pairs, point-major."""
+        n1, n2 = self.n1, self.n2
+        if n1 == 0 or n2 == 0:
+            # one equation is z2-only: its roots give z2, the other solves z1
+            k = 0 if n1 == 0 else 1
+            elim = self._shifted(k, w[:, k])[:, 0]
+            lengths = _trimmed_lengths(elim, 1e-10)
+            for i in np.nonzero(lengths == 1)[0]:
+                errors[int(i)] = "degenerate fiber: a component reduced to a constant"
         else:
-            reps.append(complex(v))
-    return reps
+            a, b = (_z1_coefficients(self._shifted(k, w[:, k])[:, None], self.samples[None]) for k in (0, 1))
+            # samples run counterclockwise, so the forward transform reads off
+            # the coefficients; ifft would hand them back reversed
+            elim = np.fft.fft(np.linalg.det(_sylvester_stack(a, b)), axis=1) / len(self.samples)
+            lengths = _trimmed_lengths(elim, 1e-11)
+            vanished = np.abs(elim).max(axis=1) <= 1e-300
+            for i in np.nonzero(vanished)[0]:
+                errors[int(i)] = "eliminant vanished; the fiber is positive-dimensional here"
+            lengths[vanished] = 1
+        roots, valid = _stacked_roots(elim, lengths)
+        keep, _ = _greedy_distinct(roots[:, :, None], valid, ROOT_DEDUPE_TOL)
+        point, slot = np.nonzero(keep)
+        return point, roots[point, slot]
+
+    def _z1_candidates(self, w: np.ndarray, point: np.ndarray, z2: np.ndarray):
+        """Back-substitute each z2 into whichever component keeps z1-degree there."""
+        a, b = (_z1_coefficients(self._shifted(k, w[point, k]), z2) for k in (0, 1))
+        la, lb = _trimmed_lengths(a, 1e-10), _trimmed_lengths(b, 1e-10)
+        use_b = la == 1
+        coeffs = np.zeros((len(z2), max(self.n1, self.n2) + 1), dtype=complex)
+        coeffs[~use_b, : self.n1 + 1] = a[~use_b]
+        coeffs[use_b, : self.n2 + 1] = b[use_b]
+        z1, valid = _stacked_roots(coeffs, np.where(use_b, lb, la))
+        cand, slot = np.nonzero(valid)
+        return point[cand], z1[cand, slot], z2[cand]
+
+    def _values(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+        """(n, 6): f1, f2 and the four partials at the points (z1, z2)."""
+        return _horner(_horner(self.stack, z2[:, None, None]), z1[:, None])
+
+    def _newton(self, w: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> None:
+        """Polish in place; a root stops on a near-singular Jacobian or a tiny step."""
+        active = np.arange(len(z1))
+        for _ in range(50):
+            if not active.size:
+                break
+            v = self._values(z1[active], z2[active])
+            j11, j12, j21, j22 = v[:, 2], v[:, 3], v[:, 4], v[:, 5]
+            det = j11 * j22 - j12 * j21
+            moving = np.abs(det) >= 1e-14
+            active, det = active[moving], det[moving]
+            v1 = v[moving, 0] - w[active, 0]
+            v2 = v[moving, 1] - w[active, 1]
+            j11, j12, j21, j22 = j11[moving], j12[moving], j21[moving], j22[moving]
+            dz1 = (v1 * j22 - v2 * j12) / det
+            dz2 = (v2 * j11 - v1 * j21) / det
+            z1[active] -= dz1
+            z2[active] -= dz2
+            small = np.abs(dz1) + np.abs(dz2) < 1e-15 * (1 + np.abs(z1[active]) + np.abs(z2[active]))
+            active = active[~small]
+
+    def _solve_chunk(self, w: np.ndarray) -> _FiberBatch:
+        npts = len(w)
+        errors: dict[int, str] = {}
+        point, z2 = self._z2_candidates(w, errors)
+        point, z1, z2 = self._z1_candidates(w, point, z2)
+        wq = w[point]
+        with np.errstate(all="ignore"):
+            self._newton(wq, z1, z2)
+            v = self._values(z1, z2)[:, :2] - wq
+            coeff_scale = np.maximum(self.scale_floor, np.abs(self.constants - w).max(axis=1))
+            local = np.maximum(1.0, np.maximum(np.abs(z1), np.abs(z2))) ** self.power
+            res = np.abs(v).max(axis=1) / (coeff_scale[point] * local)
+
+        # certify per fiber: residual acceptance, then dedupe in solve order
+        counts = np.bincount(point, minlength=npts)
+        slot = np.arange(len(point)) - (np.cumsum(counts) - counts)[point]
+        width = int(counts.max(initial=0))
+        roots = np.zeros((npts, width, 2), dtype=complex)
+        roots[point, slot] = np.stack([z1, z2], axis=1)
+        residuals = np.zeros((npts, width))
+        residuals[point, slot] = res
+        accepted = np.zeros((npts, width), dtype=bool)
+        accepted[point, slot] = res <= FIBER_RESIDUAL_TOL
+        keep, gap = _greedy_distinct(roots, accepted, ROOT_DEDUPE_TOL)
+        kept = keep.sum(axis=1)
+        pairs = keep[:, :, None] & keep[:, None, :] & ~np.eye(width, dtype=bool)
+        sep = np.where(pairs, gap, np.inf).min(axis=(1, 2), initial=np.inf)
+        near = (kept < self.expected) | (sep < NEAR_DISCRIMINANT_TOL)
+        for i in np.nonzero(kept == 0)[0]:
+            errors.setdefault(int(i), f"no certified roots for w = ({complex(w[i, 0])}, {complex(w[i, 1])})")
+        return _FiberBatch(roots[keep], residuals[keep], kept, near, errors)
 
 
 def fiber(f: GraphMap, w: Sequence[complex]) -> FiberResult:
@@ -258,133 +453,39 @@ def fiber(f: GraphMap, w: Sequence[complex]) -> FiberResult:
     root pairs than 1e-6 or a count below d1*d2 raise the near-discriminant
     flag (not an error).
     """
-    g = f.to_float()
-    w1, w2 = complex(w[0]), complex(w[1])
-    g1 = _poly_coeff_grid(g.f1 - Polynomial.constant(w1, "float"))
-    g2 = _poly_coeff_grid(g.f2 - Polynomial.constant(w2, "float"))
-    coeff_scale = max(
-        1.0,
-        float(np.abs(g1).max()),
-        float(np.abs(g2).max()),
-    )
-    n1 = g1.shape[0] - 1
-    n2 = g2.shape[0] - 1
-    expected = g.d1 * g.d2
-
-    # eliminate z1; fall back to whichever component still involves it
-    if n1 == 0 and n2 == 0:
-        raise FiberError("neither component depends on z1; fiber is not finite")
-    if n1 == 0 or n2 == 0:
-        # one equation is z2-only: its roots give z2, the other solves z1
-        only, other = (g1, g2) if n1 == 0 else (g2, g1)
-        elim = _trim(only[0])
-        if len(elim) == 1:
-            raise FiberError("degenerate fiber: a component reduced to a constant")
-        z2_candidates = _cluster_values(np.roots(elim[::-1]), ROOT_DEDUPE_TOL)
-    else:
-        degree_cap = n2 * g.d1 + n1 * g.d2 + 2  # det degree bound over z2
-        m_samples = 1 << max(4, math.ceil(math.log2(2 * degree_cap)))
-        samples = np.exp(2j * np.pi * np.arange(m_samples) / m_samples)
-        dets = _sylvester_det_samples(g1, g2, samples)
-        # samples run counterclockwise, so the forward transform reads off
-        # the coefficients; ifft would hand them back reversed
-        coeffs = np.fft.fft(dets) / m_samples
-        elim = _trim(coeffs, 1e-11)
-        if np.abs(elim).max() <= 1e-300:
-            raise FiberError("eliminant vanished; the fiber is positive-dimensional here")
-        z2_candidates = _cluster_values(np.roots(elim[::-1]), ROOT_DEDUPE_TOL)
-
-    d11 = g.f1.derivative("z1").to_float()
-    d12 = g.f1.derivative("z2").to_float()
-    d21 = g.f2.derivative("z1").to_float()
-    d22 = g.f2.derivative("z2").to_float()
-
-    def eval_pair(z1: complex, z2: complex) -> tuple[complex, complex]:
-        v1 = g.f1.evaluate((0, 0), (z1, z2)) - w1
-        v2 = g.f2.evaluate((0, 0), (z1, z2)) - w2
-        return v1, v2
-
-    roots: list[tuple[complex, complex]] = []
-    residuals: list[float] = []
-    for z2c in z2_candidates:
-        # z1 candidates from whichever component keeps z1-degree at this z2
-        a_c = _trim(_eval_z2(g1, z2c)) if n1 > 0 else np.zeros(1, dtype=complex)
-        if len(a_c) == 1 and n2 > 0:
-            a_c = _trim(_eval_z2(g2, z2c))
-        if len(a_c) == 1:
-            continue
-        for z1c in np.roots(a_c[::-1]):
-            z1v, z2v = complex(z1c), complex(z2c)
-            # Newton polish on the full system
-            for _ in range(50):
-                v1, v2 = eval_pair(z1v, z2v)
-                j11 = d11.evaluate((0, 0), (z1v, z2v))
-                j12 = d12.evaluate((0, 0), (z1v, z2v))
-                j21 = d21.evaluate((0, 0), (z1v, z2v))
-                j22 = d22.evaluate((0, 0), (z1v, z2v))
-                det = j11 * j22 - j12 * j21
-                if abs(det) < 1e-14:
-                    break
-                dz1 = (v1 * j22 - v2 * j12) / det
-                dz2 = (v2 * j11 - v1 * j21) / det
-                z1v -= dz1
-                z2v -= dz2
-                if abs(dz1) + abs(dz2) < 1e-15 * (1 + abs(z1v) + abs(z2v)):
-                    break
-            v1, v2 = eval_pair(z1v, z2v)
-            local = max(1.0, abs(z1v), abs(z2v)) ** g.d1
-            res = max(abs(v1), abs(v2)) / (coeff_scale * local)
-            if res > FIBER_RESIDUAL_TOL:
-                continue
-            for zr1, zr2 in roots:
-                if (
-                    abs(zr1 - z1v) + abs(zr2 - z2v)
-                    <= ROOT_DEDUPE_TOL * (1 + abs(zr1) + abs(zr2))
-                ):
-                    break
-            else:
-                roots.append((z1v, z2v))
-                residuals.append(res)
-    if not roots:
-        raise FiberError(f"no certified roots for w = ({w1}, {w2})")
-    arr = np.array(roots)
-    near = len(roots) < expected
-    if not near and len(roots) > 1:
-        sep = min(
-            abs(arr[i, 0] - arr[j, 0]) + abs(arr[i, 1] - arr[j, 1])
-            for i in range(len(arr))
-            for j in range(i + 1, len(arr))
-        )
-        near = sep < NEAR_DISCRIMINANT_TOL
+    solver = _FiberSolver(f)
+    batch = solver.solve(np.array([[complex(w[0]), complex(w[1])]]))
+    if batch.errors:
+        raise FiberError(batch.errors[0])
     return FiberResult(
-        z=arr,
-        residuals=np.array(residuals),
-        near_discriminant=bool(near),
-        defect=expected - len(roots),
+        z=batch.z,
+        residuals=batch.residuals,
+        near_discriminant=bool(batch.near[0]),
+        defect=solver.expected - int(batch.counts[0]),
     )
 
 
 def graph_lift(f: GraphMap, base: SampledSet) -> SampledSet:
-    """f^{-1}(K) as a sampled set with both coordinate charts attached."""
-    zs = []
-    ws = []
-    flagged = 0
-    for w1, w2 in base.w:
-        result = fiber(f, (w1, w2))
-        if result.near_discriminant:
-            flagged += 1
-        for z1, z2 in result.z:
-            zs.append([z1, z2])
-            ws.append([w1, w2])
+    """f^{-1}(K) as a sampled set with both coordinate charts attached.
+
+    meta records the flagged fibers, the roots missing against d1*d2 per
+    fiber, and the worst certified residual.
+    """
+    solver = _FiberSolver(f)
+    batch = solver.solve(base.w)
+    if batch.errors:
+        raise FiberError(batch.errors[min(batch.errors)])
     return SampledSet(
-        w=np.array(ws),
-        z=np.array(zs),
+        w=np.repeat(base.w, batch.counts, axis=0),
+        z=batch.z,
         provenance="graph_lift",
         spec=base.spec,
         map=f,
         meta={
             "base_size": len(base),
-            "near_discriminant_fibers": flagged,
+            "near_discriminant_fibers": int(batch.near.sum()),
+            "roots_missing": int((solver.expected - batch.counts).sum()),
+            "residual_max": float(batch.residuals.max()),
         },
     )
 
@@ -402,9 +503,9 @@ def fiber_average_poly(
     """Least-squares model of w -> average of p over the fiber f^{-1}(w).
 
     The average of a polynomial over fibers is again a polynomial in w; fit it
-    on an oversampled random grid and report the worst fit residual.  Grid
-    points whose fibers sit near the discriminant are redrawn, at most five
-    times each.
+    on an oversampled random grid and report the worst fit residual.  The
+    grid is lifted in one batch; points whose fibers fail or sit near the
+    discriminant are redrawn together, and no point gets more than five draws.
     """
     if deg_bound < 0:
         raise ValueError("deg_bound must be >= 0")
@@ -421,23 +522,31 @@ def fiber_average_poly(
             complex(rho[1] * np.cos(ang[1]), rho[1] * np.sin(ang[1])),
         )
 
-    points = []
-    values = []
-    for _ in range(count):
-        for _attempt in range(5):
-            w = draw()
-            try:
-                fib = fiber(f, w)
-            except FiberError:
-                continue
-            if fib.near_discriminant:
-                continue
-            vals = [pf.evaluate((w[0], w[1]), (z1, z2)) for z1, z2 in fib.z]
-            points.append(w)
-            values.append(sum(vals) / len(vals))
+    # The grid is drawn in the order of a point-by-point loop and lifted in
+    # one batch; rejected points are redrawn in index order and lifted again,
+    # for at most five rounds in all.
+    solver = _FiberSolver(f)
+    points = [draw() for _ in range(count)]
+    values = np.empty(count, dtype=complex)
+    pending = np.arange(count)
+    for attempt in range(5):
+        if attempt:
+            for i in pending:
+                points[i] = draw()
+        w = np.array([points[i] for i in pending])
+        batch = solver.solve(w)
+        owner = np.repeat(np.arange(len(w)), batch.counts)
+        vals = pf.evaluate((w[owner, 0], w[owner, 1]), (batch.z[:, 0], batch.z[:, 1]))
+        sums = np.zeros(len(w), dtype=complex)
+        np.add.at(sums, owner, vals)
+        clean = ~batch.near
+        clean[list(batch.errors)] = False
+        values[pending[clean]] = sums[clean] / batch.counts[clean]
+        pending = pending[~clean]
+        if not pending.size:
             break
-        else:
-            raise FiberError("could not draw a clean fiber grid in five attempts")
+    else:
+        raise FiberError("could not draw a clean fiber grid in five attempts")
 
     monomials = [
         (a1, a2)
@@ -449,9 +558,8 @@ def fiber_average_poly(
     for i, (w1, w2) in enumerate(points):
         for j, (a1, a2) in enumerate(monomials):
             a_mat[i, j] = w1 ** a1 * w2 ** a2
-    b_vec = np.array(values, dtype=complex)
-    coeffs, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    residual = float(np.abs(a_mat @ coeffs - b_vec).max())
+    coeffs, *_ = np.linalg.lstsq(a_mat, values, rcond=None)
+    residual = float(np.abs(a_mat @ coeffs - values).max())
     terms = {}
     for (a1, a2), c in zip(monomials, coeffs):
         if abs(c) > 0:

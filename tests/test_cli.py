@@ -162,6 +162,26 @@ def test_pullback_squares(map_file, capsys):
     assert abs(payload["rhs"] - 1.0) < 1e-9
     assert abs(payload["ratio"] - 1.0) < 1e-9
     assert "d2_cross" in payload
+    assert payload["meta"]["near_discriminant_fibers"] == 0
+    assert payload["meta"]["roots_missing"] == 0
+
+
+def test_tdiam_json_carries_series_meta(capsys):
+    code, payload = run_json(
+        capsys,
+        ["tdiam", "--set", "torus:1,1", "--basis", "w", "--nmax", "2", "--mesh", "8,8",
+         "--format", "json"],
+    )
+    assert code == 0
+    meta = payload["meta"]
+    assert meta["points"] == 64
+    assert 0 <= meta["irls_converged"] <= len(payload["m"]) * 6
+    assert meta["irls_steps"] >= meta["irls_converged"]
+
+
+def test_threads_flag_is_gone(capsys):
+    code = main(["resultant", "--map", "f.json", "--threads", "2"])
+    assert code == 2
 
 
 def test_out_writes_file(map_file, capsys, tmp_path):

@@ -35,6 +35,26 @@ def test_greedy_on_interval_section():
     assert abs(math.exp(ledger.logdet) - 16.0) < 1e-9
 
 
+def test_series_evaluates_its_monomial_matrix_once(monkeypatch):
+    import capax.diameters as diameters
+
+    calls = []
+    real = diameters.evaluate_monomials
+
+    def counted(monomials, points):
+        calls.append(len(monomials))
+        return real(monomials, points)
+
+    monkeypatch.setattr(diameters, "evaluate_monomials", counted)
+    mesh = build_mesh("torus:1,1", 8)
+    series = transfinite_diameter(mesh, "w", 3)
+    assert calls == [10]
+    # the shared matrix reaches the greedy selection unchanged
+    direct = greedy_fekete(mesh, series.ledger.monomials, 10)
+    assert direct.selected == series.ledger.selected
+    assert np.array_equal(direct.step_logs, series.ledger.step_logs)
+
+
 def test_greedy_matches_brute_force():
     from itertools import combinations
 

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,9 @@ from capax import (
     graph_lift,
     parse_poly,
 )
+from capax.sets import FIBER_CHUNK
+
+from conftest import random_generic_map
 
 
 def M(f1, f2):
@@ -67,6 +73,35 @@ def test_polydisc_outermost_point_on_boundary():
 def test_duplicate_points_rejected():
     with pytest.raises(MeshError):
         SampledSet(w=np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+
+def test_near_duplicates_rejected_distinct_points_kept():
+    with pytest.raises(MeshError):
+        SampledSet(w=np.array([[1.0, 2.0], [0.5, 0.5j], [1.0 + 1e-14, 2.0]]))
+    with pytest.raises(MeshError):
+        SampledSet(w=np.array([[0.0, 1.0], [-0.0, 1.0]]))
+    assert len(SampledSet(w=np.array([[1.0, 2.0], [1.0 + 1e-9, 2.0], [2.0, 1.0]]))) == 3
+
+
+def _pairs(first, second):
+    return np.array([[a, b] for a in first for b in second], dtype=complex)
+
+
+def test_mesh_arrays_pinned_to_row_major_order():
+    # the first coordinate runs slowest, for every kind
+    t1 = np.exp(2j * np.pi * np.arange(8) / 8)
+    t2 = 2.0 * np.exp(2j * np.pi * np.arange(5) / 5)
+    assert build_mesh("torus:1,2", (8, 5)).w.tobytes() == _pairs(t1, t2).tobytes()
+
+    def disc(r, n):
+        k = np.arange(n)
+        return r * np.sqrt((k + 1) / n) * np.exp(1j * math.pi * (3 - math.sqrt(5)) * k)
+
+    assert build_mesh("polydisc:1,0.5", (6, 7)).w.tobytes() == _pairs(disc(1, 6), disc(0.5, 7)).tobytes()
+    box = _pairs(np.linspace(-2, 2, 6), np.linspace(-1, 3, 4))
+    assert build_mesh("box:-2,2,-1,3", (6, 4)).w.tobytes() == box.tobytes()
+    flat = _pairs(np.linspace(-2, 2, 9), [0.0])
+    assert build_mesh("box:-2,2,0,0", (9, 1)).w.tobytes() == flat.tobytes()
 
 
 def test_mesh_id_deterministic():
@@ -143,6 +178,87 @@ def test_graph_lift_alignment():
     assert lifted.meta["base_size"] == len(base)
 
 
+def test_graph_lift_meta_reports_missing_roots_and_residuals():
+    # over w2 = 1 the z2 roots merge, so that fiber keeps 2 of its 4 roots
+    f = M("z1^2 + z2", "z2^2 + 1")
+    lifted = graph_lift(f, SampledSet(w=np.array([[3, 5], [3, 1], [2j, -1]], dtype=complex)))
+    assert len(lifted) == 10
+    assert lifted.meta["near_discriminant_fibers"] == 1
+    assert lifted.meta["roots_missing"] == 2
+    assert 0 <= lifted.meta["residual_max"] < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batched solver against one fiber at a time
+
+Z2_LEADING = ("z1^2*z2 + z2^3 + z1", "z1^2 + z1*z2 + 2*z2^2")
+
+
+def _mixed_base():
+    # w2 = w1^2 puts a root at z2 = 0, where f1 loses its z1^2 term, so these
+    # points back-substitute through a lower-degree group than their neighbours
+    drops = np.array([[1, 1], [2, 4], [-1, 1], [0.5j, -0.25]], dtype=complex)
+    torus = build_mesh("torus:0.7,1.3", (5, 7)).w
+    return SampledSet(w=np.concatenate([torus[:20], drops, torus[20:]]))
+
+
+LIFT_CASES = {
+    "generic d=2": (lambda: random_generic_map(random.Random(5), 2), lambda: build_mesh("torus:1,1", 9)),
+    "generic d=3": (lambda: random_generic_map(random.Random(6), 3), lambda: build_mesh("polydisc:1,1", 7)),
+    "z2-leading": (lambda: M(*Z2_LEADING), _mixed_base),
+    "z-only": (lambda: M("z1^2 + z2", "z2^2 + 1"), lambda: build_mesh("box:-2,2,-1,1", 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+def test_graph_lift_matches_per_point_fibers(case):
+    make_map, make_base = LIFT_CASES[case]
+    f, base = make_map(), make_base()
+    assert len(base) > FIBER_CHUNK  # more than one batch
+    lifted = graph_lift(f, base)
+    fibers = [fiber(f, w) for w in base.w]
+    assert np.array_equal(lifted.w, np.repeat(base.w, [len(r.z) for r in fibers], axis=0))
+    per_point = np.concatenate([r.z for r in fibers])
+    assert per_point.shape == lifted.z.shape
+    assert np.abs(lifted.z - per_point).max() <= 1e-12 * max(1.0, np.abs(per_point).max())
+    assert lifted.meta["near_discriminant_fibers"] == sum(r.near_discriminant for r in fibers)
+    assert lifted.meta["roots_missing"] == sum(r.defect for r in fibers)
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+def test_graph_lift_residuals_checked_on_the_map(case):
+    make_map, make_base = LIFT_CASES[case]
+    f, base = make_map(), make_base()
+    lifted = graph_lift(f, base)
+    g = f.to_float()
+    z1, z2 = lifted.z[:, 0], lifted.z[:, 1]
+    local = np.maximum(1.0, np.maximum(np.abs(z1), np.abs(z2))) ** g.d1
+    worst = 0.0
+    for k, p in enumerate((g.f1, g.f2)):
+        value = p.evaluate((0, 0), (z1, z2)) - lifted.w[:, k]
+        scale = max(1.0, max(abs(c) for m, c in p.terms.items() if m.degree() > 0))
+        scale = np.maximum(scale, np.abs(p.coefficient(Monomial(0, 0, 0, 0)) - lifted.w[:, k]))
+        worst = max(worst, float((np.abs(value) / (scale * local)).max()))
+    assert worst <= 1e-9
+    assert lifted.meta["residual_max"] <= 1e-9
+
+
+def test_graph_lift_of_scaled_squares_is_closed_form():
+    c = 1.5
+    base = build_mesh("torus:0.8,1.7", (6, 8))
+    lifted = graph_lift(M("3/2*z1^2", "3/2*z2^2"), base)
+    assert len(lifted) == 4 * len(base)
+    assert lifted.meta["near_discriminant_fibers"] == 0
+    assert lifted.meta["roots_missing"] == 0
+    for i, (w1, w2) in enumerate(base.w):
+        r1, r2 = np.sqrt(w1 / c), np.sqrt(w2 / c)
+        want = np.array([[s1 * r1, s2 * r2] for s1 in (1, -1) for s2 in (1, -1)])
+        got = lifted.z[4 * i : 4 * i + 4]
+        assert np.array_equal(lifted.w[4 * i : 4 * i + 4], np.repeat(base.w[i : i + 1], 4, axis=0))
+        for z in want:
+            assert np.abs(got - z).sum(axis=1).min() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # fiber averages
 
@@ -167,3 +283,12 @@ def test_fiber_average_mixed_monomial():
     assert abs(avg.coefficient(w2) - 1.0) < 1e-8
     others = [m for m in avg.terms if m != w2]
     assert all(abs(complex(avg.coefficient(m))) < 1e-8 for m in others)
+
+
+def test_fiber_average_repeats_exactly_for_a_seed():
+    f = M("z1^2 + z1*z2 + 1/2*z2", "z2^2 - z1 + 1/3")
+    p = parse_poly("w1*z1*z2 + z2", "float")
+    first = fiber_average_poly(p, f, 3, seed=11)
+    second = fiber_average_poly(p, f, 3, seed=11)
+    assert first[0].terms == second[0].terms
+    assert first[1] == second[1]
