@@ -5,8 +5,7 @@ its predecessors: min over coefficients of max over sample points of
 |target + combination of earlier monomials|.  Lawson's iteratively reweighted
 least squares drives it: each weighted L2 optimum gives a certified lower
 bound, its max residual an upper bound, and the weights contract the gap.
-A linear program over an octagonal modulus approximation is kept alongside as
-an independent cross-check.
+The solver settings are the module constants below.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import EstimateError
 from .polynomials import Monomial, w_monomial, z_monomial
@@ -25,6 +23,9 @@ from .sets import SampledSet
 from .variety import MonomialBasisStream
 
 FLOOR = 1e-300
+LAWSON_TOL = 1e-8  # relative certificate gap at which a solve counts as converged
+LAWSON_MAX_ITER = 500
+LAWSON_STALL = 50  # rounds without progress before a solve gives up
 
 
 def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.ndarray:
@@ -72,31 +73,23 @@ class ChebyshevEstimate:
     residual: float
     iterations: int
     converged: bool
-    method: str
     target: Optional[Monomial] = None
     prefix_size: int = 0
     coefficients: Optional[np.ndarray] = None
 
 
-def minimax_from_matrix(
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    stall: int = 50,
-) -> ChebyshevEstimate:
+def minimax_from_matrix(a: np.ndarray, b: np.ndarray) -> ChebyshevEstimate:
     """min_c max_i |b_i + (A c)_i| by Lawson reweighting.
 
-    Stops once the certificate gap closes, or after `stall` rounds with neither
-    a better incumbent nor meaningful gap shrinkage; the gap often closes only
-    linearly while the value itself settles within a few dozen rounds.
+    Stops once the certificate gap closes to LAWSON_TOL, or after LAWSON_STALL
+    rounds with neither a better incumbent nor meaningful gap shrinkage; the
+    gap often closes only linearly while the value itself settles within a few
+    dozen rounds.
     """
     npts, t = a.shape
     if t == 0:
         value = float(np.abs(b).max())
-        return ChebyshevEstimate(
-            value=value, residual=0.0, iterations=0, converged=True, method="irls"
-        )
+        return ChebyshevEstimate(value=value, residual=0.0, iterations=0, converged=True)
     u = np.full(npts, 1.0 / npts)
     best = math.inf
     best_c = None
@@ -104,7 +97,7 @@ def minimax_from_matrix(
     tightest = math.inf
     last_improved = 0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, LAWSON_MAX_ITER + 1):
         sw = np.sqrt(u)
         c, *_ = np.linalg.lstsq(a * sw[:, None], -b * sw, rcond=None)
         r = b + a @ c
@@ -119,16 +112,15 @@ def minimax_from_matrix(
             best = upper
             best_c = c
             best_gap = gap
-        if gap <= tol * max(1.0, upper):
+        if gap <= LAWSON_TOL * max(1.0, upper):
             return ChebyshevEstimate(
                 value=best,
                 residual=max(gap, 0.0),
                 iterations=iterations,
                 converged=True,
-                method="irls",
                 coefficients=best_c,
             )
-        if iterations - last_improved >= stall:
+        if iterations - last_improved >= LAWSON_STALL:
             break
         u = u * np.maximum(mags, FLOOR)
         total = u.sum()
@@ -140,79 +132,17 @@ def minimax_from_matrix(
         residual=max(best_gap, 0.0),
         iterations=iterations,
         converged=False,
-        method="irls",
         coefficients=best_c,
     )
 
 
-def minimax_from_matrix_lp(
-    a: np.ndarray, b: np.ndarray, directions: int = 8
-) -> ChebyshevEstimate:
-    """The same minimax through a linear program.
-
-    The modulus is approximated by its maximum over `directions` phases, so
-    the optimum lower-bounds the true value by at most cos(pi/directions).
-    """
-    npts, t = a.shape
-    if t == 0:
-        return ChebyshevEstimate(
-            value=float(np.abs(b).max()),
-            residual=0.0,
-            iterations=0,
-            converged=True,
-            method="lp",
-        )
-    phases = np.exp(-2j * np.pi * np.arange(directions) / directions)
-    nvar = 2 * t + 1
-    rows = []
-    rhs = []
-    for ph in phases:
-        ap = a * ph
-        block = np.concatenate(
-            [ap.real, -ap.imag, -np.ones((npts, 1))], axis=1
-        )
-        rows.append(block)
-        rhs.append(-(b * ph).real)
-    a_ub = np.concatenate(rows, axis=0)
-    b_ub = np.concatenate(rhs)
-    cost = np.zeros(nvar)
-    cost[-1] = 1.0
-    bounds = [(None, None)] * (2 * t) + [(0, None)]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise EstimateError(f"linear program failed: {res.message}")
-    c = res.x[:t] + 1j * res.x[t : 2 * t]
-    true_max = float(np.abs(b + a @ c).max())
-    return ChebyshevEstimate(
-        value=true_max,
-        residual=true_max - float(res.x[-1]),
-        iterations=int(res.nit) if res.nit is not None else 0,
-        converged=True,
-        method="lp",
-        coefficients=c,
-    )
-
-
 def chebyshev_value(
-    points: SampledSet,
-    stream: MonomialBasisStream,
-    target: Monomial,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    method: str = "irls",
+    points: SampledSet, stream: MonomialBasisStream, target: Monomial
 ) -> ChebyshevEstimate:
     """Discrete Chebyshev value of a stream monomial over its stream prefix."""
     prefix = stream.prefix_of(target)
     matrix = evaluate_monomials(prefix + [target], points)
-    a = matrix[:, : len(prefix)]
-    b = matrix[:, len(prefix)]
-    if method == "irls":
-        est = minimax_from_matrix(a, b, tol=tol, max_iter=max_iter)
-    elif method == "lp":
-        est = minimax_from_matrix_lp(a, b)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    est = minimax_from_matrix(matrix[:, : len(prefix)], matrix[:, len(prefix)])
     est.target = target
     est.prefix_size = len(prefix)
     return est
@@ -228,13 +158,7 @@ def direction_exponent(theta: float, s: int) -> tuple[int, int]:
 
 
 def chebyshev_transform(
-    points: SampledSet,
-    stream: MonomialBasisStream,
-    theta: float,
-    s: int,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 500,
+    points: SampledSet, stream: MonomialBasisStream, theta: float, s: int
 ) -> float:
     """s-th root of the directional Chebyshev value along theta.
 
@@ -245,17 +169,12 @@ def chebyshev_transform(
         raise ValueError("the transform needs s >= 2")
     alpha = direction_exponent(theta, s)
     target = z_monomial(alpha) if stream.kind == "z" else w_monomial(alpha)
-    est = chebyshev_value(points, stream, target, tol=tol, max_iter=max_iter)
+    est = chebyshev_value(points, stream, target)
     return est.value ** (1.0 / s)
 
 
 def zaharjuta_integral(
-    points: SampledSet,
-    stream: MonomialBasisStream,
-    s: int,
-    grid: int,
-    *,
-    tol: float = 1e-8,
+    points: SampledSet, stream: MonomialBasisStream, s: int, grid: int
 ) -> float:
     """Geometric mean of directional constants over the direction simplex.
 
@@ -268,7 +187,7 @@ def zaharjuta_integral(
     h = 1.0 / (grid + 1)
     values = []
     for i in range(1, grid + 1):
-        t = chebyshev_transform(points, stream, i * h, s, tol=tol)
+        t = chebyshev_transform(points, stream, i * h, s)
         if t <= FLOOR:
             warnings.warn(
                 "directional constant hit the machine floor; the set is "

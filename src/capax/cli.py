@@ -65,9 +65,8 @@ _REQUIRED = {
 
 DEFAULT_MESH = (24, 24)
 
-_DEFAULT_FORMAT = {name: "json" for name in COMMANDS}
-_DEFAULT_FORMAT["tdiam"] = "csv"
-_DEFAULT_FORMAT["fiber"] = "csv"
+# the commands with a CSV report, which is also their default format
+_CSV_COMMANDS = ("tdiam", "fiber")
 
 
 @dataclass
@@ -83,8 +82,6 @@ class RunConfig:
     precision: Optional[str] = None
     out: Optional[str] = None
     format: Optional[str] = None
-    seed: int = 0
-    verbose: bool = False
     # per-command extras
     k: Optional[int] = None
     w: Optional[list[float]] = None
@@ -102,7 +99,7 @@ class RunConfig:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         if "command" not in data:
             raise UsageError("config needs a command")
-        return cls(**{k: _coerce_field(k, v) for k, v in data.items()})
+        return cls(**data)
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -112,6 +109,8 @@ class RunConfig:
                 raise UsageError(f"{self.command} needs --{name}")
         if self.format not in (None, "json", "csv"):
             raise UsageError("format must be json or csv")
+        if self.format == "csv" and self.command not in _CSV_COMMANDS:
+            raise UsageError(f"{self.command} has no CSV form; use --format json")
         if self.precision not in (None, "exact", "float"):
             raise UsageError("precision must be exact or float")
         if self.basis is not None and self.basis not in ("z", "w", "B", "C"):
@@ -136,7 +135,7 @@ class RunConfig:
             raise UsageError("--theta needs --s")
 
     def resolved_format(self) -> str:
-        return self.format or _DEFAULT_FORMAT[self.command]
+        return self.format or ("csv" if self.command in _CSV_COMMANDS else "json")
 
     def report_dict(self) -> dict:
         out = {}
@@ -147,19 +146,6 @@ class RunConfig:
             out[f.name] = list(value) if isinstance(value, tuple) else value
         out["format"] = self.resolved_format()
         return out
-
-
-def _coerce_field(name: str, value):
-    """Bring config-file values onto the flag types; flags arrive typed."""
-    if value is None:
-        return None
-    if name in ("mesh", "alpha", "beta") and isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    if name == "mesh" and isinstance(value, int):
-        return (value, value)
-    if name == "w" and isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +185,42 @@ def _w_arg(text: str) -> list[float]:
     return vals
 
 
+def _switch_arg(text: str) -> bool:
+    # a switch flag takes no text; in a config file it must be a JSON boolean
+    if text not in ("True", "False"):
+        raise argparse.ArgumentTypeError("expected true or false")
+    return text == "True"
+
+
+# the flag parser of each typed field; config-file values go through it too
+_FIELD_PARSERS = {
+    "map": str,
+    "set": str,
+    "out": str,
+    "mesh": _mesh_arg,
+    "nmax": int,
+    "k": int,
+    "w": _w_arg,
+    "alpha": _pair_arg,
+    "beta": _pair_arg,
+    "theta": float,
+    "s": int,
+    "oracle": _switch_arg,
+}
+
+
+def _coerce_field(name: str, value):
+    """Parse a config-file value as its flag's value would be parsed."""
+    parse = _FIELD_PARSERS.get(name)
+    if parse is None or value is None:
+        return value
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        return parse(text)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise UsageError(f"config key {name}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -224,8 +246,6 @@ def _emit(cfg: RunConfig, payload: dict, csv_rows: Optional[tuple[list[str], lis
     out = sys.stdout if cfg.out is None else open(cfg.out, "w")
     try:
         if cfg.resolved_format() == "csv":
-            if csv_rows is None:
-                raise CapaxError("this report has no CSV form; use --format json")
             header, rows = csv_rows
             out.write("# config " + json.dumps(payload["config"], sort_keys=True) + "\n")
             out.write(",".join(header) + "\n")
@@ -466,8 +486,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"))
     p.add_argument("--precision", choices=("exact", "float"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--verbose", action="store_const", const=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,6 +569,7 @@ def build_config(argv: Optional[list[str]] = None) -> RunConfig:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
+        data = {k: _coerce_field(k, v) for k, v in data.items()}
     data.update(flag_values)
     data.setdefault("command", args.command)
     return RunConfig.from_dict(data)

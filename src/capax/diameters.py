@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import ChebyshevEstimate, evaluate_monomials, minimax_from_matrix
+from .chebyshev import evaluate_monomials, minimax_from_matrix
 from .errors import EstimateError, MapError
 from .polynomials import Monomial
 from .resultant import resultant_slog
@@ -27,6 +27,7 @@ from .sets import SampledSet, build_mesh, graph_lift
 from .variety import GraphMap, MonomialBasisStream, basis_stream
 
 NEG_INF = float("-inf")
+TELESCOPING_SLACK = 1e-6  # relative slack on both telescoping inequalities
 
 
 @dataclass
@@ -146,14 +147,7 @@ def _stream_for(points: SampledSet, kind: str) -> MonomialBasisStream:
     return basis_stream(points.map, kind)
 
 
-def transfinite_diameter(
-    points: SampledSet,
-    kind: str,
-    n_max: int,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-) -> DiameterSeries:
+def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterSeries:
     """Diameter estimates at levels 1..n_max for one basis kind.
 
     For kinds B and C the level-n prefix runs through weight n*d; for z and w
@@ -188,7 +182,7 @@ def transfinite_diameter(
     estimates_meta = {"irls_converged": 0, "irls_steps": 0}
     y[0] = float(np.abs(e[:, 0]).max())
     for t in range(1, len(monomials)):
-        est = minimax_from_matrix(e[:, :t], e[:, t], tol=tol, max_iter=max_iter)
+        est = minimax_from_matrix(e[:, :t], e[:, t])
         y[t] = est.value
         estimates_meta["irls_converged"] += int(est.converged)
         estimates_meta["irls_steps"] += est.iterations
@@ -251,13 +245,13 @@ def telescoping_check(
     n_max: int,
     *,
     series: Optional[DiameterSeries] = None,
-    slack: float = 1e-6,
 ) -> TelescopingReport:
     """Per-step determinant ratios against their Chebyshev bounds.
 
     At step t the added monomial's Chebyshev value must sit below the greedy
-    determinant ratio, and t + 1 times it must sit above.  Slack is relative.
-    A zero ratio (truncated configuration) requires a zero Chebyshev value.
+    determinant ratio, and t + 1 times it must sit above, each up to the
+    relative TELESCOPING_SLACK.  A zero ratio (truncated configuration)
+    requires a zero Chebyshev value.
     """
     if series is None:
         series = transfinite_diameter(points, kind, n_max)
@@ -268,18 +262,18 @@ def telescoping_check(
         ratio = math.exp(log_ratio) if math.isfinite(log_ratio) else 0.0
         cheb = float(series.step_cheb[t])
         if ratio == 0.0:
-            lower_ok = cheb <= slack
+            lower_ok = cheb <= TELESCOPING_SLACK
             upper_ok = True
         else:
-            lower_ok = cheb <= ratio * (1 + slack)
-            upper_ok = ratio <= (t + 1) * cheb * (1 + slack) if cheb > 0 else False
+            lower_ok = cheb <= ratio * (1 + TELESCOPING_SLACK)
+            upper_ok = cheb > 0 and ratio <= (t + 1) * cheb * (1 + TELESCOPING_SLACK)
         ok = ok and lower_ok and upper_ok
         rows.append(
             TelescopingRow(
                 step=t, ratio=ratio, cheb=cheb, lower_ok=lower_ok, upper_ok=upper_ok
             )
         )
-    return TelescopingReport(rows=rows, ok=ok, kind=kind, slack=slack)
+    return TelescopingReport(rows=rows, ok=ok, kind=kind, slack=TELESCOPING_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +292,7 @@ class PullbackReport:
     meta: dict = field(default_factory=dict)
 
 
-def pullback_check(
-    f: GraphMap,
-    spec,
-    n_max: int,
-    mesh,
-    *,
-    tol: float = 1e-8,
-) -> PullbackReport:
+def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
     """Compare d(f^{-1} K) with |Res|^(-1/(2 d^2)) d(K)^(1/d) on a mesh.
 
     The left side is the z-basis diameter of the lifted set; the right side
@@ -316,9 +303,9 @@ def pullback_check(
     d = f.d
     base = build_mesh(spec, mesh)
     lifted = graph_lift(f, base)
-    d3 = transfinite_diameter(base, "w", n_max, tol=tol)
-    d1 = transfinite_diameter(lifted, "z", n_max, tol=tol)
-    d2 = transfinite_diameter(lifted, "B", n_max, tol=tol)
+    d3 = transfinite_diameter(base, "w", n_max)
+    d1 = transfinite_diameter(lifted, "z", n_max)
+    d2 = transfinite_diameter(lifted, "B", n_max)
     _, log_res = resultant_slog(f)
     if not math.isfinite(log_res):
         raise EstimateError("the map is not regular; the pullback formula needs Res != 0")

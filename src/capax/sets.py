@@ -16,7 +16,6 @@ fiber_average_poly all go through it, FIBER_CHUNK base points at a time.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -24,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FiberError, MeshError
-from .parsing import format_poly
 from .polynomials import Polynomial
 from .variety import GraphMap
 
@@ -97,18 +95,6 @@ class SampledSet:
 
     def __len__(self) -> int:
         return len(self.w)
-
-    @property
-    def mesh_id(self) -> str:
-        h = hashlib.md5()
-        h.update(self.provenance.encode())
-        if self.spec is not None:
-            h.update(self.spec.source.encode())
-        if self.map is not None:
-            h.update(format_poly(self.map.f1).encode())
-            h.update(format_poly(self.map.f2).encode())
-        h.update(str(len(self.w)).encode())
-        return h.hexdigest()[:12]
 
 
 def _mesh_counts(counts) -> tuple[int, int]:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
-    DegreeOverflowError,
     MapError,
     PrecisionError,
     StaircaseError,
@@ -29,7 +28,6 @@ from .groebner import buchberger, reduce_full, staircase_of
 from .polynomials import (
     GREVLEX4,
     GREVLEX_Z,
-    MAX_EXPONENT,
     GraphWeighted,
     Monomial,
     MonomialOrder,
@@ -295,7 +293,6 @@ class MonomialBasisStream:
 
     kind: str
     f: Optional[GraphMap] = None
-    n_max: Optional[int] = None
     _stairs: Optional[list[Monomial]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -323,8 +320,6 @@ class MonomialBasisStream:
         """The weight-nu block, in emission order."""
         if nu < 0:
             raise ValueError("negative level")
-        if self.n_max is not None and nu > self.n_max:
-            raise DegreeOverflowError(f"level {nu} past the stream cap {self.n_max}")
         if self.kind == "z":
             return _z_level(nu)
         if self.kind == "w":
@@ -342,7 +337,7 @@ class MonomialBasisStream:
 
     def __iter__(self) -> Iterator[Monomial]:
         nu = 0
-        while self.n_max is None or nu <= self.n_max:
+        while True:
             yield from self.level(nu)
             nu += 1
 
@@ -372,36 +367,9 @@ class MonomialBasisStream:
         raise ValueError(f"{target} is not a monomial of this stream")
 
 
-def basis_stream(
-    f: Optional[GraphMap],
-    kind: str,
-    order: Optional[MonomialOrder] = None,
-    n_max: Optional[int] = None,
-) -> MonomialBasisStream:
-    """Factory for the four stream kinds; f may be None for "z" and "w".
-
-    order, when given, must agree with the stream's own order (GraphWeighted
-    for "B"/"C", graded for "z"/"w"); n_max caps the levels the stream may
-    emit and is checked against the exponent ceiling.
-    """
-    stream = MonomialBasisStream(kind=kind, f=f)
-    if order is not None:
-        if kind in ("B", "C"):
-            if not isinstance(order, GraphWeighted) or order.d != stream.d:
-                raise ValueError(
-                    f"basis kind {kind!r} streams in GraphWeighted({stream.d}) order"
-                )
-        elif isinstance(order, GraphWeighted):
-            raise ValueError(f"basis kind {kind!r} streams in plain graded order")
-    if n_max is not None:
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        if n_max > MAX_EXPONENT:
-            raise DegreeOverflowError(
-                f"n_max={n_max} exceeds the exponent ceiling {MAX_EXPONENT}"
-            )
-        stream.n_max = n_max
-    return stream
+def basis_stream(f: Optional[GraphMap], kind: str) -> MonomialBasisStream:
+    """Factory for the four stream kinds; f may be None for "z" and "w"."""
+    return MonomialBasisStream(kind=kind, f=f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import capax
 from capax import (
     EstimateError,
     GraphMap,
@@ -14,15 +20,36 @@ from capax import (
     parse_poly,
     zaharjuta_integral,
 )
-from capax.chebyshev import (
-    direction_exponent,
-    minimax_from_matrix,
-    minimax_from_matrix_lp,
-)
+from capax.chebyshev import direction_exponent, minimax_from_matrix
 
 
 def w_stream():
     return MonomialBasisStream(kind="w")
+
+
+def minimax_from_matrix_lp(a, b):
+    """Oracle for minimax_from_matrix: the same minimax as a linear program.
+
+    The modulus is approximated by its maximum over eight phases, so the
+    optimum lower-bounds the true value by a factor of at most cos(pi/8).
+    Returns the true max modulus at the LP's coefficients.
+    """
+    npts, t = a.shape
+    phases = np.exp(-2j * np.pi * np.arange(8) / 8)
+    a_ub = np.concatenate(
+        [
+            np.concatenate([(a * ph).real, -(a * ph).imag, -np.ones((npts, 1))], axis=1)
+            for ph in phases
+        ]
+    )
+    b_ub = np.concatenate([-(b * ph).real for ph in phases])
+    cost = np.zeros(2 * t + 1)
+    cost[-1] = 1.0
+    bounds = [(None, None)] * (2 * t) + [(0, None)]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.success, res.message
+    c = res.x[:t] + 1j * res.x[t : 2 * t]
+    return float(np.abs(b + a @ c).max())
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +111,19 @@ def test_lp_agrees_with_irls_on_real_data():
     a = np.stack([np.ones_like(x), x], axis=1)
     irls = minimax_from_matrix(a, x**2)
     lp = minimax_from_matrix_lp(a, x**2)
-    assert lp.method == "lp"
     # real data keeps the phase polytope exact, so the LP finds the optimum
-    assert lp.value <= irls.value + 1e-12
-    assert abs(lp.value - irls.value) < 1e-3
-    assert abs(lp.value - 0.5) < 1e-9
+    assert lp <= irls.value + 1e-12
+    assert abs(lp - irls.value) < 1e-3
+    assert abs(lp - 0.5) < 1e-9
+
+
+def test_import_leaves_out_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(capax.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import capax; "
+        "assert 'scipy.optimize' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_torus_monomials_converge_immediately():

@@ -184,6 +184,23 @@ def test_threads_flag_is_gone(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [["--seed", "1"], ["--verbose"]])
+def test_seed_and_verbose_flags_are_gone(flags, capsys):
+    code = main(["resultant", "--map", "f.json", *flags])
+    assert code == 2
+
+
+def test_csv_on_json_only_command_leaves_out_file(map_file, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    code = main(
+        ["resultant", "--map", map_file(SQUARES), "--format", "csv", "--out", str(target)]
+    )
+    assert code == 2
+    assert "no CSV form" in capsys.readouterr().err
+    assert target.read_text() == "earlier report\n"
+
+
 def test_out_writes_file(map_file, capsys, tmp_path):
     target = tmp_path / "report.json"
     code = main(["resultant", "--map", map_file(SQUARES), "--out", str(target)])
@@ -229,6 +246,38 @@ def test_unknown_config_key_rejected(map_file, tmp_path, capsys):
     code = main(["resultant", "--config", str(cfg)])
     assert code == 2
     assert "wat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["seed", "verbose", "threads"])
+def test_removed_config_keys_rejected(key, map_file, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"map": map_file(SQUARES), key: 1}))
+    code = main(["resultant", "--config", str(cfg)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    argv = ["tdiam", "--set", "torus:1,1", "--basis", "w", "--format", "json"]
+    code, by_flags = run_json(capsys, argv + ["--nmax", "2", "--mesh", "8,8"])
+    assert code == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mesh": "8,8", "nmax": "2"}))
+    code, by_config = run_json(capsys, argv + ["--config", str(cfg)])
+    assert code == 0
+    assert by_config == by_flags
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("nmax", "two"), ("nmax", 2.5), ("mesh", [8, 8, 8]), ("k", "3,"), ("oracle", "false")],
+)
+def test_bad_config_value_is_usage_error(key, value, map_file, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"map": map_file(SQUARES), "k": 3, key: value}))
+    code = main(["block-check", "--config", str(cfg)])
+    assert code == 2
+    assert f"config key {key}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -104,14 +104,6 @@ def test_mesh_arrays_pinned_to_row_major_order():
     assert build_mesh("box:-2,2,0,0", (9, 1)).w.tobytes() == flat.tobytes()
 
 
-def test_mesh_id_deterministic():
-    a = build_mesh("torus:1,1", 8)
-    b = build_mesh("torus:1,1", 8)
-    c = build_mesh("torus:1,1", 12)
-    assert a.mesh_id == b.mesh_id
-    assert a.mesh_id != c.mesh_id
-
-
 def test_points_file_round_trip(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("# re1,im1,re2,im2\n1,0,0,1\n-1,0,0,-1\n")

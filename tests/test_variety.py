@@ -24,7 +24,6 @@ from capax import (
     star_certificate,
     substitute_graph,
 )
-from capax.errors import DegreeOverflowError
 from capax.polynomials import Monomial, w_monomial, z_monomial
 from capax.variety import MonomialBasisStream
 
@@ -261,20 +260,6 @@ def test_stream_kind_validation():
         basis_stream(None, "Q")
     with pytest.raises(MapError):
         basis_stream(None, "B")
-
-
-def test_stream_order_and_cap_arguments():
-    f = generic_map()
-    s = basis_stream(f, "B", order=GraphWeighted(2), n_max=4)
-    assert len(list(s)) == sum(nu + 1 for nu in range(5))
-    with pytest.raises(ValueError):
-        basis_stream(f, "B", order=GraphWeighted(3))
-    with pytest.raises(ValueError):
-        basis_stream(None, "z", order=GraphWeighted(2))
-    with pytest.raises(DegreeOverflowError):
-        basis_stream(f, "B", n_max=10_000)
-    with pytest.raises(DegreeOverflowError):
-        s.level(5)
 
 
 def test_stream_prefix_of():
