@@ -1,11 +1,25 @@
 """Directional Chebyshev constants on sampled sets.
 
 The basic quantity is the discrete minimax value of one stream monomial over
-its predecessors: min over coefficients of max over sample points of
-|target + combination of earlier monomials|.  Lawson's iteratively reweighted
-least squares drives it: each weighted L2 optimum gives a certified lower
-bound, its max residual an upper bound, and the weights contract the gap.
-The solver settings are the module constants below.
+its predecessors: min over coefficients c of max over sample points of
+|b + a c|, with b the target's values and a the predecessors'.  It is the
+second-order cone program min s subject to |b_i + (a c)_i| <= s, one
+three-dimensional cone (s, Re r_i, Im r_i) per point.
+
+A solve starts with the uniform-weight least-squares fit, whose root mean
+square residual is a lower bound; when that already certifies, the fit is
+the answer.  Otherwise a primal-dual interior-point method (Mehrotra
+predictor-corrector, Nesterov-Todd scaling) takes over from the fit.  Every
+per-cone operation is closed form on arrays over the points, and each Newton
+system is solved through the R factor of the scaled constraint matrix, not
+through its normal matrix, whose rounding stalls the relative gap near 5e-8.
+
+Every estimate is a bracket.  value is the attained max |b + a c| at the
+returned coefficients, an upper bound.  lower is |y^H b| / ||y||_1 for the
+solver's dual vector y projected onto null(a^H): any such y gives
+|y^H b| = |y^H (b + a c)| <= ||y||_1 max |b + a c| for every c, so lower is
+a bound that holds whatever the solver's accuracy.  The solver settings are
+the module constants below.
 """
 
 from __future__ import annotations
@@ -23,9 +37,8 @@ from .sets import SampledSet
 from .variety import MonomialBasisStream
 
 FLOOR = 1e-300
-LAWSON_TOL = 1e-8  # relative certificate gap at which a solve counts as converged
-LAWSON_MAX_ITER = 500
-LAWSON_STALL = 50  # rounds without progress before a solve gives up
+MINIMAX_TOL = 1e-8  # relative certificate gap at which a solve counts as converged
+MINIMAX_MAX_ITER = 50  # solver iterations per solve, the least-squares start included
 
 
 def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.ndarray:
@@ -69,7 +82,13 @@ def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.
 
 @dataclass
 class ChebyshevEstimate:
+    """A minimax solve: the minimax lies in [lower, value].
+
+    value is attained at coefficients; residual is value - lower.
+    """
+
     value: float
+    lower: float
     residual: float
     iterations: int
     converged: bool
@@ -79,59 +98,182 @@ class ChebyshevEstimate:
 
 
 def minimax_from_matrix(a: np.ndarray, b: np.ndarray) -> ChebyshevEstimate:
-    """min_c max_i |b_i + (A c)_i| by Lawson reweighting.
+    """min_c max_i |b_i + (a c)_i| with a certified bracket [lower, value].
 
-    Stops once the certificate gap closes to LAWSON_TOL, or after LAWSON_STALL
-    rounds with neither a better incumbent nor meaningful gap shrinkage; the
-    gap often closes only linearly while the value itself settles within a few
-    dozen rounds.
+    residual is value - lower; a solve has converged once it is at most
+    MINIMAX_TOL * max(1, value).  iterations counts the least-squares start
+    and the interior-point steps after it.
     """
     npts, t = a.shape
     if t == 0:
         value = float(np.abs(b).max())
-        return ChebyshevEstimate(value=value, residual=0.0, iterations=0, converged=True)
+        return ChebyshevEstimate(
+            value=value, lower=value, residual=0.0, iterations=0, converged=True
+        )
+    # the uniform-weight least-squares fit (Lawson's first step)
     u = np.full(npts, 1.0 / npts)
-    best = math.inf
-    best_c = None
-    best_gap = math.inf
-    tightest = math.inf
-    last_improved = 0
-    iterations = 0
-    for iterations in range(1, LAWSON_MAX_ITER + 1):
-        sw = np.sqrt(u)
-        c, *_ = np.linalg.lstsq(a * sw[:, None], -b * sw, rcond=None)
+    sw = np.sqrt(u)
+    c, *_ = np.linalg.lstsq(a * sw[:, None], -b * sw, rcond=None)
+    r = b + a @ c
+    mags = np.abs(r)
+    upper = float(mags.max())
+    lower = min(float(np.sqrt(float(np.sum(u * mags**2)))), upper)
+    if upper - lower <= MINIMAX_TOL * max(1.0, upper):
+        return ChebyshevEstimate(
+            value=upper,
+            lower=lower,
+            residual=upper - lower,
+            iterations=1,
+            converged=True,
+            coefficients=c,
+        )
+    return _interior_point(a, b, c, r, upper, lower)
+
+
+# Per-cone algebra of the cone {(u0, u1, u2): u0 >= |(u1, u2)|}.  A (3, N)
+# array holds one vector in each of N cones; J = diag(1, -1, -1).
+
+_J = np.array([1.0, -1.0, -1.0])[:, None]
+_E = np.array([1.0, 0.0, 0.0])[:, None]
+
+
+def _jdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u^T J v per cone."""
+    return u[0] * v[0] - u[1] * v[1] - u[2] * v[2]
+
+
+def _circ(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Jordan product (u^T v, u0 v1 + v0 u1, u0 v2 + v0 u2) per cone."""
+    out = u[0] * v + v[0] * u
+    out[0] = (u * v).sum(axis=0)
+    return out
+
+
+def _step_to_boundary(lam: np.ndarray, det: np.ndarray, d: np.ndarray) -> float:
+    """Largest alpha with lam + alpha d in every cone (inf if none binds).
+
+    det is lam^T J lam.  (lam + alpha d)^T J (lam + alpha d) / det factors as
+    (1 - k1 alpha)(1 - k2 alpha) with real k; the step ends at 1 / max k.
+    """
+    bb = _jdot(lam, d)
+    k = (np.sqrt(np.maximum(bb * bb - _jdot(d, d) * det, 0.0)) - bb) / det
+    top = float(k.max())
+    return 1.0 / top if top > 0 else math.inf
+
+
+def _interior_point(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, r: np.ndarray, upper: float, lower: float
+) -> ChebyshevEstimate:
+    """Primal-dual interior-point solve started from the least-squares fit c.
+
+    The solve runs on a V = U S, with a = U S V^H the thin SVD cut to the
+    numerical rank of a, so its columns are independent even when a's are
+    not; c = V d.  Primal: x = (Re d_1, Im d_1, ..., Re d_t, Im d_t, s),
+    minimize s with the cone slacks (s, Re r_i, Im r_i), r = b + a c; so
+    G x = -(s, Re (a V d)_i, Im (a V d)_i) per cone.  Dual: z_i = (z0_i,
+    Re y_i, Im y_i) in the cones with sum z0 = 1 and U^H y = 0; its objective
+    -Re(b^H y) is at most the minimax.  The fit residual is orthogonal to the
+    columns of a, so s = 2 max |r| and z_i = (s, -r_i) / (N s) start both
+    strictly feasible.  upper and lower are the fit's bounds; the best of
+    each is kept.
+    """
+    npts = a.shape[0]
+    basis, sv, vh = np.linalg.svd(a, full_matrices=False)
+    t = int((sv > sv[0] * max(a.shape) * np.finfo(float).eps).sum())
+    basis, vh = basis[:, :t], vh[:t]  # U, and V^H
+    avc = (basis * sv[:t]).conj()  # conj(a V)
+    best_c = c
+    x = np.empty(2 * t + 1)
+    x[: 2 * t].view(complex)[:] = vh @ c
+    x[-1] = 2.0 * upper
+    z = np.stack([np.full(npts, 1.0 / npts), -r.real / (npts * x[-1]), -r.imag / (npts * x[-1])])
+    # W^-1 G, the constraint matrix in scaled coordinates: the row for
+    # component k of cone i takes x to Re(gamma_ki (a V d)_i) + g_ki s, with
+    # the conj(gamma_ki (a V)_i) entries viewed as (re, im) pairs
+    gh = np.empty((3, npts, 2 * t + 1))
+    flat = gh.reshape(3 * npts, 2 * t + 1)
+    gh_d = gh[:, :, : 2 * t].view(complex)
+    shift = np.array([0.0, 1.0, -1j])[:, None]
+    iterations = 1
+    converged = False
+    while iterations < MINIMAX_MAX_ITER:
+        sl = np.stack([np.full(npts, x[-1]), r.real, r.imag])
+        sdet = _jdot(sl, sl)
+        zdet = _jdot(z, z)
+        if not (sdet.min() > 0 and zdet.min() > 0):
+            break  # rounding put an iterate on a cone boundary
+        # Nesterov-Todd scaling W = beta (2 v v^T - J): W z = W^-1 sl = lam
+        sn = np.sqrt(sdet)
+        zn = np.sqrt(zdet)
+        sb = sl / sn
+        zb = z / zn
+        gam = np.sqrt(0.5 * (1.0 + (sb * zb).sum(axis=0)))
+        v = (sb + _J * zb) / (2.0 * gam)
+        v[0] += 1.0
+        v /= np.sqrt(2.0 * v[0])
+        ibeta = np.sqrt(zn / sn)
+        det = sn * zn
+        lam = np.empty_like(sb)
+        lam[0] = gam
+        lam[1:] = ((gam + zb[0]) * sb[1:] + (gam + sb[0]) * zb[1:]) / (sb[0] + zb[0] + 2.0 * gam)
+        lam *= np.sqrt(det)
+        # W^-1 = ibeta J (2 v v^T J - I), applied to G's columns
+        gamma = (ibeta * _J) * (2.0 * (v[1] - 1j * v[2]) * v + shift)
+        np.multiply(gamma.conj()[:, :, None], avc, out=gh_d)
+        gh[:, :, -1] = (ibeta * _J) * (_E - 2.0 * v[0] * v)
+        # R of W^-1 G from the R factors of its three row blocks: each QR
+        # copies its input, so one block at a time keeps the copies small
+        r3 = np.concatenate([np.linalg.qr(block, mode="r") for block in gh])
+        rinv = np.linalg.inv(np.linalg.qr(r3, mode="r"))
+        # dual residual G^T z + e_s
+        rx = np.empty(2 * t + 1)
+        rx[: 2 * t].view(complex)[:] = -((z[1] + 1j * z[2]) @ avc)
+        rx[-1] = 1.0 - z[0].sum()
+
+        def newton(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Step (dx, W^-1 ds, W dz) for the linearized complementarity
+            lam o (W^-1 ds + W dz) = lam o rhs, through R^T R = G^T W^-2 G."""
+            dx = -rinv @ (rinv.T @ (rx + flat.T @ rhs.reshape(-1)))
+            dz = (flat @ dx).reshape(3, npts) + rhs
+            return dx, rhs - dz, dz
+
+        gap = float((lam * lam).sum())
+        # predictor: the affine direction, lam o rhs = -lam o lam
+        _, ds, dz = newton(-lam)
+        alpha = min(1.0, _step_to_boundary(lam, det, ds), _step_to_boundary(lam, det, dz))
+        shrink = float(((lam + alpha * ds) * (lam + alpha * dz)).sum()) / gap
+        # corrector: lam o rhs = -lam o lam + centering mu e - ds o dz
+        rc = -_circ(ds, dz)
+        rc[0] += min(1.0, max(0.0, shrink)) ** 3 * gap / npts
+        rhs = np.empty_like(rc)
+        rhs[0] = _jdot(lam, rc) / det
+        rhs[1:] = (rc[1:] - rhs[0] * lam[1:]) / lam[0]
+        dx, ds, dz = newton(rhs - lam)
+        alpha = min(1.0, 0.99 * min(_step_to_boundary(lam, det, ds), _step_to_boundary(lam, det, dz)))
+        if not alpha > 0:
+            break
+        iterations += 1
+        x += alpha * dx
+        z += alpha * ibeta * _J * (2.0 * v * _jdot(v, dz) - dz)  # W^-1 dz
+        c = x[: 2 * t].view(complex) @ vh.conj()
         r = b + a @ c
-        mags = np.abs(r)
-        upper = float(mags.max())
-        lower = float(np.sqrt(float(np.sum(u * mags**2))))
-        gap = upper - lower
-        if upper < best * (1.0 - 1e-10) or gap < tightest * (1.0 - 1e-2):
-            last_improved = iterations
-        tightest = min(tightest, gap)
-        if upper < best:
-            best = upper
-            best_c = c
-            best_gap = gap
-        if gap <= LAWSON_TOL * max(1.0, upper):
-            return ChebyshevEstimate(
-                value=best,
-                residual=max(gap, 0.0),
-                iterations=iterations,
-                converged=True,
-                coefficients=best_c,
-            )
-        if iterations - last_improved >= LAWSON_STALL:
+        value = float(np.abs(r).max())
+        if value < upper:
+            upper, best_c = value, c
+        y = z[1] + 1j * z[2]
+        y -= basis @ (y.conj() @ basis).conj()
+        norm = float(np.abs(y).sum())
+        if norm > 0:
+            lower = max(lower, abs(complex(np.vdot(y, b))) / norm)
+        if upper - lower <= MINIMAX_TOL * max(1.0, upper):
+            converged = True
             break
-        u = u * np.maximum(mags, FLOOR)
-        total = u.sum()
-        if not np.isfinite(total) or total <= 0:
-            break
-        u = u / total
     return ChebyshevEstimate(
-        value=best,
-        residual=max(best_gap, 0.0),
+        value=upper,
+        lower=lower,
+        residual=upper - lower,
         iterations=iterations,
-        converged=False,
+        converged=converged,
         coefficients=best_c,
     )
 

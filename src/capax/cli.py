@@ -387,6 +387,7 @@ def _cmd_cheb(cfg: RunConfig) -> None:
         est = chebyshev_value(points, stream, target)
         payload = {
             "value": est.value,
+            "lower": est.lower,
             "residual": est.residual,
             "iterations": est.iterations,
             "converged": est.converged,

@@ -179,13 +179,18 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
     e = evaluate_monomials(monomials, points)
     ledger = _greedy_select(points, monomials, e)
     y = np.empty(len(monomials))
-    estimates_meta = {"irls_converged": 0, "irls_steps": 0}
+    # irls_converged counts the certified solves and irls_steps their solver
+    # iterations; cheb_gap_max is the worst relative bracket width
+    estimates_meta = {"irls_converged": 0, "irls_steps": 0, "cheb_gap_max": 0.0}
     y[0] = float(np.abs(e[:, 0]).max())
     for t in range(1, len(monomials)):
         est = minimax_from_matrix(e[:, :t], e[:, t])
         y[t] = est.value
         estimates_meta["irls_converged"] += int(est.converged)
         estimates_meta["irls_steps"] += est.iterations
+        if est.value > 0:
+            gap = est.residual / est.value
+            estimates_meta["cheb_gap_max"] = max(estimates_meta["cheb_gap_max"], gap)
 
     estimates = []
     van_roots = []

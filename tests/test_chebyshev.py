@@ -1,9 +1,13 @@
+import math
 import os
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import capax
@@ -12,6 +16,7 @@ from capax import (
     GraphMap,
     MonomialBasisStream,
     Monomial,
+    basis_stream,
     build_mesh,
     chebyshev_transform,
     chebyshev_value,
@@ -20,7 +25,8 @@ from capax import (
     parse_poly,
     zaharjuta_integral,
 )
-from capax.chebyshev import direction_exponent, minimax_from_matrix
+from capax.chebyshev import MINIMAX_TOL, direction_exponent, minimax_from_matrix
+from conftest import random_generic_map
 
 
 def w_stream():
@@ -84,6 +90,7 @@ def test_minimax_empty_prefix_is_sup_norm():
     b = np.array([1.0, -3.0, 2.0], dtype=complex)
     est = minimax_from_matrix(np.empty((3, 0)), b)
     assert est.value == 3.0
+    assert est.lower == 3.0
     assert est.converged
 
 
@@ -101,9 +108,46 @@ def test_minimax_degree_two_on_interval():
     x = np.linspace(-1.0, 1.0, 201).astype(complex)
     a = np.stack([np.ones_like(x), x], axis=1)
     est = minimax_from_matrix(a, x**2)
-    # the certificate gap closes only linearly here, so ignore .converged
-    assert abs(est.value - 0.5) < 1e-3
+    assert est.converged
+    assert abs(est.value - 0.5) < 1e-6
     assert abs(est.coefficients[0] + 0.5) < 1e-2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 5),
+    extra=st.integers(0, 12),
+)
+def test_minimax_bracket_on_random_complex_data(seed, t, extra):
+    rng = np.random.default_rng(seed)
+    npts = t + 1 + extra
+    a = rng.normal(size=(npts, t)) + 1j * rng.normal(size=(npts, t))
+    b = rng.normal(size=npts) + 1j * rng.normal(size=npts)
+    est = minimax_from_matrix(a, b)
+    assert est.lower <= est.value
+    assert est.residual == est.value - est.lower
+    attained = float(np.abs(b + a @ est.coefficients).max())
+    assert math.isclose(est.value, attained, rel_tol=1e-14)
+    # c = 0 and the least-squares fit are admissible, so the minimax is below
+    # their sup norms; value is within the certified gap of the minimax
+    c_ls = np.linalg.lstsq(a, -b, rcond=None)[0]
+    sup = min(float(np.abs(b).max()), float(np.abs(b + a @ c_ls).max()))
+    assert est.converged
+    assert est.value <= sup + est.residual + 1e-14 * sup
+
+
+def test_minimax_bracket_holds_the_lp_oracle():
+    f = random_generic_map(random.Random(107), 2)
+    lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
+    monomials = basis_stream(f, "B").take(20)
+    e = evaluate_monomials(monomials, lift)
+    for t in (2, 6, 11, 19):
+        est = minimax_from_matrix(e[:, :t], e[:, t])
+        oracle = minimax_from_matrix_lp(e[:, :t], e[:, t])
+        assert est.converged
+        assert est.lower <= oracle
+        assert est.value <= oracle * (1 + MINIMAX_TOL)
 
 
 def test_lp_agrees_with_irls_on_real_data():

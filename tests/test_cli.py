@@ -105,6 +105,8 @@ def test_cheb_value_on_torus(map_file, capsys):
     )
     assert code == 0
     assert abs(payload["value"] - 1.0) < 1e-9
+    assert payload["lower"] <= payload["value"]
+    assert payload["residual"] == payload["value"] - payload["lower"]
     assert payload["prefix_size"] == 7
 
 
@@ -177,6 +179,7 @@ def test_tdiam_json_carries_series_meta(capsys):
     assert meta["points"] == 64
     assert 0 <= meta["irls_converged"] <= len(payload["m"]) * 6
     assert meta["irls_steps"] >= meta["irls_converged"]
+    assert 0.0 <= meta["cheb_gap_max"] <= 1e-6
 
 
 def test_threads_flag_is_gone(capsys):

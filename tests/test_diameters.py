@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from capax import (
     telescoping_check,
     transfinite_diameter,
 )
+from conftest import random_generic_map
 
 
 def M(f1, f2):
@@ -152,6 +154,21 @@ def test_telescoping_on_unit_torus():
     for row in report.rows:
         assert row.lower_ok and row.upper_ok
         assert abs(row.cheb - 1.0) < 1e-9
+
+
+def test_telescoping_lower_bound_on_generic_lift():
+    # the second map drawn for the series-generic benchmark workload at seed
+    # 7; an unconverged minimax once put step 1's value (1.6176244) above its
+    # greedy determinant ratio (1.6174413)
+    rng = random.Random("series-generic:7")
+    random_generic_map(rng, 2)
+    f = random_generic_map(rng, 2)
+    lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
+    series = transfinite_diameter(lift, "B", 3)
+    report = telescoping_check(lift, "B", 3, series=series)
+    assert all(row.lower_ok for row in report.rows)
+    assert series.meta["irls_converged"] == len(series.step_cheb) - 1
+    assert 0.0 <= series.meta["cheb_gap_max"] <= 1e-6
 
 
 # ---------------------------------------------------------------------------
