@@ -25,7 +25,6 @@ the module constants below.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,7 +35,6 @@ from .polynomials import Monomial, w_monomial, z_monomial
 from .sets import SampledSet
 from .variety import MonomialBasisStream
 
-FLOOR = 1e-300
 MINIMAX_TOL = 1e-8  # relative certificate gap at which a solve counts as converged
 MINIMAX_MAX_ITER = 50  # solver iterations per solve, the least-squares start included
 
@@ -314,30 +312,3 @@ def chebyshev_transform(
     est = chebyshev_value(points, stream, target)
     return est.value ** (1.0 / s)
 
-
-def zaharjuta_integral(
-    points: SampledSet, stream: MonomialBasisStream, s: int, grid: int
-) -> float:
-    """Geometric mean of directional constants over the direction simplex.
-
-    Trapezoid rule on the interior grid {i/(grid+1)}, rescaled to full length
-    so constant integrands integrate exactly.  A transform at machine floor
-    short-circuits to zero.
-    """
-    if grid < 4:
-        raise ValueError("grid must be at least 4")
-    h = 1.0 / (grid + 1)
-    values = []
-    for i in range(1, grid + 1):
-        t = chebyshev_transform(points, stream, i * h, s)
-        if t <= FLOOR:
-            warnings.warn(
-                "directional constant hit the machine floor; the set is "
-                "degenerate at this sampling",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 0.0
-        values.append(math.log(t))
-    inner = h * (sum(values) - 0.5 * (values[0] + values[-1]))
-    return math.exp(inner / (1.0 - 2.0 * h))

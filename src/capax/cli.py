@@ -133,6 +133,12 @@ class RunConfig:
             raise UsageError("cheb needs --alpha (with optional --beta) or --theta with --s")
         if self.theta is not None and self.s is None:
             raise UsageError("--theta needs --s")
+        if self.theta is not None and not 0 < self.theta < 1:
+            raise UsageError("theta must lie in (0, 1)")
+        if self.alpha is not None and (self.theta is not None or self.s is not None):
+            raise UsageError("--alpha names the target; it takes no --theta or --s")
+        if self.beta is not None and self.alpha is None:
+            raise UsageError("--beta needs --alpha")
 
     def resolved_format(self) -> str:
         return self.format or ("csv" if self.command in _CSV_COMMANDS else "json")
@@ -276,9 +282,9 @@ def _load_map(cfg: RunConfig) -> GraphMap:
     return GraphMap(parse_poly(f1_text, precision), parse_poly(f2_text, precision))
 
 
-def _lifted_set(cfg: RunConfig, f: Optional[GraphMap], need_z: bool):
+def _lifted_set(cfg: RunConfig, f: Optional[GraphMap]):
     base = build_mesh(SetSpec.parse(cfg.set), cfg.mesh)
-    if not need_z:
+    if cfg.basis == "w":
         return base
     if f is None:
         raise CapaxError("this basis evaluates z monomials; pass --map to lift the set")
@@ -321,11 +327,10 @@ def _cmd_staircase(cfg: RunConfig) -> None:
 def _cmd_basis(cfg: RunConfig) -> None:
     f = _load_map(cfg) if cfg.map else None
     stream = basis_stream(f, cfg.basis)
-    d_eff = stream.d if cfg.basis in ("B", "C") else 1
-    monomials = stream.upto(cfg.nmax * d_eff)
+    monomials = stream.upto(cfg.nmax * stream.d)
     payload = {
         "monomials": [
-            {"alpha": [m.a1, m.a2], "beta": [m.b1, m.b2], "weight": m.weight(d_eff)}
+            {"alpha": [m.a1, m.a2], "beta": [m.b1, m.b2], "weight": m.weight(stream.d)}
             for m in monomials
         ],
         "count": len(monomials),
@@ -378,8 +383,7 @@ def _cmd_fiber(cfg: RunConfig) -> None:
 
 def _cmd_cheb(cfg: RunConfig) -> None:
     f = _load_map(cfg) if cfg.map else None
-    need_z = cfg.basis in ("z", "B", "C")
-    points = _lifted_set(cfg, f, need_z)
+    points = _lifted_set(cfg, f)
     stream = basis_stream(f if cfg.basis in ("B", "C") else None, cfg.basis)
     if cfg.alpha is not None:
         beta = cfg.beta or (0, 0)
@@ -407,8 +411,7 @@ def _cmd_cheb(cfg: RunConfig) -> None:
 
 def _cmd_tdiam(cfg: RunConfig) -> None:
     f = _load_map(cfg) if cfg.map else None
-    need_z = cfg.basis in ("z", "B", "C")
-    points = _lifted_set(cfg, f, need_z)
+    points = _lifted_set(cfg, f)
     series = transfinite_diameter(points, cfg.basis, cfg.nmax)
     rows = []
     for i, n in enumerate(series.levels):
@@ -530,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=("z", "w", "B", "C"))
     p.add_argument("--alpha", type=_pair_arg, help="w-exponent a1,a2 of the target")
     p.add_argument("--beta", type=_pair_arg, help="z-exponent b1,b2 of the target")
-    p.add_argument("--theta", type=float, help="direction in [0, 1] for the transform")
+    p.add_argument("--theta", type=float, help="direction in (0, 1) for the transform")
     p.add_argument("--s", type=int, help="transform degree, at least 2")
     _add_common(p)
 

@@ -24,7 +24,7 @@ from .errors import EstimateError, MapError
 from .polynomials import Monomial
 from .resultant import resultant_slog
 from .sets import SampledSet, build_mesh, graph_lift
-from .variety import GraphMap, MonomialBasisStream, basis_stream
+from .variety import GraphMap, basis_stream
 
 NEG_INF = float("-inf")
 TELESCOPING_SLACK = 1e-6  # relative slack on both telescoping inequalities
@@ -50,7 +50,7 @@ class VandermondeLedger:
 
 def greedy_fekete(
     points: SampledSet,
-    basis: MonomialBasisStream | Sequence[Monomial],
+    basis: Sequence[Monomial],
     n: int,
 ) -> VandermondeLedger:
     """Greedily select n points maximizing the Vandermonde determinant.
@@ -62,10 +62,7 @@ def greedy_fekete(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if isinstance(basis, MonomialBasisStream):
-        monomials = basis.take(n)
-    else:
-        monomials = list(basis)[:n]
+    monomials = list(basis)[:n]
     if len(monomials) < n:
         raise ValueError("basis does not provide enough monomials")
     return _greedy_select(points, monomials, evaluate_monomials(monomials, points))
@@ -135,18 +132,6 @@ class DiameterSeries:
         return self.estimates[-1]
 
 
-def _stream_for(points: SampledSet, kind: str) -> MonomialBasisStream:
-    if kind in ("B", "C"):
-        if points.provenance != "graph_lift" or points.map is None:
-            raise MapError(
-                f"basis kind {kind!r} needs a graph-lifted set with its map attached"
-            )
-        return basis_stream(points.map, kind)
-    if kind == "z" and points.z is None:
-        raise EstimateError("the z basis needs a set with z coordinates")
-    return basis_stream(points.map, kind)
-
-
 def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterSeries:
     """Diameter estimates at levels 1..n_max for one basis kind.
 
@@ -158,13 +143,14 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    stream = _stream_for(points, kind)
-    d_eff = stream.d if kind in ("B", "C") else 1
+    if kind in ("B", "C") and (points.provenance != "graph_lift" or points.map is None):
+        raise MapError(f"basis kind {kind!r} needs a graph-lifted set with its map attached")
+    stream = basis_stream(points.map, kind)
     block_sizes = []
     monomials: list[Monomial] = []
     m_counts = []
     for level in range(1, n_max + 1):
-        for nu in range(len(block_sizes), level * d_eff + 1):
+        for nu in range(len(block_sizes), level * stream.d + 1):
             block = stream.level(nu)
             block_sizes.append(len(block))
             monomials.extend(block)
@@ -217,7 +203,7 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
         meta={
             "points": len(points),
             "provenance": points.provenance,
-            "d": d_eff,
+            "d": stream.d,
             **estimates_meta,
         },
     )

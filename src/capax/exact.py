@@ -110,8 +110,3 @@ class GaussianRational:
         if self.im == 0:
             return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
-
-
-I = GaussianRational(0, 1)
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)

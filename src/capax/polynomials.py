@@ -5,7 +5,7 @@ z2^b2.  Polynomials are dicts from monomials to coefficients at one of two
 precisions: "exact" (GaussianRational) or "float" (python complex).  The two
 never mix silently; convert with .to_float().
 
-Orders are small key objects.  All four orders used downstream are graded; ties
+Orders are small key objects.  All three orders used downstream are graded; ties
 are broken so that a larger exponent in a more significant variable gives the
 larger monomial, with significance z2 > z1 > w2 > w1.  At degree one this reads
 w1 < w2 < z1 < z2, and within each degree the pure-w monomials come first.
@@ -14,7 +14,7 @@ w1 < w2 < z1 < z2, and within each degree the pure-w monomials come first.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, NamedTuple, Union
+from typing import Any, Mapping, NamedTuple, Union
 
 from .errors import DegreeOverflowError, PrecisionError
 from .exact import GaussianRational
@@ -106,9 +106,6 @@ class MonomialOrder:
     def key(self, m: Monomial):
         raise NotImplementedError
 
-    def leading(self, monomials: Iterable[Monomial]) -> Monomial:
-        return max(monomials, key=self.key)
-
     def __repr__(self) -> str:
         return f"<order {self.name}>"
 
@@ -131,13 +128,6 @@ class _GrevlexZ(MonomialOrder):
         return (m.b1 + m.b2, m.b2, m.a1 + m.a2, m.a2)
 
 
-class _GrevlexW(MonomialOrder):
-    name = "grevlex_w"
-
-    def key(self, m: Monomial):
-        return (m.a1 + m.a2, m.a2, m.b1 + m.b2, m.b2)
-
-
 class GraphWeighted(MonomialOrder):
     """Graded on the filtration weight d|alpha| + |beta|, then on |alpha|.
 
@@ -157,7 +147,6 @@ class GraphWeighted(MonomialOrder):
 
 GREVLEX4 = _Grevlex4()
 GREVLEX_Z = _GrevlexZ()
-GREVLEX_W = _GrevlexW()
 
 Coefficient = Union[GaussianRational, complex]
 Scalar = Union[GaussianRational, complex, float, int, Fraction]
@@ -234,21 +223,15 @@ class Polynomial:
             return -1
         return max(m.degree() for m in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        idx = VARIABLES.index(name)
-        return max(m[idx] for m in self.terms)
-
     def is_pure_z(self) -> bool:
         return all(m.is_pure_z() for m in self.terms)
 
     def is_pure_w(self) -> bool:
         return all(m.is_pure_w() for m in self.terms)
 
-    def sorted_terms(self, order: MonomialOrder, reverse: bool = True):
-        """Terms as (monomial, coeff), largest first by default."""
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=reverse)
+    def sorted_terms(self, order: MonomialOrder):
+        """Terms as (monomial, coeff), largest first."""
+        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
 
     def leading_term(self, order: MonomialOrder) -> tuple[Monomial, Coefficient]:
         if not self.terms:
@@ -360,27 +343,12 @@ class Polynomial:
     def __hash__(self):
         return hash((self.precision, frozenset(self.terms.items())))
 
-    # -- conversions and maps ---------------------------------------------
+    # -- conversions ------------------------------------------------------
 
     def to_float(self) -> "Polynomial":
         if self.precision == "float":
             return self
         return Polynomial({m: complex(c) for m, c in self.terms.items()}, "float")
-
-    def map_coefficients(self, fn) -> "Polynomial":
-        return Polynomial({m: fn(c) for m, c in self.terms.items()}, self.precision)
-
-    def derivative(self, name: str) -> "Polynomial":
-        idx = VARIABLES.index(name)
-        terms: dict[Monomial, Any] = {}
-        for m, c in self.terms.items():
-            e = m[idx]
-            if e == 0:
-                continue
-            exps = list(m)
-            exps[idx] = e - 1
-            terms[Monomial(*exps)] = c * e
-        return Polynomial(terms, self.precision)
 
     # -- evaluation and substitution --------------------------------------
 
@@ -453,8 +421,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(<{len(self.terms)} terms>, {self.precision!r})"
-
-
-def substitute_graph(p: Polynomial, f1: Polynomial, f2: Polynomial) -> Polynomial:
-    """p(w, z) with w replaced by (f1(z), f2(z))."""
-    return p.substitute({"w1": f1, "w2": f2})

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -195,11 +194,6 @@ def block_shape(d: int, k: int) -> BlockShape:
         copies=ell * (ell + 1) // 2,
         rows=d * (ell + 1),
     )
-
-
-def total_copies(d: int, n: int) -> int:
-    """Sum of block exponents over all weights up to n*d."""
-    return sum(block_shape(d, k).copies for k in range(2 * d - 1, n * d + 1))
 
 
 @dataclass

@@ -72,7 +72,6 @@ class SampledSet:
     w: np.ndarray
     z: Optional[np.ndarray] = None
     provenance: str = "mesh"
-    spec: Optional[SetSpec] = None
     map: Optional[GraphMap] = None
     meta: dict = field(default_factory=dict)
 
@@ -135,7 +134,7 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
                 rows.append([complex(vals[0], vals[1]), complex(vals[2], vals[3])])
         if not rows:
             raise MeshError(f"no points in {path}")
-        return SampledSet(w=np.array(rows), provenance="points", spec=spec)
+        return SampledSet(w=np.array(rows), provenance="points")
 
     if spec.kind == "torus":
         r1, r2 = spec.params
@@ -143,7 +142,7 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
             raise MeshError("torus meshes need at least 4 points per circle")
         t1 = r1 * np.exp(2j * np.pi * np.arange(n1) / n1)
         t2 = r2 * np.exp(2j * np.pi * np.arange(n2) / n2)
-        return SampledSet(w=_grid(t1, t2), provenance="mesh", spec=spec)
+        return SampledSet(w=_grid(t1, t2), provenance="mesh")
 
     if spec.kind == "polydisc":
         r1, r2 = spec.params
@@ -157,7 +156,7 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
             golden = math.pi * (3 - math.sqrt(5))
             return rho * np.exp(1j * golden * k)
 
-        return SampledSet(w=_grid(disc(r1, n1), disc(r2, n2)), provenance="mesh", spec=spec)
+        return SampledSet(w=_grid(disc(r1, n1), disc(r2, n2)), provenance="mesh")
 
     if spec.kind == "box":
         a, b, c, d = spec.params
@@ -171,7 +170,7 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
                 raise MeshError("box meshes need at least 4 points per interval")
             return np.linspace(lo, hi, n)
 
-        return SampledSet(w=_grid(seg(a, b, n1), seg(c, d, n2)), provenance="mesh", spec=spec)
+        return SampledSet(w=_grid(seg(a, b, n1), seg(c, d, n2)), provenance="mesh")
 
     raise MeshError(f"unknown set kind {spec.kind!r}")
 
@@ -465,7 +464,6 @@ def graph_lift(f: GraphMap, base: SampledSet) -> SampledSet:
         w=np.repeat(base.w, batch.counts, axis=0),
         z=batch.z,
         provenance="graph_lift",
-        spec=base.spec,
         map=f,
         meta={
             "base_size": len(base),

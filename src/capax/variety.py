@@ -7,14 +7,13 @@ obtained from the staircase of the top-form ideal: normal forms of w^a z^b
 with b restricted to the staircase.
 
 This module owns the map type, staircases, graph normal forms, the four basis
-streams used by the diameter estimators, the pure-w reduction certificates,
-and the exact independence check for substituted basis monomials.
+streams used by the diameter estimators, and the pure-w reduction
+certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -30,7 +29,6 @@ from .polynomials import (
     GREVLEX_Z,
     GraphWeighted,
     Monomial,
-    MonomialOrder,
     Polynomial,
     w_monomial,
     z_monomial,
@@ -230,15 +228,6 @@ def filtration_counts(d: int, n: int) -> tuple[int, int]:
     return m(n), l
 
 
-def classical_counts(n: int) -> tuple[int, int]:
-    """(m_n, l_n) for the full degree filtration of C[x1, x2]."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    m = (n + 1) * (n + 2) // 2
-    l = n * (n + 1) * (n + 2) // 3
-    return m, l
-
-
 # ---------------------------------------------------------------------------
 # basis streams
 
@@ -355,11 +344,8 @@ class MonomialBasisStream:
         Raises ValueError when target never appears (wrong staircase, or the
         level passed without emitting it).
         """
-        weight = target.weight(self.d) if self.kind in ("B", "C") else (
-            target.degree()
-        )
         out: list[Monomial] = []
-        for nu in range(weight + 1):
+        for nu in range(target.weight(self.d) + 1):
             for m in self.level(nu):
                 if m == target:
                     return out
@@ -446,7 +432,7 @@ class StarReport:
         return self.ok
 
 
-def check_star(f: GraphMap, order: Optional[MonomialOrder] = None) -> StarReport:
+def check_star(f: GraphMap) -> StarReport:
     """Search a reduction certificate for every staircase exponent of f.
 
     A missing certificate is recorded per exponent rather than raised; it
@@ -454,8 +440,6 @@ def check_star(f: GraphMap, order: Optional[MonomialOrder] = None) -> StarReport
     """
     if f.precision != "exact":
         raise PrecisionError("check_star needs an exact map")
-    if order is not None and not isinstance(order, GraphWeighted):
-        raise ValueError("certificates are read off in GraphWeighted order")
     certificates: dict[tuple[int, int], StarCertificate] = {}
     failures: dict[tuple[int, int], str] = {}
     for s in staircase(f):
@@ -466,85 +450,3 @@ def check_star(f: GraphMap, order: Optional[MonomialOrder] = None) -> StarReport
             failures[beta] = str(exc)
     return StarReport(certificates=certificates, failures=failures)
 
-
-# ---------------------------------------------------------------------------
-# independence of substituted basis monomials
-
-
-@dataclass
-class IndependenceReport:
-    independent: bool
-    rank: int
-    size: int
-    level: int
-    monomials: list[Monomial]
-
-    def __bool__(self) -> bool:
-        return self.independent
-
-
-def _exact_rank(rows: list[dict[Monomial, GaussianRational]]) -> int:
-    """Rank of a sparse exact matrix by Gaussian elimination."""
-    work = [dict(r) for r in rows]
-    rank = 0
-    while work:
-        pivot_row = None
-        for r in work:
-            if r:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            break
-        work.remove(pivot_row)
-        rank += 1
-        key = next(iter(pivot_row))
-        pc = pivot_row[key]
-        for r in work:
-            if key in r:
-                factor = r[key] / pc
-                for k, v in pivot_row.items():
-                    nv = r.get(k, GaussianRational(0)) - factor * v
-                    if nv:
-                        r[k] = nv
-                    else:
-                        r.pop(k, None)
-    return rank
-
-
-def independence_check(f: GraphMap, n: int) -> IndependenceReport:
-    """Do the substituted basis monomials stay independent through weight n?
-
-    Collects the basis monomials of weight <= n (the map's own staircase
-    pattern below weight 2d - 1 when available, the window pattern above),
-    substitutes w = f(z), and computes the exact rank.  Since the collection
-    has exactly dim C[z]_{<=n} members, independence means the substituted
-    family is a basis of polynomials of degree <= n.
-    """
-    if f.precision != "exact":
-        raise PrecisionError("independence_check needs an exact map")
-    if n < 0:
-        raise ValueError("need n >= 0")
-    d = f.d
-    try:
-        stairs = staircase(f)
-    except StaircaseError:
-        stairs = generic_staircase(d)
-    monomials: list[Monomial] = []
-    for nu in range(n + 1):
-        if nu >= 2 * d - 1:
-            monomials.extend(_window_level(d, nu))
-        else:
-            monomials.extend(_staircase_level(stairs, d, nu))
-    rows = []
-    for m in monomials:
-        p = Polynomial({m: GaussianRational(1)}, "exact")
-        image = p.substitute({"w1": f.f1, "w2": f.f2})
-        rows.append(dict(image.terms))
-    rank = _exact_rank(rows)
-    return IndependenceReport(
-        independent=(rank == len(monomials)),
-        rank=rank,
-        size=len(monomials),
-        level=n,
-        monomials=monomials,
-    )

@@ -23,7 +23,6 @@ from capax import (
     evaluate_monomials,
     graph_lift,
     parse_poly,
-    zaharjuta_integral,
 )
 from capax.chebyshev import MINIMAX_TOL, direction_exponent, minimax_from_matrix
 from conftest import random_generic_map
@@ -209,10 +208,3 @@ def test_transform_validates_s():
     mesh = build_mesh("torus:1,1", 8)
     with pytest.raises(ValueError):
         chebyshev_transform(mesh, w_stream(), 0.5, 1)
-
-
-def test_zaharjuta_integral_on_unit_torus():
-    mesh = build_mesh("torus:1,1", 12)
-    assert abs(zaharjuta_integral(mesh, w_stream(), 4, 6) - 1.0) < 1e-9
-    with pytest.raises(ValueError):
-        zaharjuta_integral(mesh, w_stream(), 4, 3)

@@ -315,6 +315,28 @@ def test_cheb_needs_target_or_direction(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["0", "1", "1.5"])
+def test_cheb_theta_outside_open_interval_is_usage_error(theta, capsys):
+    code = main(["cheb", "--set", "torus:1,1", "--basis", "w", "--mesh", "8,8",
+                 "--theta", theta, "--s", "4"])
+    assert code == 2
+    assert "theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "1,1", "--theta", "0.5", "--s", "4"],
+        ["--alpha", "1,1", "--s", "4"],
+        ["--beta", "0,1", "--theta", "0.5", "--s", "4"],
+    ],
+)
+def test_cheb_rejects_flags_it_would_ignore(flags, capsys):
+    code = main(["cheb", "--set", "torus:1,1", "--basis", "w", "--mesh", "8,8", *flags])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_singular_map_reports_domain_error(map_file, capsys):
     # shared top-form factor: the staircase is not finite
     path = map_file({"f1": "z1^2 + z1*z2", "f2": "z1*z2", "precision": "exact"})

@@ -16,7 +16,6 @@ from capax import (
     resultant_root_oracle,
     resultant_slog,
     sylvester_matrix,
-    total_copies,
 )
 from capax.resultant import bareiss_det
 from conftest import random_regular_map
@@ -111,7 +110,7 @@ def test_block_shape_rejects_small_k():
 
 
 def test_total_copies_growth():
-    s = total_copies(2, 8)
+    s = sum(block_shape(2, k).copies for k in range(3, 17))
     assert s == 144
     target = 2 * 8 ** 3 / 6
     assert abs(s / target - 1.0) <= 0.25

@@ -12,20 +12,16 @@ from capax import (
     StaircaseError,
     basis_stream,
     check_star,
-    classical_counts,
     filtration_counts,
     generic_staircase,
-    independence_check,
     is_generic,
     normal_form,
     parse_poly,
     precondition,
     staircase,
     star_certificate,
-    substitute_graph,
 )
 from capax.polynomials import Monomial, w_monomial, z_monomial
-from capax.variety import MonomialBasisStream
 
 
 def P(text):
@@ -138,7 +134,7 @@ def test_normal_form_is_a_section_of_substitution():
     for text in ("z1*z2", "z1^3", "z2^2 + z1*z2^2", "z1^2*z2^2"):
         p = P(text)
         nf = normal_form(p, f)
-        assert substitute_graph(nf, f.f1, f.f2) == p
+        assert nf.substitute({"w1": f.f1, "w2": f.f2}) == p
         # support lies on the staircase in the z part
         betas = {m.beta for m in nf.terms}
         allowed = {m.beta for m in staircase(f)}
@@ -180,11 +176,6 @@ def test_filtration_counts_domain():
         filtration_counts(1, 3)
     with pytest.raises(ValueError):
         filtration_counts(2, 0)
-
-
-def test_classical_counts_frozen():
-    assert classical_counts(5) == (21, 70)
-    assert classical_counts(6) == (28, 112)
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +303,3 @@ def test_star_certificate_requires_staircase_membership():
     with pytest.raises(MapError):
         star_certificate(generic_map(), (1, 1))
 
-
-# ---------------------------------------------------------------------------
-# independence
-
-
-def test_independence_at_critical_level():
-    f = generic_map()
-    assert independence_check(f, 2 * f.d - 1)
-
-
-def test_independence_below_window_any_staircase():
-    f = square_map()
-    assert independence_check(f, 1)
-    assert independence_check(f, 2)
-
-
-def test_independence_fails_for_shared_factor():
-    # both top forms divisible by z1
-    f = GraphMap(P("z1^2 + z2"), P("z1*z2 + 1"))
-    report = independence_check(f, 3)
-    assert not report
-    assert report.rank < report.size
