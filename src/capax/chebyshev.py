@@ -11,8 +11,11 @@ square residual is a lower bound; when that already certifies, the fit is
 the answer.  Otherwise a primal-dual interior-point method (Mehrotra
 predictor-corrector, Nesterov-Todd scaling) takes over from the fit.  Every
 per-cone operation is closed form on arrays over the points, and each Newton
-system is solved through the R factor of the scaled constraint matrix, not
-through its normal matrix, whose rounding stalls the relative gap near 5e-8.
+system is solved through an R factor of the scaled constraint matrix.  While
+the relative bracket is wide, R is the Cholesky factor of the normal matrix,
+which costs one matrix product; near convergence it comes from a QR of the
+constraint matrix itself, because the normal matrix's rounding stalls the
+relative gap near 5e-8.
 
 Every estimate is a bracket.  value is the attained max |b + a c| at the
 returned coefficients, an upper bound.  lower is |y^H b| / ||y||_1 for the
@@ -37,6 +40,7 @@ from .variety import MonomialBasisStream
 
 MINIMAX_TOL = 1e-8  # relative certificate gap at which a solve counts as converged
 MINIMAX_MAX_ITER = 50  # solver iterations per solve, the least-squares start included
+_CHOLESKY_GAP = 1e-6  # relative bracket above which Newton systems use the normal matrix
 
 
 def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.ndarray:
@@ -219,10 +223,21 @@ def _interior_point(
         gamma = (ibeta * _J) * (2.0 * (v[1] - 1j * v[2]) * v + shift)
         np.multiply(gamma.conj()[:, :, None], avc, out=gh_d)
         gh[:, :, -1] = (ibeta * _J) * (_E - 2.0 * v[0] * v)
-        # R of W^-1 G from the R factors of its three row blocks: each QR
-        # copies its input, so one block at a time keeps the copies small
-        r3 = np.concatenate([np.linalg.qr(block, mode="r") for block in gh])
-        rinv = np.linalg.inv(np.linalg.qr(r3, mode="r"))
+        # R with R^T R = G^T W^-2 G.  While the bracket is wide, Cholesky of
+        # that normal matrix is accurate enough and far cheaper; near the end
+        # (or if Cholesky fails) R comes from the R factors of W^-1 G's three
+        # row blocks, whose QR keeps the gap from stalling near 5e-8.  Each QR
+        # copies its input, so one block at a time keeps the copies small.
+        rfac = None
+        if upper - lower > _CHOLESKY_GAP * max(1.0, upper):
+            try:
+                rfac = np.linalg.cholesky(flat.T @ flat).T
+            except np.linalg.LinAlgError:
+                pass
+        if rfac is None:
+            r3 = np.concatenate([np.linalg.qr(block, mode="r") for block in gh])
+            rfac = np.linalg.qr(r3, mode="r")
+        rinv = np.linalg.inv(rfac)
         # dual residual G^T z + e_s
         rx = np.empty(2 * t + 1)
         rx[: 2 * t].view(complex)[:] = -((z[1] + 1j * z[2]) @ avc)
@@ -293,7 +308,6 @@ def direction_exponent(theta: float, s: int) -> tuple[int, int]:
     if not 0 < theta < 1:
         raise ValueError("theta must be interior to (0, 1)")
     a1 = math.floor(s * theta + 0.5)
-    a1 = min(max(a1, 0), s)
     return (a1, s - a1)
 
 

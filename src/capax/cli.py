@@ -51,7 +51,7 @@ COMMANDS = (
     "pullback",
 )
 
-# which structural fields each command requires / accepts beyond the globals
+# which fields each command requires; what it accepts is its subparser's flags
 _REQUIRED = {
     "resultant": ("map",),
     "block-check": ("map", "k"),
@@ -90,16 +90,6 @@ class RunConfig:
     theta: Optional[float] = None
     s: Optional[int] = None
     oracle: bool = False
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        if "command" not in data:
-            raise UsageError("config needs a command")
-        return cls(**data)
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -559,6 +549,9 @@ def build_config(argv: Optional[list[str]] = None) -> RunConfig:
     """Parse argv and merge flag, config-file, and default layers."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the namespace holds one entry per flag of the chosen subcommand, so its
+    # keys are exactly the fields that command reads
+    accepted = set(vars(args)) - {"config"}
     flag_values = {
         k: v
         for k, v in vars(args).items()
@@ -574,9 +567,11 @@ def build_config(argv: Optional[list[str]] = None) -> RunConfig:
         if not isinstance(data, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
         data = {k: _coerce_field(k, v) for k, v in data.items()}
+        extra = sorted(set(data) - accepted)
+        if extra:
+            raise UsageError(f"{args.command} takes no config key {', '.join(extra)}")
     data.update(flag_values)
-    data.setdefault("command", args.command)
-    return RunConfig.from_dict(data)
+    return RunConfig(**data)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -14,7 +14,7 @@ certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     MapError,
@@ -322,20 +322,6 @@ class MonomialBasisStream:
         out = []
         for k in range(nu + 1):
             out.extend(self.level(k))
-        return out
-
-    def __iter__(self) -> Iterator[Monomial]:
-        nu = 0
-        while True:
-            yield from self.level(nu)
-            nu += 1
-
-    def take(self, count: int) -> list[Monomial]:
-        out = []
-        for m in self:
-            if len(out) >= count:
-                break
-            out.append(m)
         return out
 
     def prefix_of(self, target: Monomial) -> list[Monomial]:

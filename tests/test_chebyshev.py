@@ -23,6 +23,7 @@ from capax import (
     evaluate_monomials,
     graph_lift,
     parse_poly,
+    transfinite_diameter,
 )
 from capax.chebyshev import MINIMAX_TOL, direction_exponent, minimax_from_matrix
 from conftest import random_generic_map
@@ -139,7 +140,8 @@ def test_minimax_bracket_on_random_complex_data(seed, t, extra):
 def test_minimax_bracket_holds_the_lp_oracle():
     f = random_generic_map(random.Random(107), 2)
     lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
-    monomials = basis_stream(f, "B").take(20)
+    stream = basis_stream(f, "B")
+    monomials = [m for nu in range(6) for m in stream.level(nu)][:20]
     e = evaluate_monomials(monomials, lift)
     for t in (2, 6, 11, 19):
         est = minimax_from_matrix(e[:, :t], e[:, t])
@@ -160,13 +162,61 @@ def test_lp_agrees_with_irls_on_real_data():
     assert abs(lp - 0.5) < 1e-9
 
 
-def test_import_leaves_out_scipy_optimize():
+def test_import_and_solve_leave_out_scipy():
+    # scipy is a dev-only dependency: neither the import nor an
+    # interior-point solve may load any of it
     src = os.path.dirname(os.path.dirname(capax.__file__))
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import capax; "
-        "assert 'scipy.optimize' not in sys.modules"
+        f"import sys; sys.path.insert(0, {src!r}); import numpy as np; import capax; "
+        "from capax.chebyshev import minimax_from_matrix; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "assert not loaded(), loaded(); "
+        "x = np.linspace(-1.0, 1.0, 41).astype(complex); "
+        "est = minimax_from_matrix(np.stack([np.ones_like(x), x], axis=1), x**2); "
+        "assert est.iterations > 1 and est.converged, est; "
+        "assert not loaded(), loaded()"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_interior_point_falls_back_to_qr_when_cholesky_fails(monkeypatch):
+    f = random_generic_map(random.Random(107), 2)
+    lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
+    stream = basis_stream(f, "B")
+    e = evaluate_monomials([m for nu in range(4) for m in stream.level(nu)], lift)
+    a, b = e[:, :9], e[:, 9]
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(m):
+        calls.append("ok")
+        return cholesky(m)
+
+    monkeypatch.setattr(capax.chebyshev.np.linalg, "cholesky", counted)
+    plain = minimax_from_matrix(a, b)
+    assert calls and plain.iterations > 1
+
+    def failing(m):
+        calls.append("fail")
+        raise np.linalg.LinAlgError("forced")
+
+    calls.clear()
+    monkeypatch.setattr(capax.chebyshev.np.linalg, "cholesky", failing)
+    fallback = minimax_from_matrix(a, b)
+    assert calls
+    assert plain.converged and fallback.converged
+    # both brackets hold the minimax, so they must overlap
+    assert fallback.lower <= plain.value and plain.lower <= fallback.value
+
+
+def test_hybrid_newton_certifies_a_generic_series():
+    f = random_generic_map(random.Random(11), 2)
+    lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
+    series = transfinite_diameter(lift, "B", 3)
+    assert series.meta["irls_converged"] == len(series.step_cheb) - 1
+    assert series.meta["cheb_gap_max"] <= MINIMAX_TOL
+    # 302 iterations when every Newton system was factored by block QR
+    assert series.meta["irls_steps"] <= 302
 
 
 def test_torus_monomials_converge_immediately():

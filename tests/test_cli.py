@@ -260,6 +260,33 @@ def test_removed_config_keys_rejected(key, map_file, tmp_path, capsys):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["tdiam", "--basis", "w", "--nmax", "1"], {"theta": 0.5, "s": 4}),
+        (["cheb", "--basis", "w", "--alpha", "2,1"], {"nmax": 3, "k": 2}),
+    ],
+)
+def test_config_keys_the_command_does_not_read_rejected(argv, extra, tmp_path, capsys):
+    # the same keys as flags are argparse errors; from a file they must not
+    # slip through into the report's config
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(extra))
+    code = main(argv + ["--set", "torus:1,1", "--mesh", "8", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in extra)
+
+
+def test_config_keys_the_command_reads_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"set": "torus:1,1", "mesh": 8, "basis": "w", "theta": 0.5, "s": 4}))
+    code, payload = run_json(capsys, ["cheb", "--config", str(cfg)])
+    assert code == 0
+    assert payload["config"]["theta"] == 0.5 and payload["config"]["s"] == 4
+    assert payload["transform"] > 0
+
+
 def test_config_values_parse_like_flags(tmp_path, capsys):
     argv = ["tdiam", "--set", "torus:1,1", "--basis", "w", "--format", "json"]
     code, by_flags = run_json(capsys, argv + ["--nmax", "2", "--mesh", "8,8"])
