@@ -6,16 +6,20 @@ its predecessors: min over coefficients c of max over sample points of
 second-order cone program min s subject to |b_i + (a c)_i| <= s, one
 three-dimensional cone (s, Re r_i, Im r_i) per point.
 
-A solve starts with the uniform-weight least-squares fit, whose root mean
-square residual is a lower bound; when that already certifies, the fit is
-the answer.  Otherwise a primal-dual interior-point method (Mehrotra
-predictor-corrector, Nesterov-Todd scaling) takes over from the fit.  Every
-per-cone operation is closed form on arrays over the points, and each Newton
-system is solved through an R factor of the scaled constraint matrix.  While
-the relative bracket is wide, R is the Cholesky factor of the normal matrix,
-which costs one matrix product; near convergence it comes from a QR of the
-constraint matrix itself, because the normal matrix's rounding stalls the
-relative gap near 5e-8.
+A solve starts with the least-squares fit, whose root mean square residual
+is a lower bound; when that already certifies, the fit is the answer.  The
+fit is solved on the R factor of [a | b]: a diameter series factors its
+whole monomial matrix once, and each step's prefix and target are a leading
+block of that R.  The SVD of R's t x t block gives a's singular values, and
+those below sv[0] * max(N, t) * eps are cut, so a rank-deficient prefix gets
+the minimum-norm fit.  Otherwise a primal-dual interior-point method
+(Mehrotra predictor-corrector, Nesterov-Todd scaling) takes over from the
+fit.  Every per-cone operation is closed form on arrays over the points,
+and each Newton system is solved through an R factor of the scaled
+constraint matrix.  While the relative bracket is wide, R is the Cholesky
+factor of the normal matrix, which costs one matrix product; near
+convergence it comes from a QR of the constraint matrix itself, because the
+normal matrix's rounding stalls the relative gap near 5e-8.
 
 Every estimate is a bracket.  value is the attained max |b + a c| at the
 returned coefficients, an upper bound.  lower is |y^H b| / ||y||_1 for the
@@ -99,8 +103,18 @@ class ChebyshevEstimate:
     coefficients: Optional[np.ndarray] = None
 
 
-def minimax_from_matrix(a: np.ndarray, b: np.ndarray) -> ChebyshevEstimate:
+def minimax_from_matrix(
+    a: np.ndarray, b: np.ndarray, rfac: Optional[np.ndarray] = None
+) -> ChebyshevEstimate:
     """min_c max_i |b_i + (a c)_i| with a certified bracket [lower, value].
+
+    rfac is the upper triangular R factor of [a | b], with t + 1 columns,
+    computed here when not given; a series passes a leading block of the R
+    factor of its whole matrix.  The least-squares start is
+    c = -R11^+ rfac[:t, t] on the block R11 = rfac[:t, :t]: a = Q R11 with Q
+    orthonormal, so R11 has a's singular values, and those at most
+    sv[0] * max(N, t) * eps are cut, as numpy's lstsq cuts them.  The fit's
+    residual b + a c is formed explicitly, so value is the attained sup norm.
 
     residual is value - lower; a solve has converged once it is at most
     MINIMAX_TOL * max(1, value).  iterations counts the least-squares start
@@ -112,14 +126,16 @@ def minimax_from_matrix(a: np.ndarray, b: np.ndarray) -> ChebyshevEstimate:
         return ChebyshevEstimate(
             value=value, lower=value, residual=0.0, iterations=0, converged=True
         )
-    # the uniform-weight least-squares fit (Lawson's first step)
-    u = np.full(npts, 1.0 / npts)
-    sw = np.sqrt(u)
-    c, *_ = np.linalg.lstsq(a * sw[:, None], -b * sw, rcond=None)
+    if rfac is None:
+        rfac = np.linalg.qr(np.column_stack([a, b]), mode="r")
+    # the least-squares fit (Lawson's first step) on the block of R
+    u, sv, vh = np.linalg.svd(rfac[:t, :t], full_matrices=False)
+    k = int((sv > sv[0] * max(npts, t) * np.finfo(float).eps).sum())
+    c = vh[:k].conj().T @ ((u[:, :k].conj().T @ -rfac[:t, t]) / sv[:k])
     r = b + a @ c
     mags = np.abs(r)
     upper = float(mags.max())
-    lower = min(float(np.sqrt(float(np.sum(u * mags**2)))), upper)
+    lower = min(float(np.sqrt(np.mean(mags**2))), upper)
     if upper - lower <= MINIMAX_TOL * max(1.0, upper):
         return ChebyshevEstimate(
             value=upper,

@@ -89,7 +89,7 @@ class RunConfig:
     beta: Optional[tuple[int, int]] = None
     theta: Optional[float] = None
     s: Optional[int] = None
-    oracle: bool = False
+    oracle: Optional[bool] = None
 
     def validate(self) -> None:
         if self.command not in COMMANDS:

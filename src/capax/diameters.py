@@ -169,8 +169,11 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
     # iterations; cheb_gap_max is the worst relative bracket width
     estimates_meta = {"irls_converged": 0, "irls_steps": 0, "cheb_gap_max": 0.0}
     y[0] = float(np.abs(e[:, 0]).max())
+    # the R factor of each prefix [e[:, :t] | e[:, t]] is a leading block of
+    # this one, so every step's least-squares start solves on a small block
+    rfac = np.linalg.qr(e, mode="r")
     for t in range(1, len(monomials)):
-        est = minimax_from_matrix(e[:, :t], e[:, t])
+        est = minimax_from_matrix(e[:, :t], e[:, t], rfac[: t + 1, : t + 1])
         y[t] = est.value
         estimates_meta["irls_converged"] += int(est.converged)
         estimates_meta["irls_steps"] += est.iterations

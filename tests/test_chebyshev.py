@@ -104,13 +104,15 @@ def test_minimax_constant_shift():
 
 
 def test_minimax_degree_two_on_interval():
-    # monic quadratic minimax on [-1, 1] is x^2 - 1/2 with deviation 1/2
+    # monic quadratic minimax on [-1, 1] is x^2 - 1/2 with deviation 1/2; a
+    # repeated column leaves a rank-deficient prefix with the same minimax
     x = np.linspace(-1.0, 1.0, 201).astype(complex)
-    a = np.stack([np.ones_like(x), x], axis=1)
-    est = minimax_from_matrix(a, x**2)
-    assert est.converged
-    assert abs(est.value - 0.5) < 1e-6
-    assert abs(est.coefficients[0] + 0.5) < 1e-2
+    for powers in ((0, 1), (0, 1, 1)):
+        a = np.stack([x**p for p in powers], axis=1)
+        est = minimax_from_matrix(a, x**2)
+        assert est.converged
+        assert abs(est.value - 0.5) < 1e-6
+        assert abs(est.coefficients[0] + 0.5) < 1e-2
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,6 +219,59 @@ def test_hybrid_newton_certifies_a_generic_series():
     assert series.meta["cheb_gap_max"] <= MINIMAX_TOL
     # 302 iterations when every Newton system was factored by block QR
     assert series.meta["irls_steps"] <= 302
+
+
+def test_series_factors_its_matrix_once(monkeypatch):
+    f = random_generic_map(random.Random(11), 2)
+    lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
+    linalg = capax.chebyshev.np.linalg
+    lstsq, qr = linalg.lstsq, linalg.qr
+    lstsq_calls, qr_shapes = [], []
+
+    def counted_lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    def counted_qr(m, *args, **kwargs):
+        qr_shapes.append(m.shape)
+        return qr(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(linalg, "qr", counted_qr)
+    series = transfinite_diameter(lift, "B", 3)
+    assert series.step_cheb.shape == (28,)
+    assert not lstsq_calls
+    # the series matrix is factored once; the interior point's own block QRs
+    # have 2t + 1 columns, never 28
+    assert qr_shapes.count((256, 28)) == 1
+
+
+def test_dependent_prefixes_match_least_squares():
+    # w1^4 = w2^4 = 1 on the 4 x 4 torus, so those two targets lie in the span
+    # of their prefixes, and every later prefix is rank deficient
+    mesh = build_mesh("torus:1,1", (4, 4))
+    series = transfinite_diameter(mesh, "w", 4)
+    assert series.meta["irls_converged"] == len(series.step_cheb) - 1
+    e = evaluate_monomials(series.ledger.monomials, mesh)
+    in_span = 0
+    for t in range(1, e.shape[1]):
+        c = np.linalg.lstsq(e[:, :t], -e[:, t], rcond=None)[0]
+        sup = float(np.abs(e[:, t] + e[:, :t] @ c).max())
+        if sup <= 1e-12:
+            in_span += 1
+            assert series.step_cheb[t] <= 1e-12
+        else:
+            assert math.isclose(series.step_cheb[t], sup, rel_tol=1e-12)
+    assert in_span == 2
+
+
+def test_minimax_with_more_columns_than_points():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+    b = rng.normal(size=5) + 1j * rng.normal(size=5)
+    est = minimax_from_matrix(a, b)
+    assert est.converged
+    assert est.value <= 1e-12
 
 
 def test_torus_monomials_converge_immediately():

@@ -41,6 +41,7 @@ def test_resultant_with_oracle(map_file, capsys):
     code, payload = run_json(capsys, ["resultant", "--map", path, "--oracle"])
     assert code == 0
     assert payload["oracle_rel_diff"] < 1e-10
+    assert payload["config"]["oracle"] is True
 
 
 def test_staircase_frozen(map_file, capsys):
@@ -164,6 +165,7 @@ def test_pullback_squares(map_file, capsys):
     assert abs(payload["rhs"] - 1.0) < 1e-9
     assert abs(payload["ratio"] - 1.0) < 1e-9
     assert "d2_cross" in payload
+    assert "oracle" not in payload["config"]  # only resultant has --oracle
     assert payload["meta"]["near_discriminant_fibers"] == 0
     assert payload["meta"]["roots_missing"] == 0
 
@@ -175,6 +177,7 @@ def test_tdiam_json_carries_series_meta(capsys):
          "--format", "json"],
     )
     assert code == 0
+    assert "oracle" not in payload["config"]
     meta = payload["meta"]
     assert meta["points"] == 64
     assert 0 <= meta["irls_converged"] <= len(payload["m"]) * 6
