@@ -98,7 +98,6 @@ class ChebyshevEstimate:
     residual: float
     iterations: int
     converged: bool
-    target: Optional[Monomial] = None
     prefix_size: int = 0
     coefficients: Optional[np.ndarray] = None
 
@@ -314,7 +313,6 @@ def chebyshev_value(
     prefix = stream.prefix_of(target)
     matrix = evaluate_monomials(prefix + [target], points)
     est = minimax_from_matrix(matrix[:, : len(prefix)], matrix[:, len(prefix)])
-    est.target = target
     est.prefix_size = len(prefix)
     return est
 

@@ -5,6 +5,9 @@ every report embeds the resolved configuration so runs are reproducible from
 their own output.  Flags override values from an optional --config JSON file,
 which override the built-in defaults.  Exit codes: 0 success, 1 domain
 errors, 2 usage errors.
+
+Each flag and each subcommand is declared once, in the tables _FLAGS and
+_SUBCOMMANDS; parsing, checking and dispatch all read them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .chebyshev import chebyshev_transform, chebyshev_value
 from .diameters import pullback_check, transfinite_diameter
@@ -40,33 +43,7 @@ class UsageError(Exception):
 # configuration
 
 
-COMMANDS = (
-    "resultant",
-    "block-check",
-    "basis",
-    "staircase",
-    "fiber",
-    "cheb",
-    "tdiam",
-    "pullback",
-)
-
-# which fields each command requires; what it accepts is its subparser's flags
-_REQUIRED = {
-    "resultant": ("map",),
-    "block-check": ("map", "k"),
-    "basis": ("basis", "nmax"),
-    "staircase": ("map",),
-    "fiber": ("map", "w"),
-    "cheb": ("set", "basis"),
-    "tdiam": ("set", "basis", "nmax"),
-    "pullback": ("map", "set", "nmax"),
-}
-
-DEFAULT_MESH = (24, 24)
-
-# the commands with a CSV report, which is also their default format
-_CSV_COMMANDS = ("tdiam", "fiber")
+DEFAULT_MESH = (24, 24)  # for every command that takes --mesh
 
 
 @dataclass
@@ -92,20 +69,13 @@ class RunConfig:
     oracle: Optional[bool] = None
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
-        for name in _REQUIRED[self.command]:
+        spec = _SUBCOMMANDS[self.command]
+        for name in spec.required:
             if getattr(self, name) is None:
                 raise UsageError(f"{self.command} needs --{name}")
-        if self.format not in (None, "json", "csv"):
-            raise UsageError("format must be json or csv")
-        if self.format == "csv" and self.command not in _CSV_COMMANDS:
+        if self.format == "csv" and not spec.csv:
             raise UsageError(f"{self.command} has no CSV form; use --format json")
-        if self.precision not in (None, "exact", "float"):
-            raise UsageError("precision must be exact or float")
-        if self.basis is not None and self.basis not in ("z", "w", "B", "C"):
-            raise UsageError("basis must be one of z, w, B, C")
-        if self.mesh is None and self.command in ("cheb", "tdiam", "pullback"):
+        if self.mesh is None and "mesh" in spec.flags:
             self.mesh = DEFAULT_MESH
         if self.mesh is not None and min(self.mesh) < 1:
             raise UsageError("mesh counts must be positive")
@@ -117,8 +87,6 @@ class RunConfig:
             raise UsageError("k must be positive")
         if self.s is not None and self.s < 2:
             raise UsageError("s must be at least 2")
-        if self.w is not None and len(self.w) != 4:
-            raise UsageError("w takes re1,im1,re2,im2")
         if self.command == "cheb" and self.alpha is None and self.theta is None:
             raise UsageError("cheb needs --alpha (with optional --beta) or --theta with --s")
         if self.theta is not None and self.s is None:
@@ -131,7 +99,7 @@ class RunConfig:
             raise UsageError("--beta needs --alpha")
 
     def resolved_format(self) -> str:
-        return self.format or ("csv" if self.command in _CSV_COMMANDS else "json")
+        return self.format or ("csv" if _SUBCOMMANDS[self.command].csv else "json")
 
     def report_dict(self) -> dict:
         out = {}
@@ -145,7 +113,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing helpers
+# flags: value parsers and the flag table; config-file values parse as flags do
 
 
 def _mesh_arg(text: str) -> tuple[int, int]:
@@ -188,33 +156,50 @@ def _switch_arg(text: str) -> bool:
     return text == "True"
 
 
-# the flag parser of each typed field; config-file values go through it too
-_FIELD_PARSERS = {
-    "map": str,
-    "set": str,
-    "out": str,
-    "mesh": _mesh_arg,
-    "nmax": int,
-    "k": int,
-    "w": _w_arg,
-    "alpha": _pair_arg,
-    "beta": _pair_arg,
-    "theta": float,
-    "s": int,
-    "oracle": _switch_arg,
+@dataclass(frozen=True)
+class _Flag:
+    """A flag's argparse settings; type also parses its config-file value."""
+
+    type: Callable[[str], object] = str
+    choices: Optional[tuple[str, ...]] = None
+    help: Optional[str] = None
+
+
+_FLAGS = {
+    "map": _Flag(),
+    "set": _Flag(),
+    "mesh": _Flag(_mesh_arg),
+    "basis": _Flag(choices=("z", "w", "B", "C")),
+    "nmax": _Flag(int),
+    "k": _Flag(int),
+    "w": _Flag(_w_arg, help="re1,im1,re2,im2"),
+    "alpha": _Flag(_pair_arg, help="w-exponent a1,a2 of the target"),
+    "beta": _Flag(_pair_arg, help="z-exponent b1,b2 of the target"),
+    "theta": _Flag(float, help="direction in (0, 1) for the transform"),
+    "s": _Flag(int, help="transform degree, at least 2"),
+    "oracle": _Flag(_switch_arg, help="cross-check through root products"),
+    "config": _Flag(help="JSON file with defaults for any flag"),
+    "out": _Flag(help="write the report to this path instead of stdout"),
+    "format": _Flag(choices=("json", "csv")),
+    "precision": _Flag(choices=("exact", "float")),
 }
 
+_COMMON_FLAGS = ("config", "out", "format", "precision")
 
-def _coerce_field(name: str, value):
+
+def _config_value(name: str, value):
     """Parse a config-file value as its flag's value would be parsed."""
-    parse = _FIELD_PARSERS.get(name)
-    if parse is None or value is None:
+    flag = _FLAGS.get(name)
+    if flag is None or value is None:
         return value
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     try:
-        return parse(text)
+        parsed = flag.type(text)
     except (argparse.ArgumentTypeError, ValueError) as exc:
         raise UsageError(f"config key {name}: {exc}") from None
+    if flag.choices is not None and parsed not in flag.choices:
+        raise UsageError(f"config key {name}: {parsed!r} is not one of {', '.join(flag.choices)}")
+    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +224,7 @@ def _fmt(x: float) -> str:
 
 
 def _emit(cfg: RunConfig, payload: dict, csv_rows: Optional[tuple[list[str], list[list]]] = None) -> None:
+    payload["config"] = cfg.report_dict()
     out = sys.stdout if cfg.out is None else open(cfg.out, "w")
     try:
         if cfg.resolved_format() == "csv":
@@ -293,7 +279,6 @@ def _cmd_resultant(cfg: RunConfig) -> None:
         "res": _coeff_json(res),
         "log_abs": logmag,
         "precision": f.precision,
-        "config": cfg.report_dict(),
     }
     if cfg.oracle:
         oracle = resultant_root_oracle(f)
@@ -309,7 +294,6 @@ def _cmd_staircase(cfg: RunConfig) -> None:
     payload = {
         "staircase": [[m.b1, m.b2] for m in stairs],
         "generic": is_generic(f),
-        "config": cfg.report_dict(),
     }
     _emit(cfg, payload)
 
@@ -324,7 +308,6 @@ def _cmd_basis(cfg: RunConfig) -> None:
             for m in monomials
         ],
         "count": len(monomials),
-        "config": cfg.report_dict(),
     }
     _emit(cfg, payload)
 
@@ -343,7 +326,6 @@ def _cmd_block_check(cfg: RunConfig) -> None:
         "sign": report.sign,
         "det": _coeff_json(report.det),
         "res": _coeff_json(report.res),
-        "config": cfg.report_dict(),
     }
     _emit(cfg, payload)
 
@@ -362,7 +344,6 @@ def _cmd_fiber(cfg: RunConfig) -> None:
         "residual_max": float(result.residuals.max()),
         "near_discriminant": result.near_discriminant,
         "defect": result.defect,
-        "config": cfg.report_dict(),
     }
     _emit(
         cfg,
@@ -386,7 +367,6 @@ def _cmd_cheb(cfg: RunConfig) -> None:
             "iterations": est.iterations,
             "converged": est.converged,
             "prefix_size": est.prefix_size,
-            "config": cfg.report_dict(),
         }
     else:
         value = chebyshev_transform(points, stream, cfg.theta, cfg.s)
@@ -394,7 +374,6 @@ def _cmd_cheb(cfg: RunConfig) -> None:
             "transform": value,
             "theta": cfg.theta,
             "s": cfg.s,
-            "config": cfg.report_dict(),
         }
     _emit(cfg, payload)
 
@@ -423,7 +402,6 @@ def _cmd_tdiam(cfg: RunConfig) -> None:
         "van_root_estimates": series.van_root_estimates,
         "points": len(points),
         "meta": series.meta,
-        "config": cfg.report_dict(),
     }
     _emit(cfg, payload, csv_rows=(["n", "m_n", "l_n", "logVan", "estimate"], rows))
 
@@ -439,20 +417,42 @@ def _cmd_pullback(cfg: RunConfig) -> None:
         "d3_final": report.d3.final,
         "res_log_abs": report.res_log_abs,
         "meta": report.meta,
-        "config": cfg.report_dict(),
     }
     _emit(cfg, payload)
 
 
-_HANDLERS = {
-    "resultant": _cmd_resultant,
-    "block-check": _cmd_block_check,
-    "basis": _cmd_basis,
-    "staircase": _cmd_staircase,
-    "fiber": _cmd_fiber,
-    "cheb": _cmd_cheb,
-    "tdiam": _cmd_tdiam,
-    "pullback": _cmd_pullback,
+# ---------------------------------------------------------------------------
+# wiring
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    help: str
+    handler: Callable[[RunConfig], None]
+    flags: tuple[str, ...]  # besides the common ones
+    required: tuple[str, ...]
+    csv: bool = False  # has a CSV report, which is then its default format
+
+
+_SUBCOMMANDS = {
+    "resultant": _Subcommand("resultant of the top forms", _cmd_resultant,
+                             ("map", "oracle"), required=("map",)),
+    "staircase": _Subcommand("staircase of the top-form ideal", _cmd_staircase,
+                             ("map",), required=("map",)),
+    "basis": _Subcommand("stream monomials through a level", _cmd_basis,
+                         ("map", "basis", "nmax"), required=("basis", "nmax")),
+    "block-check": _Subcommand("certify one block determinant identity", _cmd_block_check,
+                               ("map", "k"), required=("map", "k")),
+    "fiber": _Subcommand("solve f(z) = w", _cmd_fiber,
+                         ("map", "w"), required=("map", "w"), csv=True),
+    "cheb": _Subcommand("directional Chebyshev value or transform", _cmd_cheb,
+                        ("map", "set", "mesh", "basis", "alpha", "beta", "theta", "s"),
+                        required=("set", "basis")),
+    "tdiam": _Subcommand("transfinite diameter estimate table", _cmd_tdiam,
+                         ("map", "set", "mesh", "basis", "nmax"),
+                         required=("set", "basis", "nmax"), csv=True),
+    "pullback": _Subcommand("compare d(f^-1 K) with the resultant formula", _cmd_pullback,
+                            ("map", "set", "mesh", "nmax"), required=("map", "set", "nmax")),
 }
 
 
@@ -464,22 +464,11 @@ def run(config: RunConfig) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        _HANDLERS[config.command](config)
-    except (CapaxError, FileNotFoundError, ValueError) as exc:
+        _SUBCOMMANDS[config.command].handler(config)
+    except (CapaxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-# ---------------------------------------------------------------------------
-# wiring
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with defaults for any flag")
-    p.add_argument("--out", help="write the report to this path instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"))
-    p.add_argument("--precision", choices=("exact", "float"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,88 +478,37 @@ def build_parser() -> argparse.ArgumentParser:
         "for polynomial maps of C^2",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("resultant", help="resultant of the top forms")
-    p.add_argument("--map")
-    p.add_argument("--oracle", action="store_const", const=True,
-                   help="cross-check through root products")
-    _add_common(p)
-
-    p = sub.add_parser("staircase", help="staircase of the top-form ideal")
-    p.add_argument("--map")
-    _add_common(p)
-
-    p = sub.add_parser("basis", help="stream monomials through a level")
-    p.add_argument("--map")
-    p.add_argument("--basis", choices=("z", "w", "B", "C"))
-    p.add_argument("--nmax", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("block-check", help="certify one block determinant identity")
-    p.add_argument("--map")
-    p.add_argument("--k", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("fiber", help="solve f(z) = w")
-    p.add_argument("--map")
-    p.add_argument("--w", type=_w_arg, help="re1,im1,re2,im2")
-    _add_common(p)
-
-    p = sub.add_parser("cheb", help="directional Chebyshev value or transform")
-    p.add_argument("--map")
-    p.add_argument("--set")
-    p.add_argument("--mesh", type=_mesh_arg)
-    p.add_argument("--basis", choices=("z", "w", "B", "C"))
-    p.add_argument("--alpha", type=_pair_arg, help="w-exponent a1,a2 of the target")
-    p.add_argument("--beta", type=_pair_arg, help="z-exponent b1,b2 of the target")
-    p.add_argument("--theta", type=float, help="direction in (0, 1) for the transform")
-    p.add_argument("--s", type=int, help="transform degree, at least 2")
-    _add_common(p)
-
-    p = sub.add_parser("tdiam", help="transfinite diameter estimate table")
-    p.add_argument("--map")
-    p.add_argument("--set")
-    p.add_argument("--mesh", type=_mesh_arg)
-    p.add_argument("--basis", choices=("z", "w", "B", "C"))
-    p.add_argument("--nmax", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("pullback", help="compare d(f^-1 K) with the resultant formula")
-    p.add_argument("--map")
-    p.add_argument("--set")
-    p.add_argument("--mesh", type=_mesh_arg)
-    p.add_argument("--nmax", type=int)
-    _add_common(p)
-
+    for command, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name in spec.flags + _COMMON_FLAGS:
+            flag = _FLAGS[name]
+            if flag.type is _switch_arg:
+                p.add_argument(f"--{name}", action="store_const", const=True, help=flag.help)
+            else:
+                p.add_argument(f"--{name}", type=flag.type, choices=flag.choices, help=flag.help)
     return parser
 
 
 def build_config(argv: Optional[list[str]] = None) -> RunConfig:
     """Parse argv and merge flag, config-file, and default layers."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # the namespace holds one entry per flag of the chosen subcommand, so its
-    # keys are exactly the fields that command reads
-    accepted = set(vars(args)) - {"config"}
-    flag_values = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("config",) and v is not None
-    }
+    values = vars(build_parser().parse_args(argv))
+    config_path = values.pop("config")
     data: dict = {}
-    if args.config is not None:
+    if config_path is not None:
         try:
-            with open(args.config) as fh:
+            with open(config_path) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}") from None
+            raise UsageError(f"cannot read config file {config_path}: {exc}") from None
         if not isinstance(data, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
-        data = {k: _coerce_field(k, v) for k, v in data.items()}
-        extra = sorted(set(data) - accepted)
+            raise UsageError(f"config file {config_path} must hold a JSON object")
+        data = {k: _config_value(k, v) for k, v in data.items()}
+        # the namespace holds one entry per flag of the chosen subcommand, so
+        # its keys are exactly the fields that command reads
+        extra = sorted(set(data) - set(values))
         if extra:
-            raise UsageError(f"{args.command} takes no config key {', '.join(extra)}")
-    data.update(flag_values)
+            raise UsageError(f"{values['command']} takes no config key {', '.join(extra)}")
+    data.update({k: v for k, v in values.items() if v is not None})
     return RunConfig(**data)
 
 

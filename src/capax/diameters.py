@@ -34,8 +34,6 @@ TELESCOPING_SLACK = 1e-6  # relative slack on both telescoping inequalities
 class VandermondeLedger:
     monomials: list[Monomial]
     selected: list[int]
-    points_w: np.ndarray
-    points_z: Optional[np.ndarray]
     step_logs: np.ndarray
     truncated: bool
     truncated_at: Optional[int]
@@ -103,8 +101,6 @@ def _greedy_select(
     return VandermondeLedger(
         monomials=monomials,
         selected=selected,
-        points_w=points.w[selected],
-        points_z=points.z[selected] if points.z is not None else None,
         step_logs=step_logs,
         truncated=truncated,
         truncated_at=truncated_at,

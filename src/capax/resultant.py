@@ -13,6 +13,7 @@ block and consecutive z-monomials has determinant +-Res^(ell (ell+1) / 2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,16 +108,27 @@ def resultant(f: GraphMap):
 
 
 def resultant_slog(f: GraphMap) -> tuple[complex, float]:
-    """(phase, log|Res|); works at either precision."""
+    """(phase, log|Res|) at either precision, whatever the size of |Res|.
+
+    Phase 0 means Res = 0.  An exact Res whose modulus is not a normal float
+    is measured on its exact parts, so it neither overflows nor rounds to 0.
+    """
+    if f.precision != "exact":
+        return slog_det(sylvester_matrix(f))
     r = resultant(f)
-    if f.precision == "exact":
-        rc = complex(r)
-        if rc == 0:
-            return 0.0j, float("-inf")
-        return rc / abs(rc), math.log(abs(rc))
-    if r == 0:
+    if not r:
         return 0.0j, float("-inf")
-    return r / abs(r), math.log(abs(r))
+    try:
+        rc = complex(r)
+        mag = abs(rc)
+    except OverflowError:
+        mag = math.inf
+    if sys.float_info.min <= mag < math.inf:
+        return rc / mag, math.log(mag)
+    abs2 = r.abs2()
+    scale = max(abs(r.re), abs(r.im))
+    unit = complex(r.re / scale, r.im / scale)
+    return unit / abs(unit), (math.log(abs2.numerator) - math.log(abs2.denominator)) / 2
 
 
 def resultant_root_oracle(f: GraphMap) -> complex:

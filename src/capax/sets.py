@@ -37,7 +37,6 @@ FIBER_CHUNK = 16  # base points per batched solve; bounds the Sylvester tensor
 class SetSpec:
     kind: str
     params: tuple
-    source: str
 
     @staticmethod
     def parse(text: str) -> "SetSpec":
@@ -53,7 +52,7 @@ class SetSpec:
             radii = tuple(float(p) for p in parts)
             if any(r <= 0 for r in radii):
                 raise MeshError("radii must be positive")
-            return SetSpec(kind, radii, text)
+            return SetSpec(kind, radii)
         if kind == "box":
             parts = [p.strip() for p in rest.split(",")]
             if len(parts) != 4:
@@ -61,9 +60,9 @@ class SetSpec:
             a, b, c, d = (float(p) for p in parts)
             if b < a or d < c:
                 raise MeshError("box intervals must be ordered")
-            return SetSpec(kind, (a, b, c, d), text)
+            return SetSpec(kind, (a, b, c, d))
         if kind == "points":
-            return SetSpec(kind, (rest.strip(),), text)
+            return SetSpec(kind, (rest.strip(),))
         raise MeshError(f"unknown set kind {kind!r}")
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -42,6 +43,16 @@ def test_resultant_with_oracle(map_file, capsys):
     assert code == 0
     assert payload["oracle_rel_diff"] < 1e-10
     assert payload["config"]["oracle"] is True
+
+
+def test_resultant_beyond_float_range(map_file, capsys):
+    # Res = 10^800 exactly; its float conversion overflows
+    big = "1" + "0" * 200
+    path = map_file({"f1": f"{big}*z1^2", "f2": f"{big}*z2^2"})
+    code, payload = run_json(capsys, ["resultant", "--map", path])
+    assert code == 0
+    assert payload["res"] == {"re": 10 ** 800, "im": 0}
+    assert abs(payload["log_abs"] / (800 * math.log(10)) - 1.0) < 1e-12
 
 
 def test_staircase_frozen(map_file, capsys):
@@ -266,16 +277,25 @@ def test_removed_config_keys_rejected(key, map_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["tdiam", "--basis", "w", "--nmax", "1"], {"theta": 0.5, "s": 4}),
-        (["cheb", "--basis", "w", "--alpha", "2,1"], {"nmax": 3, "k": 2}),
+        (["tdiam", "--set", "torus:1,1", "--mesh", "8", "--basis", "w", "--nmax", "1"],
+         {"theta": 0.5, "s": 4}),
+        (["cheb", "--set", "torus:1,1", "--mesh", "8", "--basis", "w", "--alpha", "2,1"],
+         {"nmax": 3, "k": 2}),
+        (["resultant", "--map", "f.json"], {"k": 2}),
+        (["block-check", "--map", "f.json", "--k", "3"], {"oracle": True}),
+        (["basis", "--basis", "w", "--nmax", "1"], {"w": [1, 0, 1, 0]}),
+        (["staircase", "--map", "f.json"], {"nmax": 2}),
+        (["fiber", "--map", "f.json", "--w", "1,0,1,0"], {"set": "torus:1,1"}),
+        (["pullback", "--map", "f.json", "--set", "torus:1,1", "--nmax", "1"], {"basis": "B"}),
     ],
 )
 def test_config_keys_the_command_does_not_read_rejected(argv, extra, tmp_path, capsys):
     # the same keys as flags are argparse errors; from a file they must not
-    # slip through into the report's config
+    # slip through into the report's config.  Each key is one that some
+    # other command reads.
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(extra))
-    code = main(argv + ["--set", "torus:1,1", "--mesh", "8", "--config", str(cfg)])
+    code = main(argv + ["--config", str(cfg)])
     assert code == 2
     err = capsys.readouterr().err
     assert all(key in err for key in extra)
@@ -303,12 +323,18 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("nmax", "two"), ("nmax", 2.5), ("mesh", [8, 8, 8]), ("k", "3,"), ("oracle", "false")],
+    [
+        ("nmax", "two"), ("nmax", 2.5), ("mesh", [8, 8, 8]), ("k", "3,"), ("oracle", "false"),
+        # values outside the flag's choices
+        ("format", "xml"), ("precision", "double"), ("basis", "Q"),
+    ],
 )
 def test_bad_config_value_is_usage_error(key, value, map_file, tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"map": map_file(SQUARES), "k": 3, key: value}))
-    code = main(["block-check", "--config", str(cfg)])
+    # block-check has no --basis; the basis command has
+    command = "basis" if key == "basis" else "block-check"
+    code = main([command, "--config", str(cfg)])
     assert code == 2
     assert f"config key {key}" in capsys.readouterr().err
 
@@ -319,6 +345,19 @@ def test_bad_config_value_is_usage_error(key, value, map_file, tmp_path, capsys)
 
 def test_missing_map_file_is_domain_error(capsys):
     code = main(["resultant", "--map", "/nonexistent/f.json"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resultant", "--map", "{dir}"],
+        ["tdiam", "--set", "points:{dir}", "--basis", "w", "--nmax", "1"],
+    ],
+)
+def test_directory_in_place_of_a_file_is_domain_error(argv, tmp_path, capsys):
+    code = main([a.format(dir=tmp_path) for a in argv])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 

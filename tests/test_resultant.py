@@ -61,6 +61,13 @@ def test_resultant_slog_consistency():
     phase, logmag = resultant_slog(f)
     assert np.isclose(logmag, np.log(16.0))
     assert np.isclose(complex(phase).real, 1.0)
+    # |Res| = 10^(+-800) lies outside the float range; its log does not
+    big = "1" + "0" * 200
+    for c, precision, sign in [(big, "exact", 1), ("1.0e200", "float", 1), ("1.0e-200", "float", -1)]:
+        f = GraphMap(parse_poly(f"{c}*z1^2", precision), parse_poly(f"{c}*z2^2", precision))
+        phase, logmag = resultant_slog(f)
+        assert abs(logmag / (sign * 800 * np.log(10.0)) - 1.0) <= 1e-12
+        assert np.isclose(complex(phase), 1.0)
 
 
 def test_bareiss_matches_float_det():
