@@ -1,9 +1,11 @@
 """Resultants of the top forms and the block structure of graph eliminations.
 
 The resultant of the two leading forms decides regularity and enters the
-pullback formula through |Res|^(-1/(2 d^2)).  Exact determinants go through
-Bareiss elimination over Gaussian rationals; float determinants through
-numpy's slogdet, carried as (phase, log magnitude) so nothing overflows.
+pullback formula through |Res|^(-1/(2 d^2)).  Exact determinants put the
+matrix over one common denominator and run Bareiss elimination on Gaussian
+integers, with exact division by the previous pivot; float determinants go
+through numpy's slogdet, carried as (phase, log magnitude) so nothing
+overflows.
 
 block_factorization certifies the one structural fact the estimators lean on:
 at weight k >= 2d - 1 the change of basis between the substituted w-bearing
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,31 +63,50 @@ def sylvester_matrix(f: GraphMap):
 
 
 def bareiss_det(matrix) -> GaussianRational:
-    """Fraction-free determinant of an exact square matrix."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Determinant of a square matrix of GaussianRationals, by Bareiss over Z[i].
+
+    The entries are put over one common denominator L, so the elimination
+    runs on Gaussian-integer (re, im) pairs.  Each step divides by the
+    previous pivot, which Sylvester's identity makes exact: multiply by its
+    conjugate, then floor-divide both parts by its norm.  The result is the
+    integer determinant over L^n.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if n == 0:
         return GaussianRational(1)
+    den = math.lcm(*(c.d for row in matrix for c in row))
+    re = [[c.a * (den // c.d) for c in row] for row in matrix]
+    im = [[c.b * (den // c.d) for c in row] for row in matrix]
     sign = 1
-    prev = GaussianRational(1)
+    qr, qi = 1, 0  # previous pivot
     for k in range(n - 1):
-        if not m[k][k]:
+        if not (re[k][k] or im[k][k]):
             for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
+                if re[i][k] or im[i][k]:
+                    re[k], re[i] = re[i], re[k]
+                    im[k], im[i] = im[i], im[k]
                     sign = -sign
                     break
             else:
                 return GaussianRational(0)
+        pr, pi = re[k][k], im[k][k]
+        norm = qr * qr + qi * qi
+        rk, ik = re[k], im[k]
         for i in range(k + 1, n):
+            ri, ii = re[i], im[i]
+            ar, ai = ri[k], ii[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = GaussianRational(0)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+                xr = ri[j] * pr - ii[j] * pi - (ar * rk[j] - ai * ik[j])
+                xi = ri[j] * pi + ii[j] * pr - (ar * ik[j] + ai * rk[j])
+                ri[j] = (xr * qr + xi * qi) // norm
+                ii[j] = (xi * qr - xr * qi) // norm
+        qr, qi = pr, pi
+    scale = den**n
+    return GaussianRational(
+        Fraction(sign * re[n - 1][n - 1], scale), Fraction(sign * im[n - 1][n - 1], scale)
+    )
 
 
 def slog_det(matrix) -> tuple[complex, float]:
@@ -158,15 +180,22 @@ def resultant_root_oracle(f: GraphMap) -> complex:
 
 
 def is_regular(f: GraphMap) -> bool:
-    """Whether the top forms have no common projective root."""
+    """Whether the top forms have no common projective root.
+
+    A float map is regular when |Res| > 1e-10 max|a|^d2 max|b|^d1, over the
+    top-form coefficients a and b; the test is made on logs, so it neither
+    overflows nor underflows.
+    """
     if f.precision == "exact":
         return bool(resultant(f))
-    a = _form_coeffs(f.f1.top_form(), f.d1)
-    b = _form_coeffs(f.f2.top_form(), f.d2)
-    scale = max(abs(c) for c in a) ** f.d2 * max(abs(c) for c in b) ** f.d1
-    if scale == 0:
+    a = max(abs(c) for c in _form_coeffs(f.f1.top_form(), f.d1))
+    b = max(abs(c) for c in _form_coeffs(f.f2.top_form(), f.d2))
+    if a == 0 or b == 0:
         return False
-    return abs(resultant(f)) > 1e-10 * scale
+    phase, logmag = resultant_slog(f)
+    if phase == 0:
+        return False
+    return logmag > math.log(1e-10) + f.d2 * math.log(a) + f.d1 * math.log(b)
 
 
 # ---------------------------------------------------------------------------

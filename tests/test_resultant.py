@@ -56,6 +56,21 @@ def test_resultant_vanishes_on_shared_factor():
     assert is_regular(M("z1^2 + z2^2", "z1*z2"))
 
 
+def test_float_is_regular_at_extreme_scales():
+    def F(f1, f2):
+        return GraphMap(parse_poly(f1, "float"), parse_poly(f2, "float"))
+
+    # max|a|^d2 max|b|^d1 is 1e+-800, outside the float range; its log is not
+    assert is_regular(F("1.0e200*z1^2", "1.0e200*z2^2"))
+    assert is_regular(F("1.0e-200*z1^2", "1.0e-200*z2^2"))
+    assert not is_regular(F("z1^2 + z1*z2", "z1*z2"))
+    assert not is_regular(F("1.0e200*z1^2 + 1.0e200*z1*z2", "1.0e-200*z1*z2"))
+    # the z1^2 coefficient underflows to 0 but stays a term: degree 2, top form 0
+    f1 = parse_poly("1.0e-200*z1^2 + z1", "float").scale(1.0e-200)
+    assert f1.degree() == 2 and f1.top_form().is_zero()
+    assert not is_regular(GraphMap(f1, parse_poly("z2^2", "float")))
+
+
 def test_resultant_slog_consistency():
     f = M("2*z1^2", "2*z2^2")
     phase, logmag = resultant_slog(f)
@@ -81,6 +96,54 @@ def test_bareiss_matches_float_det():
         exact = bareiss_det([row[:] for row in rows])
         approx = np.linalg.det(np.array([[complex(c) for c in row] for row in rows]))
         assert abs(complex(exact) - approx) <= 1e-8 * max(1.0, abs(approx))
+
+
+def _laplace_det(rows):
+    """Cofactor expansion along the first row: the oracle for bareiss_det."""
+    if not rows:
+        return GaussianRational(1)
+    out = GaussianRational(0)
+    for j, c in enumerate(rows[0]):
+        if c:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            term = c * _laplace_det(minor)
+            out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def _gaussian_matrix(rng, n):
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+
+    return [[GaussianRational(part(), part()) for _ in range(n)] for _ in range(n)]
+
+
+def test_bareiss_matches_cofactor_expansion():
+    rng = random.Random(19)
+    cases = [[], [[GaussianRational(Fraction(3, 4), Fraction(-2, 5))]]]
+    for n in range(1, 7):
+        for _ in range(4):
+            cases.append(_gaussian_matrix(rng, n))
+        pivot_swap = _gaussian_matrix(rng, n)
+        pivot_swap[0][0] = GaussianRational(0)
+        cases.append(pivot_swap)
+        if n >= 2:
+            singular = _gaussian_matrix(rng, n)
+            singular[-1] = [c * GaussianRational(Fraction(2, 3), 1) for c in singular[0]]
+            cases.append(singular)
+            second_swap = _gaussian_matrix(rng, n)
+            for row in second_swap[:2]:
+                row[0] = GaussianRational(0)
+            second_swap[0][1] = GaussianRational(0)
+            cases.append(second_swap)
+    assert any(c.im and c.d > 1 for m in cases for row in m for c in row)
+    dets = [bareiss_det([row[:] for row in m]) for m in cases]
+    assert dets == [_laplace_det(m) for m in cases]
+    assert dets[0] == 1
+    assert dets[1] == cases[1][0][0]
+    assert sum(1 for d in dets if not d) >= 5
+    with pytest.raises(ValueError):
+        bareiss_det([[GaussianRational(1), GaussianRational(2)]])
 
 
 def test_root_oracle_agrees_on_float_maps():
