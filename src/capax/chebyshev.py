@@ -16,10 +16,10 @@ the minimum-norm fit.  Otherwise a primal-dual interior-point method
 (Mehrotra predictor-corrector, Nesterov-Todd scaling) takes over from the
 fit.  Every per-cone operation is closed form on arrays over the points,
 and each Newton system is solved through an R factor of the scaled
-constraint matrix.  While the relative bracket is wide, R is the Cholesky
-factor of the normal matrix, which costs one matrix product; near
-convergence it comes from a QR of the constraint matrix itself, because the
-normal matrix's rounding stalls the relative gap near 5e-8.
+constraint matrix: the Cholesky factor of its normal matrix, which costs one
+matrix product.  Only when that Gram matrix is not numerically positive
+definite, so Cholesky fails, does R come from a QR of the constraint matrix
+itself.
 
 Every estimate is a bracket.  value is the attained max |b + a c| at the
 returned coefficients, an upper bound.  lower is |y^H b| / ||y||_1 for the
@@ -44,7 +44,6 @@ from .variety import MonomialBasisStream
 
 MINIMAX_TOL = 1e-8  # relative certificate gap at which a solve counts as converged
 MINIMAX_MAX_ITER = 50  # solver iterations per solve, the least-squares start included
-_CHOLESKY_GAP = 1e-6  # relative bracket above which Newton systems use the normal matrix
 
 
 def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.ndarray:
@@ -238,18 +237,14 @@ def _interior_point(
         gamma = (ibeta * _J) * (2.0 * (v[1] - 1j * v[2]) * v + shift)
         np.multiply(gamma.conj()[:, :, None], avc, out=gh_d)
         gh[:, :, -1] = (ibeta * _J) * (_E - 2.0 * v[0] * v)
-        # R with R^T R = G^T W^-2 G.  While the bracket is wide, Cholesky of
-        # that normal matrix is accurate enough and far cheaper; near the end
-        # (or if Cholesky fails) R comes from the R factors of W^-1 G's three
-        # row blocks, whose QR keeps the gap from stalling near 5e-8.  Each QR
-        # copies its input, so one block at a time keeps the copies small.
-        rfac = None
-        if upper - lower > _CHOLESKY_GAP * max(1.0, upper):
-            try:
-                rfac = np.linalg.cholesky(flat.T @ flat).T
-            except np.linalg.LinAlgError:
-                pass
-        if rfac is None:
+        # R with R^T R = G^T W^-2 G: the Cholesky factor of that normal
+        # matrix.  When rounding leaves the Gram matrix not numerically
+        # positive definite, R comes instead from the R factors of W^-1 G's
+        # three row blocks; each QR copies its input, so one block at a time
+        # keeps the copies small.
+        try:
+            rfac = np.linalg.cholesky(flat.T @ flat).T
+        except np.linalg.LinAlgError:
             r3 = np.concatenate([np.linalg.qr(block, mode="r") for block in gh])
             rfac = np.linalg.qr(r3, mode="r")
         rinv = np.linalg.inv(rfac)

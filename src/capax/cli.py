@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from .chebyshev import chebyshev_transform, chebyshev_value
 from .diameters import pullback_check, transfinite_diameter
-from .errors import CapaxError
+from .errors import CapaxError, EstimateError
 from .exact import GaussianRational
 from .parsing import parse_poly
 from .polynomials import Monomial
@@ -273,10 +273,15 @@ def _lifted_set(cfg: RunConfig, f: Optional[GraphMap]):
 
 def _cmd_resultant(cfg: RunConfig) -> None:
     f = _load_map(cfg)
-    res = resultant(f)
     phase, logmag = resultant_slog(f)
+    try:
+        res = resultant(f)
+    except EstimateError:
+        if cfg.oracle:
+            raise
+        res = None  # a float Res beyond float range; log_abs still measures it
     payload = {
-        "res": _coeff_json(res),
+        "res": None if res is None else _coeff_json(res),
         "log_abs": logmag,
         "precision": f.precision,
     }

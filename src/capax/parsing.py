@@ -36,12 +36,6 @@ class _Tokenizer:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
     def next_token(self) -> tuple[str, str, int]:
         """Returns (kind, value, offset); kind in op/number/name/end."""
         self.skip_ws()

@@ -58,7 +58,8 @@ class Monomial(NamedTuple):
             self.b1 + other.b1,
             self.b2 + other.b2,
         )
-        _check_exponents(m)
+        if max(m) > MAX_EXPONENT:  # a sum of valid exponents can break only this bound
+            _check_exponents(m)
         return m
 
     def divides(self, other: "Monomial") -> bool:

@@ -55,6 +55,16 @@ def test_resultant_beyond_float_range(map_file, capsys):
     assert abs(payload["log_abs"] / (800 * math.log(10)) - 1.0) < 1e-12
 
 
+def test_float_resultant_beyond_float_range(map_file, capsys):
+    # Res = 10^800 is no finite float, but its log is
+    path = map_file({"f1": "1.0e200*z1^2", "f2": "1.0e200*z2^2", "precision": "float"})
+    code, payload = run_json(capsys, ["resultant", "--map", path])
+    assert code == 0
+    assert payload["res"] is None
+    assert abs(payload["log_abs"] / (800 * math.log(10)) - 1.0) < 1e-12
+    assert main(["resultant", "--map", path, "--oracle"]) == 1
+
+
 def test_staircase_frozen(map_file, capsys):
     code, payload = run_json(capsys, ["staircase", "--map", map_file(TRIANGULAR)])
     assert code == 0
