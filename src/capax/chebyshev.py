@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EstimateError
-from .polynomials import Monomial, w_monomial, z_monomial
+from .polynomials import Monomial, monomial_values, w_monomial, z_monomial
 from .sets import SampledSet
 from .variety import MonomialBasisStream
 
@@ -49,39 +49,20 @@ MINIMAX_MAX_ITER = 50  # solver iterations per solve, the least-squares start in
 def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.ndarray:
     """(N, t) matrix of monomial values on the set's points.
 
-    Monomials touching z require a lifted set (one that carries z coordinates).
+    Column j is filled straight from polynomials.monomial_values, so the
+    matrix is held once.  Monomials touching z require a lifted set (one
+    that carries z coordinates).
     """
-    needs_z = any(not m.is_pure_w() for m in monomials)
-    if needs_z and points.z is None:
+    if points.z is None and any(not m.is_pure_w() for m in monomials):
         raise EstimateError(
             "these monomials involve z but the set has no z coordinates; "
             "lift it through the map first"
         )
-    n = len(points)
-    w1 = points.w[:, 0]
-    w2 = points.w[:, 1]
-    z1 = points.z[:, 0] if points.z is not None else None
-    z2 = points.z[:, 1] if points.z is not None else None
-    columns = (w1, w2, z1, z2)
-    caches: list[dict[int, np.ndarray]] = [{} for _ in range(4)]
-
-    def power(i: int, e: int) -> Optional[np.ndarray]:
-        if e == 0:
-            return None
-        cache = caches[i]
-        if e not in cache:
-            prev = power(i, e - 1)
-            cache[e] = columns[i] if prev is None else prev * columns[i]
-        return cache[e]
-
-    out = np.empty((n, len(monomials)), dtype=complex)
-    for j, m in enumerate(monomials):
-        acc = np.ones(n, dtype=complex)
-        for i, e in enumerate(m):
-            p = power(i, e)
-            if p is not None:
-                acc = acc * p
-        out[:, j] = acc
+    z = (None, None) if points.z is None else (points.z[:, 0], points.z[:, 1])
+    values = monomial_values(monomials, (points.w[:, 0], points.w[:, 1]) + z)
+    out = np.empty((len(points), len(monomials)), dtype=complex)
+    for j, v in enumerate(values):
+        out[:, j] = v
     return out
 
 

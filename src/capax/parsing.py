@@ -198,39 +198,23 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def _coeff_pieces(c, precision: str) -> tuple[str, bool]:
     """Magnitude text of a coefficient and whether it needs a leading minus.
 
     Complex coefficients (both parts nonzero) are parenthesized and never
     report a minus; real or purely imaginary ones factor the sign out.
+    Exact parts print as fractions, float parts through _format_float.
     """
     if precision == "exact":
-        re, im = c.re, c.im
-        if im == 0:
-            return _format_fraction(abs(re)), re < 0
-        if re == 0:
-            mag = abs(im)
-            body = "i" if mag == 1 else f"{_format_fraction(mag)}*i"
-            return body, im < 0
-        re_s = _format_fraction(re)
-        im_mag = _format_fraction(abs(im))
-        im_s = "i" if abs(im) == 1 else f"{im_mag}*i"
-        op = "-" if im < 0 else "+"
-        return f"({re_s}{op}{im_s})", False
-    re, im = c.real, c.imag
+        re, im, fmt = c.re, c.im, str
+    else:
+        re, im, fmt = c.real, c.imag, _format_float
     if im == 0:
-        return _format_float(abs(re)), re < 0
+        return fmt(abs(re)), re < 0
+    im_s = "i" if abs(im) == 1 else f"{fmt(abs(im))}*i"
     if re == 0:
-        mag = abs(im)
-        body = "i" if mag == 1 else f"{_format_float(mag)}*i"
-        return body, im < 0
-    op = "-" if im < 0 else "+"
-    im_s = "i" if abs(im) == 1 else f"{_format_float(abs(im))}*i"
-    return f"({_format_float(re)}{op}{im_s})", False
+        return im_s, im < 0
+    return f"({fmt(re)}{'-' if im < 0 else '+'}{im_s})", False
 
 
 def _monomial_text(m: Monomial) -> str:

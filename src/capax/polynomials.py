@@ -3,7 +3,9 @@
 A monomial is the exponent quadruple (a1, a2, b1, b2) for w1^a1 w2^a2 z1^b1
 z2^b2.  Polynomials are dicts from monomials to coefficients at one of two
 precisions: "exact" (GaussianRational) or "float" (python complex).  The two
-never mix silently; convert with .to_float().
+never mix silently; convert with .to_float().  monomial_values is the one
+evaluator of monomials, used by evaluation, substitution, monomial matrices
+and fiber-average fits alike.
 
 Orders are small key objects.  All three orders used downstream are graded; ties
 are broken so that a larger exponent in a more significant variable gives the
@@ -13,8 +15,10 @@ w1 < w2 < z1 < z2, and within each degree the pure-w monomials come first.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Any, Mapping, NamedTuple, Union
+from functools import reduce
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DegreeOverflowError, PrecisionError
 from .exact import GaussianRational
@@ -354,66 +358,25 @@ class Polynomial:
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, w: tuple, z: tuple):
-        """Numeric evaluation at w = (w1, w2), z = (z1, z2).
+        """Numeric evaluation at w = (w1, w2), z = (z1, z2): the sum of c * v
+        over the terms, v from monomial_values.
 
         Values may be python/numpy scalars or numpy arrays (the result then
-        broadcasts), or GaussianRational for the exact path.  Powers are
-        memoized per variable, so dense meshes cost one multiply per term.
+        broadcasts), GaussianRational for the exact path, or None for a
+        variable no term uses.
         """
-        vals = (w[0], w[1], z[0], z[1])
-        powers: list[dict[int, Any]] = [{0: None} for _ in range(4)]
-
-        def power(i: int, e: int):
-            cache = powers[i]
-            if e in cache and e != 0:
-                return cache[e]
-            if e == 0:
-                return None
-            prev = power(i, e - 1)
-            cache[e] = vals[i] if prev is None else prev * vals[i]
-            return cache[e]
-
-        acc = None
-        for m, c in self.terms.items():
-            term: Any = c
-            for i, e in enumerate(m):
-                p = power(i, e)
-                if p is not None:
-                    term = term * p
-            acc = term if acc is None else acc + term
-        if acc is None:
-            if self.precision == "exact":
-                return GaussianRational(0)
-            return 0.0j
-        return acc
+        values = monomial_values(self.terms, (w[0], w[1], z[0], z[1]))
+        zero: Any = GaussianRational(0) if self.precision == "exact" else 0.0j
+        return sum((c * v for c, v in zip(self.terms.values(), values)), zero)
 
     def substitute(self, repl: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace variables by polynomials; unmentioned variables persist."""
-        vals = []
-        for name in VARIABLES:
-            if name in repl:
-                p = repl[name]
-                self._require_same(p)
-                vals.append(p)
-            else:
-                vals.append(Polynomial.variable(name, self.precision))
-        result = Polynomial.zero(self.precision)
-        cache: list[dict[int, Polynomial]] = [dict() for _ in range(4)]
-
-        def power(i: int, e: int) -> Polynomial:
-            if e == 0:
-                return Polynomial.constant(1, self.precision)
-            if e not in cache[i]:
-                cache[i][e] = power(i, e - 1) * vals[i]
-            return cache[i][e]
-
-        for m, c in self.terms.items():
-            term = Polynomial.constant(c, self.precision)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            result = result + term
-        return result
+        vals = [repl[x] if x in repl else Polynomial.variable(x, self.precision) for x in VARIABLES]
+        for p in vals:
+            self._require_same(p)
+        values = monomial_values(self.terms, vals)
+        zero = Polynomial.zero(self.precision)
+        return sum((c * v for c, v in zip(self.terms.values(), values)), zero)
 
     def __str__(self) -> str:
         from .parsing import format_poly
@@ -422,3 +385,23 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(<{len(self.terms)} terms>, {self.precision!r})"
+
+
+def monomial_values(monomials: Iterable[Monomial], values: Sequence[Any]) -> Iterator[Any]:
+    """Yield the value of each monomial at values = (w1, w2, z1, z2).
+
+    Values may be exact or float scalars, numpy arrays or polynomials, or
+    None for a variable that no monomial uses; the constant monomial yields
+    1.  Powers are memoized per variable as x^e = x^(e-1) * x, and each value
+    multiplies its factors in the order w1, w2, z1, z2.  Yielded values may
+    be shared with the power table, so callers must not change them in place.
+    """
+    powers: list[list[Any]] = [[1, x] for x in values]
+    for m in monomials:
+        factors = []
+        for x, table, e in zip(values, powers, m):
+            if e:
+                while len(table) <= e:
+                    table.append(table[-1] * x)
+                factors.append(table[e])
+        yield reduce(operator.mul, factors) if factors else 1

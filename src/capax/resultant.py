@@ -1,7 +1,8 @@
 """Resultants of the top forms and the block structure of graph eliminations.
 
 The resultant of the two leading forms decides regularity and enters the
-pullback formula through |Res|^(-1/(2 d^2)).  Exact determinants put the
+pullback formula through |Res|^(-1/(2 d^2)); each map computes its
+Sylvester determinant once and keeps it.  Exact determinants put the
 matrix over one common denominator and run Bareiss elimination on Gaussian
 integers, with exact division by the previous pivot; float determinants go
 through numpy's slogdet, carried as (phase, log magnitude) so nothing
@@ -116,12 +117,20 @@ def slog_det(matrix) -> tuple[complex, float]:
     return complex(phase), float(logmag)
 
 
+def _sylvester_det(f: GraphMap):
+    """The Sylvester determinant of f, computed once per map: the Bareiss value
+    on the exact path, slog_det's (phase, log|det|) pair on the float path."""
+    if f._sylvester_det is None:
+        m = sylvester_matrix(f)
+        f._sylvester_det = bareiss_det(m) if f.precision == "exact" else slog_det(m)
+    return f._sylvester_det
+
+
 def resultant(f: GraphMap):
     """Res of the top forms: GaussianRational on the exact path, complex on float."""
-    m = sylvester_matrix(f)
     if f.precision == "exact":
-        return bareiss_det(m)
-    phase, logmag = slog_det(m)
+        return _sylvester_det(f)
+    phase, logmag = _sylvester_det(f)
     if phase == 0:
         return 0.0j
     if logmag > 700.0:
@@ -136,7 +145,7 @@ def resultant_slog(f: GraphMap) -> tuple[complex, float]:
     is measured on its exact parts, so it neither overflows nor rounds to 0.
     """
     if f.precision != "exact":
-        return slog_det(sylvester_matrix(f))
+        return _sylvester_det(f)
     r = resultant(f)
     if not r:
         return 0.0j, float("-inf")

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FiberError, MeshError
-from .polynomials import Polynomial
-from .variety import GraphMap
+from .polynomials import Polynomial, monomial_values
+from .variety import GraphMap, basis_stream
 
 DUPLICATE_TOL = 1e-12
 FIBER_RESIDUAL_TOL = 1e-9
@@ -489,12 +489,14 @@ def fiber_average_poly(
     on an oversampled random grid and report the worst fit residual.  The
     grid is lifted in one batch; points whose fibers fail or sit near the
     discriminant are redrawn together, and no point gets more than five draws.
+    The model's monomials are the w stream up to deg_bound, and its design
+    matrix comes from polynomials.monomial_values, one column at a time.
     """
     if deg_bound < 0:
         raise ValueError("deg_bound must be >= 0")
     pf = p.to_float()
-    dim = (deg_bound + 1) * (deg_bound + 2) // 2
-    count = 2 * dim
+    monomials = basis_stream(None, "w").upto(deg_bound)
+    count = 2 * len(monomials)
     rng = np.random.default_rng(seed)
 
     def draw() -> tuple[complex, complex]:
@@ -531,20 +533,12 @@ def fiber_average_poly(
     else:
         raise FiberError("could not draw a clean fiber grid in five attempts")
 
-    monomials = [
-        (a1, a2)
-        for total in range(deg_bound + 1)
-        for a1 in range(total, -1, -1)
-        for a2 in (total - a1,)
-    ]
+    w = np.array(points)
+    columns = monomial_values(monomials, (w[:, 0], w[:, 1], None, None))
     a_mat = np.empty((count, len(monomials)), dtype=complex)
-    for i, (w1, w2) in enumerate(points):
-        for j, (a1, a2) in enumerate(monomials):
-            a_mat[i, j] = w1 ** a1 * w2 ** a2
+    for j, v in enumerate(columns):
+        a_mat[:, j] = v
     coeffs, *_ = np.linalg.lstsq(a_mat, values, rcond=None)
     residual = float(np.abs(a_mat @ coeffs - values).max())
-    terms = {}
-    for (a1, a2), c in zip(monomials, coeffs):
-        if abs(c) > 0:
-            terms[(a1, a2, 0, 0)] = complex(c)
+    terms = {m: complex(c) for m, c in zip(monomials, coeffs) if abs(c) > 0}
     return Polynomial(terms, "float"), residual

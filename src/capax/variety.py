@@ -61,6 +61,7 @@ class GraphMap:
         self._float: Optional["GraphMap"] = None
         self._staircase: Optional[list[Monomial]] = None
         self._graph_gb: Optional[list[Polynomial]] = None
+        self._sylvester_det = None  # top forms' Sylvester determinant, kept by resultant.py
 
     @property
     def precision(self) -> str:
@@ -377,9 +378,10 @@ def _star_try(f: GraphMap, beta: tuple[int, int], bt: tuple[int, int], order: Gr
 def star_certificate(f: GraphMap, beta: tuple[int, int]) -> StarCertificate:
     """Find z^bt with normal_form(z^(beta+bt)) led by a pure-w monomial.
 
-    Tries pure powers of z2 first (including the empty multiplier), then all
-    multipliers of total degree up to 4d.  The certificate's constant is the
-    leading coefficient; the full reduction is kept for re-verification.
+    Tries pure powers of z2 first (including the empty multiplier), then the
+    multipliers of total degree up to 4d that carry z1, so each multiplier
+    once.  The certificate's constant is the leading coefficient; the full
+    reduction is kept for re-verification.
     """
     if f.precision != "exact":
         raise PrecisionError("star_certificate needs an exact map")
@@ -394,7 +396,7 @@ def star_certificate(f: GraphMap, beta: tuple[int, int]) -> StarCertificate:
         if cert is not None:
             return cert
     for total in range(1, bound + 1):
-        for t1 in range(total, -1, -1):
+        for t1 in range(total, 0, -1):
             cert = _star_try(f, beta, (t1, total - t1), order)
             if cert is not None:
                 return cert

@@ -16,6 +16,7 @@ from capax import (
     GraphMap,
     MonomialBasisStream,
     Monomial,
+    Polynomial,
     basis_stream,
     build_mesh,
     chebyshev_transform,
@@ -80,6 +81,17 @@ def test_evaluate_monomials_needs_lift_for_z():
     lifted = graph_lift(f, mesh)
     mat = evaluate_monomials([Monomial(0, 0, 1, 0)], lifted)
     assert np.allclose(np.abs(mat), 1.0)
+
+
+def test_evaluate_monomials_columns_match_polynomial_evaluate():
+    f = random_generic_map(random.Random(107), 2)
+    lift = graph_lift(f, build_mesh("torus:1,1", (6, 6)))
+    monomials = basis_stream(f, "B").upto(6)
+    mat = evaluate_monomials(monomials, lift)
+    w, z = (lift.w[:, 0], lift.w[:, 1]), (lift.z[:, 0], lift.z[:, 1])
+    for j, m in enumerate(monomials):
+        value = Polynomial({m: 1}, "float").evaluate(w, z)
+        assert np.array_equal(mat[:, j], np.broadcast_to(value, len(lift))), m
 
 
 # ---------------------------------------------------------------------------

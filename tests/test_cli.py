@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -63,6 +64,19 @@ def test_float_resultant_beyond_float_range(map_file, capsys):
     assert payload["res"] is None
     assert abs(payload["log_abs"] / (800 * math.log(10)) - 1.0) < 1e-12
     assert main(["resultant", "--map", path, "--oracle"]) == 1
+
+
+@pytest.mark.parametrize("precision, det", [("exact", "bareiss_det"), ("float", "slog_det")])
+def test_resultant_computes_one_determinant(precision, det, map_file, capsys, monkeypatch):
+    path = map_file({"f1": "z1^2 + 3*z2^2", "f2": "z1*z2 + 2*z2^2", "precision": precision})
+    module = importlib.import_module("capax.resultant")  # the package's `resultant` is the function
+    calls = []
+    real = getattr(module, det)
+    monkeypatch.setattr(module, det, lambda m: calls.append(1) or real(m))
+    code, payload = run_json(capsys, ["resultant", "--map", path])
+    assert code == 0
+    assert payload["log_abs"] == pytest.approx(math.log(7))
+    assert len(calls) == 1
 
 
 def test_staircase_frozen(map_file, capsys):

@@ -105,5 +105,6 @@ def test_print_parse_round_trip(p):
 
 
 def test_float_round_trip():
-    p = parse_poly("0.125*z1 + 2.5*w2^2 - 3", precision="float")
-    assert parse_poly(format_poly(p), precision="float") == p
+    for text in ("0.125*z1 + 2.5*w2^2 - 3", "(1.5-i)*z1^2 + (0.25+2.5*i)*w2 - i"):
+        p = parse_poly(text, precision="float")
+        assert parse_poly(format_poly(p), precision="float") == p

@@ -125,6 +125,8 @@ def test_evaluate_float_arrays():
     z2 = np.array([2.0, 0.5, 4.0])
     out = p.evaluate((None, None), (z1, z2))
     assert np.allclose(out, [2.0, 1.0, 2.0])
+    with pytest.raises(TypeError):  # a term needs w1, which has no value
+        P("w1*z2").to_float().evaluate((None, None), (z1, z2))
 
 
 def test_substitute_linear_change():

@@ -16,7 +16,7 @@ from capax import (
     graph_lift,
     parse_poly,
 )
-from capax.sets import FIBER_CHUNK
+from capax.sets import FIBER_CHUNK, _FiberSolver
 
 from conftest import random_generic_map
 
@@ -255,16 +255,37 @@ def test_graph_lift_of_scaled_squares_is_closed_form():
 # fiber averages
 
 
-def test_fiber_average_of_z1_squared():
+def _assert_z1_squared_averages_to_w1(avg, residual):
     # on w = f(z) with f1 = z1^2 + z2 the two z2 sheets average to zero,
     # leaving z1^2 -> w1
-    f = M("z1^2 + z2", "z2^2 + 1")
-    avg, residual = fiber_average_poly(parse_poly("z1^2", "float"), f, 1)
     assert residual < 1e-8
     w1 = Monomial(1, 0, 0, 0)
     assert abs(avg.coefficient(w1) - 1.0) < 1e-8
     others = [m for m in avg.terms if m != w1]
     assert all(abs(complex(avg.coefficient(m))) < 1e-8 for m in others)
+
+
+def test_fiber_average_of_z1_squared():
+    f = M("z1^2 + z2", "z2^2 + 1")
+    _assert_z1_squared_averages_to_w1(*fiber_average_poly(parse_poly("z1^2", "float"), f, 1))
+
+
+def test_fiber_average_redraws_a_flagged_point(monkeypatch):
+    solve = _FiberSolver.solve
+    sizes = []
+
+    def first_point_near_discriminant_once(self, w):
+        batch = solve(self, w)
+        if not sizes:
+            batch.near[0] = True
+        sizes.append(len(w))
+        return batch
+
+    monkeypatch.setattr(_FiberSolver, "solve", first_point_near_discriminant_once)
+    f = M("z1^2 + z2", "z2^2 + 1")
+    avg, residual = fiber_average_poly(parse_poly("z1^2", "float"), f, 1)
+    assert sizes == [6, 1]  # 2 x 3 grid points, then point 0 drawn again
+    _assert_z1_squared_averages_to_w1(avg, residual)
 
 
 def test_fiber_average_mixed_monomial():

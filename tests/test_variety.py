@@ -1,7 +1,10 @@
 """Graph maps, staircases, normal forms, basis streams, certificates, counts."""
 
+from fractions import Fraction
+
 import pytest
 
+import capax.variety
 from capax import (
     GaussianRational,
     GraphMap,
@@ -15,6 +18,7 @@ from capax import (
     filtration_counts,
     generic_staircase,
     is_generic,
+    is_regular,
     normal_form,
     parse_poly,
     precondition,
@@ -298,6 +302,28 @@ def test_check_star_generic_map():
         assert lm.is_pure_w()
         assert lm.alpha == cert.gamma
         assert lc == cert.constant
+
+
+def test_star_certificate_tries_each_multiplier_once(monkeypatch):
+    # beta = (2, 0) is certified only by the mixed multiplier z1^2, after
+    # every pure power of z2 and z1 have failed
+    f = GraphMap(
+        P("-1/3*z2^2 + 1/3*z1*z2 + 1/2*z1^2 + 1/2*z2 - 4*z1 - 3"),
+        P("-2*z2^2 - 2*z1*z2 - 3*z1^2 - z1"),
+    )
+    assert is_regular(f) and is_generic(f)
+    staircase(f)
+    calls = []
+    real = capax.variety.normal_form
+    monkeypatch.setattr(capax.variety, "normal_form", lambda *a: calls.append(1) or real(*a))
+    report = check_star(f)
+    assert {beta: c.beta_tilde for beta, c in report.certificates.items()} == {
+        (0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (0, 1), (2, 0): (2, 0)
+    }
+    cert = report.certificates[(2, 0)]
+    assert cert.gamma == (0, 2)
+    assert cert.constant == GaussianRational(Fraction(-1, 36))
+    assert len(calls) == 16  # 1 + 2 + 2 + (9 powers of z2, then z1, then z1^2)
 
 
 def test_star_certificate_requires_staircase_membership():
