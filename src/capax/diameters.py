@@ -36,11 +36,6 @@ class VandermondeLedger:
     selected: list[int]
     step_logs: np.ndarray
     truncated: bool
-    truncated_at: Optional[int]
-
-    @property
-    def logdet(self) -> float:
-        return float(self.step_logs.sum())
 
     def logdet_prefix(self, count: int) -> float:
         return float(self.step_logs[:count].sum())
@@ -80,7 +75,6 @@ def _greedy_select(
     selected: list[int] = []
     step_logs = np.full(n, NEG_INF)
     truncated = False
-    truncated_at: Optional[int] = None
     for t in range(n):
         col = np.abs(e[:, t])
         col[~avail] = -1.0
@@ -88,7 +82,6 @@ def _greedy_select(
         pivot = e[idx, t]
         if abs(pivot) <= 1e-300:
             truncated = True
-            truncated_at = t
             break
         selected.append(idx)
         avail[idx] = False
@@ -103,7 +96,6 @@ def _greedy_select(
         selected=selected,
         step_logs=step_logs,
         truncated=truncated,
-        truncated_at=truncated_at,
     )
 
 
@@ -142,21 +134,13 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
     if kind in ("B", "C") and (points.provenance != "graph_lift" or points.map is None):
         raise MapError(f"basis kind {kind!r} needs a graph-lifted set with its map attached")
     stream = basis_stream(points.map, kind)
-    block_sizes = []
-    monomials: list[Monomial] = []
-    m_counts = []
-    for level in range(1, n_max + 1):
-        for nu in range(len(block_sizes), level * stream.d + 1):
-            block = stream.level(nu)
-            block_sizes.append(len(block))
-            monomials.extend(block)
-        m_counts.append(len(monomials))
-    l_counts = []
-    l_run = 0
-    for level in range(1, n_max + 1):
-        prev = m_counts[level - 2] if level >= 2 else 1
-        l_run += level * (m_counts[level - 1] - prev)
-        l_counts.append(l_run)
+    d = stream.d
+    monomials = stream.upto(n_max * d)
+    # a monomial of weight w enters at level ceil(w / d); m_n counts the
+    # monomials at level <= n and l_n sums their levels
+    entry_levels = [-(-m.weight(d) // d) for m in monomials]
+    m_counts = [sum(lv <= n for lv in entry_levels) for n in range(1, n_max + 1)]
+    l_counts = [sum(lv for lv in entry_levels if lv <= n) for n in range(1, n_max + 1)]
 
     e = evaluate_monomials(monomials, points)
     ledger = _greedy_select(points, monomials, e)
@@ -202,7 +186,7 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
         meta={
             "points": len(points),
             "provenance": points.provenance,
-            "d": stream.d,
+            "d": d,
             **estimates_meta,
         },
     )

@@ -22,10 +22,7 @@ def _require_exact(p: Polynomial) -> None:
 
 def _mono_shift(p: Polynomial, m: Monomial, c: GaussianRational) -> Polynomial:
     """c * x^m * p without going through full polynomial multiplication."""
-    out = Polynomial.__new__(Polynomial)
-    out.terms = {t.mul(m): c * cc for t, cc in p.terms.items()}
-    out.precision = "exact"
-    return out
+    return Polynomial._of({t.mul(m): c * cc for t, cc in p.terms.items()}, "exact")
 
 
 def reduce_full(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:

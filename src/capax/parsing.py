@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .exact import GaussianRational
-from .polynomials import GREVLEX4, VARIABLES, Monomial, Polynomial
+from .polynomials import GREVLEX4, VARIABLES, ZERO, Monomial, Polynomial
 
 _VAR_NAMES = set(VARIABLES)
 
@@ -76,7 +76,7 @@ class _Tokenizer:
 
 class _Parser:
     def __init__(self, text: str, precision: str) -> None:
-        if precision not in ("exact", "float"):
+        if precision not in ZERO:
             raise ValueError(f"unknown precision {precision!r}")
         self.tok = _Tokenizer(text)
         self.precision = precision
@@ -147,10 +147,7 @@ class _Parser:
                 if int(v3) == 0:
                     raise ParseError("zero denominator", o3)
                 self.advance()
-                if self.precision == "exact":
-                    num = Polynomial.constant(Fraction(int(value), int(v3)), "exact")
-                else:
-                    num = Polynomial.constant(int(value) / int(v3), "float")
+                num = Polynomial.constant(Fraction(int(value), int(v3)), self.precision)
             return num
         if kind == "name":
             self.advance()

@@ -2,10 +2,13 @@
 
 A monomial is the exponent quadruple (a1, a2, b1, b2) for w1^a1 w2^a2 z1^b1
 z2^b2.  Polynomials are dicts from monomials to coefficients at one of two
-precisions: "exact" (GaussianRational) or "float" (python complex).  The two
-never mix silently; convert with .to_float().  monomial_values is the one
-evaluator of monomials, used by evaluation, substitution, monomial matrices
-and fiber-average fits alike.
+precisions: "exact" (GaussianRational) or "float" (python complex).  This
+module defines each precision's coefficient field once: ZERO and ONE hold its
+zero and one, _coerce_scalar brings a scalar into it, and `not c` is the one
+zero test (it means the same for both types, NaN and -0.0 included).  The two
+precisions never mix silently; convert with .to_float().  monomial_values is
+the one evaluator of monomials, used by evaluation, substitution, monomial
+matrices and fiber-average fits alike.
 
 Orders are small key objects.  All three orders used downstream are graded; ties
 are broken so that a larger exponent in a more significant variable gives the
@@ -156,8 +159,12 @@ GREVLEX_Z = _GrevlexZ()
 Coefficient = Union[GaussianRational, complex]
 Scalar = Union[GaussianRational, complex, float, int, Fraction]
 
+ZERO: dict[str, Coefficient] = {"exact": GaussianRational(0), "float": 0j}
+ONE: dict[str, Coefficient] = {"exact": GaussianRational(1), "float": 1 + 0j}
+
 
 def _coerce_scalar(value: Scalar, precision: str) -> Coefficient:
+    """value in the precision's field; PrecisionError for a scalar of the other."""
     if precision == "exact":
         if isinstance(value, (GaussianRational, int, Fraction)):
             return GaussianRational.coerce(value)
@@ -178,27 +185,30 @@ class Polynomial:
 
     __slots__ = ("terms", "precision")
 
-    def __init__(self, terms: Mapping[Monomial, Coefficient], precision: str) -> None:
-        if precision not in ("exact", "float"):
+    def __init__(self, terms: Mapping[Monomial, Scalar], precision: str) -> None:
+        if precision not in ZERO:
             raise ValueError(f"unknown precision {precision!r}")
         clean: dict[Monomial, Coefficient] = {}
         for m, c in terms.items():
             if not isinstance(m, Monomial):
                 m = Monomial(*m)
             _check_exponents(m)
-            if precision == "exact":
-                c = GaussianRational.coerce(c)
-                if not c:
-                    continue
-            else:
-                c = complex(c)
-                if c == 0:
-                    continue
-            clean[m] = c
+            c = _coerce_scalar(c, precision)
+            if c:
+                clean[m] = c
         self.terms = clean
         self.precision = precision
 
     # -- constructors -----------------------------------------------------
+
+    @staticmethod
+    def _of(terms: dict[Monomial, Coefficient], precision: str) -> "Polynomial":
+        """Wrap terms that are already clean: Monomial keys, nonzero
+        coefficients of the precision.  Nothing is checked or copied."""
+        out = Polynomial.__new__(Polynomial)
+        out.terms = terms
+        out.precision = precision
+        return out
 
     @staticmethod
     def zero(precision: str = "exact") -> "Polynomial":
@@ -214,8 +224,7 @@ class Polynomial:
             raise ValueError(f"unknown variable {name!r}")
         exps = [0, 0, 0, 0]
         exps[VARIABLES.index(name)] = 1
-        one = GaussianRational(1) if precision == "exact" else 1.0 + 0.0j
-        return Polynomial({Monomial(*exps): one}, precision)
+        return Polynomial({Monomial(*exps): ONE[precision]}, precision)
 
     # -- basic queries ----------------------------------------------------
 
@@ -248,8 +257,7 @@ class Polynomial:
         return self.leading_term(order)[0]
 
     def coefficient(self, m: Monomial) -> Coefficient:
-        zero: Coefficient = GaussianRational(0) if self.precision == "exact" else 0.0j
-        return self.terms.get(m, zero)
+        return self.terms.get(m, ZERO[self.precision])
 
     def top_form(self) -> "Polynomial":
         """Homogeneous part of top total degree."""
@@ -273,25 +281,19 @@ class Polynomial:
             other = Polynomial.constant(other, self.precision)
         self._require_same(other)
         terms = dict(self.terms)
-        zero: Any = GaussianRational(0) if self.precision == "exact" else 0.0j
+        zero = ZERO[self.precision]
         for m, c in other.terms.items():
             s = terms.get(m, zero) + c
-            if (not s) if self.precision == "exact" else s == 0:
-                terms.pop(m, None)
-            else:
+            if s:
                 terms[m] = s
-        out = Polynomial.__new__(Polynomial)
-        out.terms = terms
-        out.precision = self.precision
-        return out
+            else:
+                terms.pop(m, None)
+        return Polynomial._of(terms, self.precision)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        out.precision = self.precision
-        return out
+        return Polynomial._of({m: -c for m, c in self.terms.items()}, self.precision)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -303,31 +305,25 @@ class Polynomial:
 
     def scale(self, value: Scalar) -> "Polynomial":
         c0 = _coerce_scalar(value, self.precision)
-        if (not c0) if self.precision == "exact" else c0 == 0:
+        if not c0:
             return Polynomial.zero(self.precision)
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {m: c0 * c for m, c in self.terms.items()}
-        out.precision = self.precision
-        return out
+        return Polynomial._of({m: c0 * c for m, c in self.terms.items()}, self.precision)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._require_same(other)
-        zero: Any = GaussianRational(0) if self.precision == "exact" else 0.0j
-        terms: dict[Monomial, Any] = {}
+        zero = ZERO[self.precision]
+        terms: dict[Monomial, Coefficient] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
                 s = terms.get(m, zero) + c1 * c2
-                if (not s) if self.precision == "exact" else s == 0:
-                    terms.pop(m, None)
-                else:
+                if s:
                     terms[m] = s
-        out = Polynomial.__new__(Polynomial)
-        out.terms = terms
-        out.precision = self.precision
-        return out
+                else:
+                    terms.pop(m, None)
+        return Polynomial._of(terms, self.precision)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -366,8 +362,7 @@ class Polynomial:
         variable no term uses.
         """
         values = monomial_values(self.terms, (w[0], w[1], z[0], z[1]))
-        zero: Any = GaussianRational(0) if self.precision == "exact" else 0.0j
-        return sum((c * v for c, v in zip(self.terms.values(), values)), zero)
+        return sum((c * v for c, v in zip(self.terms.values(), values)), ZERO[self.precision])
 
     def substitute(self, repl: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace variables by polynomials; unmentioned variables persist."""

@@ -24,19 +24,14 @@ import numpy as np
 
 from .errors import EstimateError, MapError, PrecisionError
 from .exact import GaussianRational
-from .polynomials import Monomial, Polynomial, z_monomial
-from .variety import GraphMap
+from .polynomials import ZERO, Polynomial, z_monomial
+from .variety import BlockShape, GraphMap, block_shape
 
 
 def _form_coeffs(p: Polynomial, degree: int):
-    """Coefficients [c_0 .. c_degree] of a binary form, c_j on z1^j z2^(degree-j)."""
-    zero = GaussianRational(0) if p.precision == "exact" else 0.0j
-    out = [zero] * (degree + 1)
-    for m, c in p.terms.items():
-        if m.b1 + m.b2 != degree:
-            raise ValueError("polynomial is not homogeneous of the expected degree")
-        out[m.b1] = c
-    return out
+    """Coefficients [c_0 .. c_degree] of p's degree-`degree` form in z,
+    c_j on z1^j z2^(degree-j)."""
+    return [p.coefficient(z_monomial((j, degree - j))) for j in range(degree + 1)]
 
 
 def sylvester_matrix(f: GraphMap):
@@ -45,10 +40,10 @@ def sylvester_matrix(f: GraphMap):
     Rows are z2-shifts of f1's coefficients (d2 of them) followed by z2-shifts
     of f2's (d1 of them); coefficients appear with the z1-degree descending.
     """
-    a = _form_coeffs(f.f1.top_form(), f.d1)
-    b = _form_coeffs(f.f2.top_form(), f.d2)
+    a = _form_coeffs(f.f1, f.d1)
+    b = _form_coeffs(f.f2, f.d2)
     n = f.d1 + f.d2
-    zero = GaussianRational(0) if f.precision == "exact" else 0.0j
+    zero = ZERO[f.precision]
     rows = []
     for i in range(f.d2):
         row = [zero] * n
@@ -170,8 +165,8 @@ def resultant_root_oracle(f: GraphMap) -> complex:
     Requires nonvanishing leading coefficients (no roots at infinity).
     """
     g = f.to_float()
-    a = [complex(c) for c in _form_coeffs(g.f1.top_form(), g.d1)]
-    b = [complex(c) for c in _form_coeffs(g.f2.top_form(), g.d2)]
+    a = _form_coeffs(g.f1, g.d1)
+    b = _form_coeffs(g.f2, g.d2)
     scale_a = max(abs(c) for c in a)
     scale_b = max(abs(c) for c in b)
     if abs(a[-1]) <= 1e-12 * scale_a or abs(b[-1]) <= 1e-12 * scale_b:
@@ -197,8 +192,8 @@ def is_regular(f: GraphMap) -> bool:
     """
     if f.precision == "exact":
         return bool(resultant(f))
-    a = max(abs(c) for c in _form_coeffs(f.f1.top_form(), f.d1))
-    b = max(abs(c) for c in _form_coeffs(f.f2.top_form(), f.d2))
+    a = max(abs(c) for c in _form_coeffs(f.f1, f.d1))
+    b = max(abs(c) for c in _form_coeffs(f.f2, f.d2))
     if a == 0 or b == 0:
         return False
     phase, logmag = resultant_slog(f)
@@ -211,41 +206,6 @@ def is_regular(f: GraphMap) -> bool:
 # block structure
 
 
-@dataclass(frozen=True)
-class BlockShape:
-    k: int
-    ell: int
-    r: int
-    modified: bool
-    copies: int
-    rows: int
-
-
-def block_shape(d: int, k: int) -> BlockShape:
-    """Shape data of the weight-k elimination block.
-
-    Decompose k - (d - 1) = ell*d + r; an even ell is lowered by one with the
-    window shifted by d, keeping the row count d*(ell + 1) odd-structured.
-    copies is the exponent of Res in the block determinant.
-    """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if k < 2 * d - 1:
-        raise ValueError(f"blocks start at weight {2 * d - 1}")
-    ell, r = divmod(k - (d - 1), d)
-    modified = ell % 2 == 0
-    if modified:
-        ell, r = ell - 1, r + d
-    return BlockShape(
-        k=k,
-        ell=ell,
-        r=r,
-        modified=modified,
-        copies=ell * (ell + 1) // 2,
-        rows=d * (ell + 1),
-    )
-
-
 @dataclass
 class BlockReport:
     shape: BlockShape
@@ -253,7 +213,6 @@ class BlockReport:
     res: GaussianRational
     sign: int
     matches: bool
-    row_monomials: list[Monomial]
 
 
 def block_factorization(f: GraphMap, k: int) -> BlockReport:
@@ -269,14 +228,12 @@ def block_factorization(f: GraphMap, k: int) -> BlockReport:
     shape = block_shape(d, k)
     fh1, fh2 = f.top_forms()
     rows = []
-    labels = []
     for s in range(shape.ell + 1):
         p1 = fh1 ** (shape.ell - s)
         p2 = fh2 ** s
         base = p1 * p2
         for j in range(d):
             b1 = shape.r + d - 1 - j
-            labels.append(Monomial(shape.ell - s, s, b1, j))
             rows.append(base * Polynomial({z_monomial((b1, j)): GaussianRational(1)}, "exact"))
     matrix = []
     for p in rows:
@@ -297,11 +254,4 @@ def block_factorization(f: GraphMap, k: int) -> BlockReport:
         sign, matches = -1, True
     else:
         sign, matches = 0, False
-    return BlockReport(
-        shape=shape,
-        det=det,
-        res=res,
-        sign=sign,
-        matches=matches,
-        row_monomials=labels,
-    )
+    return BlockReport(shape=shape, det=det, res=res, sign=sign, matches=matches)

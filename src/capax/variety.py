@@ -7,8 +7,8 @@ obtained from the staircase of the top-form ideal: normal forms of w^a z^b
 with b restricted to the staircase.
 
 This module owns the map type, staircases, graph normal forms, the four basis
-streams used by the diameter estimators, and the pure-w reduction
-certificates.
+streams used by the diameter estimators, the shape of the weight-k window
+block, and the pure-w reduction certificates.
 """
 
 from __future__ import annotations
@@ -96,34 +96,19 @@ class GraphMap:
 def precondition(f: GraphMap, r1: Sequence[Sequence], r2: Sequence[Sequence]) -> GraphMap:
     """The conjugated map R2 . f . R1, for invertible 2x2 matrices.
 
-    R1 acts on the source coordinates, R2 mixes the components.  Entries follow
-    the map's precision.
+    R1 acts on the source coordinates, R2 mixes the components.  Entries are
+    scalars of the map's precision (PrecisionError otherwise).
     """
-
-    def entry(x):
-        if f.precision == "exact":
-            return Polynomial.constant(GaussianRational.coerce(x) if not isinstance(x, GaussianRational) else x, "exact")
-        return Polynomial.constant(complex(x), "float")
-
-    def det(m):
-        a, b = m[0]
-        c, d = m[1]
-        if f.precision == "exact":
-            return GaussianRational.coerce(a) * GaussianRational.coerce(d) - GaussianRational.coerce(b) * GaussianRational.coerce(c)
-        return complex(a) * complex(d) - complex(b) * complex(c)
-
-    for name, m in (("r1", r1), ("r2", r2)):
-        if not det(m):
+    r1, r2 = ([[Polynomial.constant(x, f.precision) for x in row] for row in m] for m in (r1, r2))
+    for name, ((a, b), (c, d)) in (("r1", r1), ("r2", r2)):
+        if (a * d - b * c).is_zero():
             raise MapError(f"{name} is singular")
     z1 = Polynomial.variable("z1", f.precision)
     z2 = Polynomial.variable("z2", f.precision)
-    new_z1 = entry(r1[0][0]) * z1 + entry(r1[0][1]) * z2
-    new_z2 = entry(r1[1][0]) * z1 + entry(r1[1][1]) * z2
-    g1 = f.f1.substitute({"z1": new_z1, "z2": new_z2})
-    g2 = f.f2.substitute({"z1": new_z1, "z2": new_z2})
-    h1 = entry(r2[0][0]) * g1 + entry(r2[0][1]) * g2
-    h2 = entry(r2[1][0]) * g1 + entry(r2[1][1]) * g2
-    return GraphMap(h1, h2)
+    new_z = {"z1": r1[0][0] * z1 + r1[0][1] * z2, "z2": r1[1][0] * z1 + r1[1][1] * z2}
+    g1 = f.f1.substitute(new_z)
+    g2 = f.f2.substitute(new_z)
+    return GraphMap(r2[0][0] * g1 + r2[0][1] * g2, r2[1][0] * g1 + r2[1][1] * g2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +240,49 @@ def _staircase_level(stairs: Sequence[Monomial], d: int, nu: int) -> list[Monomi
     return out
 
 
+@dataclass(frozen=True)
+class BlockShape:
+    k: int
+    ell: int
+    r: int
+    modified: bool
+    copies: int
+    rows: int
+
+
+def block_shape(d: int, k: int) -> BlockShape:
+    """Shape data of the weight-k window block, shared by the C stream's
+    window levels and resultant.block_factorization.
+
+    Decompose k - (d - 1) = ell*d + r; an even ell is lowered by one with the
+    window shifted by d, keeping the row count d*(ell + 1) odd-structured.
+    copies is the exponent of Res in the block determinant.
+    """
+    if d < 1:
+        raise ValueError("need d >= 1")
+    if k < 2 * d - 1:
+        raise ValueError(f"blocks start at weight {2 * d - 1}")
+    ell, r = divmod(k - (d - 1), d)
+    modified = ell % 2 == 0
+    if modified:
+        ell, r = ell - 1, r + d
+    return BlockShape(
+        k=k,
+        ell=ell,
+        r=r,
+        modified=modified,
+        copies=ell * (ell + 1) // 2,
+        rows=d * (ell + 1),
+    )
+
+
 def _window_level(d: int, nu: int) -> list[Monomial]:
     """The special weight-nu block for nu >= 2d - 1: z1-window times w-powers,
     with trailing pure powers of z2 closing the count at nu + 1."""
-    ell, r = divmod(nu - (d - 1), d)
-    if ell % 2 == 0:
-        ell, r = ell - 1, r + d
-    out = []
-    for s in range(ell + 1):
-        alpha = (ell - s, s)
-        for j in range(d):
-            out.append(Monomial(alpha[0], alpha[1], r + d - 1 - j, j))
-    for j in range(r - 1, -1, -1):
-        out.append(z_monomial((j, nu - j)))
+    shape = block_shape(d, nu)
+    ell, r = shape.ell, shape.r
+    out = [Monomial(ell - s, s, r + d - 1 - j, j) for s in range(ell + 1) for j in range(d)]
+    out.extend(z_monomial((j, nu - j)) for j in range(r - 1, -1, -1))
     return out
 
 

@@ -43,6 +43,14 @@ def test_decimal_literals_in_both_precisions():
     assert q.coefficient(Monomial(0, 0, 1, 0)) == GaussianRational(Fraction(1, 2))
 
 
+def test_float_rationals_round_as_division():
+    p = parse_poly("1/3*z1 - 2/7", "float")
+    c1 = p.coefficient(Monomial(0, 0, 1, 0))
+    c0 = p.coefficient(Monomial(0, 0, 0, 0))
+    assert (c1.real.hex(), c1.imag) == ((1 / 3).hex(), 0.0)
+    assert (c0.real.hex(), c0.imag) == ((-2 / 7).hex(), 0.0)
+
+
 def test_sign_handling():
     assert parse_poly("-z1 - 2") == parse_poly("0 - z1 - 2")
     assert parse_poly("-1/2*w1") == parse_poly("0 - 1/2*w1")

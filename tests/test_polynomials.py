@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from capax import (
     GraphWeighted,
     Monomial,
     Polynomial,
+    PrecisionError,
 )
 from capax.polynomials import MAX_EXPONENT, ONE_MONOMIAL, w_monomial, z_monomial
 
@@ -107,6 +110,35 @@ def test_scale_and_precision_guard():
     assert q.precision == "float"
     with pytest.raises(Exception):
         p + q
+
+
+def test_constructor_rejects_scalars_of_the_other_precision():
+    z1 = z_monomial((1, 0))
+    with pytest.raises(PrecisionError):
+        Polynomial({z1: 0.5}, "exact")
+    with pytest.raises(PrecisionError):
+        Polynomial({z1: GaussianRational(1, 2)}, "float")
+
+
+def test_coefficient_of_absent_monomial_per_precision():
+    exact = P("z1").coefficient(z_monomial((0, 1)))
+    assert type(exact) is GaussianRational and exact == GaussianRational(0)
+    floating = P("z1").to_float().coefficient(z_monomial((0, 1)))
+    assert type(floating) is complex and floating == 0j
+
+
+def test_float_nan_survives_and_negative_zero_drops():
+    z1, z2 = z_monomial((1, 0)), z_monomial((0, 1))
+    nan = complex(math.nan, 0.0)
+    p = Polynomial({z1: nan, z2: 1.0}, "float")
+    assert math.isnan((p + P("z2").to_float()).terms[z1].real)
+    assert math.isnan((p * P("z1").to_float()).terms[z_monomial((2, 0))].real)
+    assert math.isnan(p.scale(2.0).terms[z1].real)
+    assert Polynomial({z1: -0.0, z2: complex(-0.0, -0.0)}, "float").is_zero()
+    # the product coefficient underflows to -0.0, which is zero
+    tiny = Polynomial({z1: -1e-200}, "float") * Polynomial({z1: 1e-200}, "float")
+    assert tiny.is_zero()
+    assert (p - Polynomial({z2: 1.0}, "float")).terms.keys() == {z1}
 
 
 def test_evaluate_exact_point():

@@ -76,6 +76,28 @@ def test_precondition_matches_direct_composition():
         precondition(f, [[1, 1], [1, 1]], [[1, 0], [0, 1]])
 
 
+def test_precondition_float_map_matches_direct_composition():
+    f = square_map().to_float()
+    g = precondition(f, [[1, 0.5], [0, 1]], [[2, 0], [0, 1j]])
+    # z1 -> z1 + z2/2, then the components scale by 2 and i
+    assert g.precision == "float"
+    assert g.f1 == parse_poly("2*z1^2 + 2*z1*z2 + 0.5*z2^2 + 2*z2", "float")
+    assert g.f2 == parse_poly("i*z2^2 + i", "float")
+    with pytest.raises(MapError):
+        precondition(f, [[1.0, 2.0], [0.5, 1.0]], [[1, 0], [0, 1]])
+    with pytest.raises(MapError):
+        precondition(f, [[1, 0], [0, 1]], [[0, 1j], [0, 2j]])
+
+
+def test_precondition_rejects_entries_of_the_other_precision():
+    # entries are scalars of the map's precision: no silent conversion
+    # either way
+    with pytest.raises(PrecisionError):
+        precondition(square_map().to_float(), [[GaussianRational(1), 0], [0, 1]], [[1, 0], [0, 1]])
+    with pytest.raises(PrecisionError):
+        precondition(square_map(), [[1, 0.5], [0, 1]], [[1, 0], [0, 1]])
+
+
 # ---------------------------------------------------------------------------
 # staircases
 
