@@ -1,9 +1,11 @@
-"""Exact Groebner machinery, generic over the monomial order.
+"""Exact Groebner machinery under the graded order GREVLEX4.
 
-Buchberger with the coprime-leading-monomial criterion and full reduction;
-bases come back reduced and monic.  Everything here requires exact
-coefficients: float Groebner walks are numerically meaningless and nothing
-downstream wants one.
+One order serves both ideals downstream: the top-form ideal in C[z1, z2], on
+which GREVLEX4 is graded reverse lexicographic, and the graph ideal in
+C[w1, w2, z1, z2].  Buchberger with the coprime-leading-monomial criterion
+and full reduction; bases come back reduced and monic.  Everything here
+requires exact coefficients: float Groebner walks are numerically meaningless
+and nothing downstream wants one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import PrecisionError
 from .exact import GaussianRational
-from .polynomials import Monomial, MonomialOrder, Polynomial
+from .polynomials import GREVLEX4, Monomial, Polynomial, z_monomial
 
 
 def _require_exact(p: Polynomial) -> None:
@@ -25,19 +27,19 @@ def _mono_shift(p: Polynomial, m: Monomial, c: GaussianRational) -> Polynomial:
     return Polynomial._of({t.mul(m): c * cc for t, cc in p.terms.items()}, "exact")
 
 
-def reduce_full(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
+def reduce_full(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of p on division by basis: no term divisible by any leading monomial."""
     _require_exact(p)
     data = []
     for b in basis:
         if b.is_zero():
             continue
-        lm, lc = b.leading_term(order)
+        lm, lc = b.leading_term(GREVLEX4)
         data.append((lm, lc, b))
     remainder = Polynomial.zero("exact")
     work = p
     while not work.is_zero():
-        m, c = work.leading_term(order)
+        m, c = work.leading_term(GREVLEX4)
         for lm, lc, b in data:
             if lm.divides(m):
                 work = work - _mono_shift(b, m.quotient(lm), c / lc)
@@ -49,9 +51,9 @@ def reduce_full(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     return remainder
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    lmf, lcf = f.leading_term(GREVLEX4)
+    lmg, lcg = g.leading_term(GREVLEX4)
     lcm = lmf.lcm(lmg)
     one = GaussianRational(1)
     return _mono_shift(f, lcm.quotient(lmf), one / lcf) - _mono_shift(
@@ -59,13 +61,13 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     )
 
 
-def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+def buchberger(gens: Iterable[Polynomial]) -> list[Polynomial]:
     """Reduced monic Groebner basis of the ideal generated by gens."""
     basis = []
     for g in gens:
         _require_exact(g)
         if not g.is_zero():
-            _, lc = g.leading_term(order)
+            _, lc = g.leading_term(GREVLEX4)
             basis.append(g.scale(GaussianRational(1) / lc))
     if not basis:
         return []
@@ -75,26 +77,28 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> list[Polynom
         # normal selection: smallest lcm of the leading monomials first
         i, j = min(
             pairs,
-            key=lambda ij: order.key(
-                basis[ij[0]].leading_monomial(order).lcm(basis[ij[1]].leading_monomial(order))
+            key=lambda ij: GREVLEX4(
+                basis[ij[0]].leading_monomial(GREVLEX4).lcm(
+                    basis[ij[1]].leading_monomial(GREVLEX4)
+                )
             ),
         )
         pairs.discard((i, j))
-        lmi = basis[i].leading_monomial(order)
-        lmj = basis[j].leading_monomial(order)
+        lmi = basis[i].leading_monomial(GREVLEX4)
+        lmj = basis[j].leading_monomial(GREVLEX4)
         if lmi.lcm(lmj) == lmi.mul(lmj):
             continue  # coprime leading monomials reduce to zero
-        r = reduce_full(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = reduce_full(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
-        _, lc = r.leading_term(order)
+        _, lc = r.leading_term(GREVLEX4)
         r = r.scale(GaussianRational(1) / lc)
         basis.append(r)
         k = len(basis) - 1
         pairs.update((i2, k) for i2 in range(k))
 
     # minimalize: drop members whose leading monomial another one divides
-    lms = [b.leading_monomial(order) for b in basis]
+    lms = [b.leading_monomial(GREVLEX4) for b in basis]
     keep = []
     for i, lm in enumerate(lms):
         if any(j != i and lms[j].divides(lm) and (lms[j] != lm or j < i) for j in range(len(basis))):
@@ -104,21 +108,21 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> list[Polynom
     reduced = []
     for i, b in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        r = reduce_full(b, others, order) if others else b
+        r = reduce_full(b, others) if others else b
         if not r.is_zero():
-            _, lc = r.leading_term(order)
+            _, lc = r.leading_term(GREVLEX4)
             reduced.append(r.scale(GaussianRational(1) / lc))
-    reduced.sort(key=lambda b: order.key(b.leading_monomial(order)))
+    reduced.sort(key=lambda b: GREVLEX4(b.leading_monomial(GREVLEX4)))
     return reduced
 
 
-def staircase_of(basis: Sequence[Polynomial], order: MonomialOrder) -> list[Monomial]:
+def staircase_of(basis: Sequence[Polynomial]) -> list[Monomial]:
     """Standard pure-z monomials under the leading ideal of a z-only basis.
 
     Raises ValueError when the staircase is infinite (no pure power of z1 or of
     z2 among the leading monomials).
     """
-    lms = [b.leading_monomial(order) for b in basis]
+    lms = [b.leading_monomial(GREVLEX4) for b in basis]
     if any(not lm.is_pure_z() for lm in lms):
         raise ValueError("staircase wants a basis of z-only polynomials")
     cap1 = min((lm.b1 for lm in lms if lm.b2 == 0), default=None)
@@ -126,12 +130,10 @@ def staircase_of(basis: Sequence[Polynomial], order: MonomialOrder) -> list[Mono
     if cap1 is None or cap2 is None:
         raise ValueError("leading ideal is not zero-dimensional")
     out = []
-    from .polynomials import z_monomial
-
     for b1 in range(cap1):
         for b2 in range(cap2):
             m = z_monomial((b1, b2))
             if not any(lm.divides(m) for lm in lms):
                 out.append(m)
-    out.sort(key=order.key)
+    out.sort(key=GREVLEX4)
     return out

@@ -229,8 +229,8 @@ def format_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for m, c in p.sorted_terms(GREVLEX4):
-        coeff_s, negative = _coeff_pieces(c, p.precision)
+    for m in sorted(p.terms, key=GREVLEX4, reverse=True):
+        coeff_s, negative = _coeff_pieces(p.terms[m], p.precision)
         mono_s = _monomial_text(m)
         if not mono_s:
             body = coeff_s

@@ -10,10 +10,12 @@ precisions never mix silently; convert with .to_float().  monomial_values is
 the one evaluator of monomials, used by evaluation, substitution, monomial
 matrices and fiber-average fits alike.
 
-Orders are small key objects.  All three orders used downstream are graded; ties
-are broken so that a larger exponent in a more significant variable gives the
-larger monomial, with significance z2 > z1 > w2 > w1.  At degree one this reads
-w1 < w2 < z1 < z2, and within each degree the pure-w monomials come first.
+An order is a key function on monomials; a larger key is a larger monomial.
+There are two, both graded.  GREVLEX4 grades by total degree and runs all
+Groebner work; ties go to the larger exponent of the more significant variable,
+with significance z2 > z1 > w2 > w1, so at degree one w1 < w2 < z1 < z2 and
+within each degree the pure-w monomials come first.  GraphWeighted(d) grades
+by the filtration weight d|alpha| + |beta| and orders the graph basis streams.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import reduce
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DegreeOverflowError, PrecisionError
 from .exact import GaussianRational
@@ -106,55 +108,21 @@ def z_monomial(beta: tuple[int, int]) -> Monomial:
     return Monomial(0, 0, beta[0], beta[1])
 
 
-class MonomialOrder:
-    """Total order on monomials given by a sort key; larger key = larger monomial."""
-
-    name: str = "order"
-
-    def key(self, m: Monomial):
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<order {self.name}>"
-
-
-class _Grevlex4(MonomialOrder):
+def GREVLEX4(m: Monomial) -> tuple[int, ...]:
     """Graded on total degree, ties by exponents of z2, z1, w2, w1 in turn."""
-
-    name = "grevlex4"
-
-    def key(self, m: Monomial):
-        return (m.degree(), m.b2, m.b1, m.a2, m.a1)
+    return (m.degree(), m.b2, m.b1, m.a2, m.a1)
 
 
-class _GrevlexZ(MonomialOrder):
-    """Graded on |beta|; the w-part only breaks remaining ties."""
-
-    name = "grevlex_z"
-
-    def key(self, m: Monomial):
-        return (m.b1 + m.b2, m.b2, m.a1 + m.a2, m.a2)
-
-
-class GraphWeighted(MonomialOrder):
-    """Graded on the filtration weight d|alpha| + |beta|, then on |alpha|.
+def GraphWeighted(d: int) -> Callable[[Monomial], tuple[int, ...]]:
+    """Key graded on the filtration weight d|alpha| + |beta|, then on |alpha|.
 
     Within one weight level the w-heavy monomials sort later, so the leading
     term of a normal form picks out the pure-w content when one exists.
     """
+    if d < 1:
+        raise ValueError("weight needs d >= 1")
+    return lambda m: (m.weight(d), m.a1 + m.a2, m.a2, m.b2)
 
-    def __init__(self, d: int) -> None:
-        if d < 1:
-            raise ValueError("weight needs d >= 1")
-        self.d = d
-        self.name = f"graph_weighted({d})"
-
-    def key(self, m: Monomial):
-        return (m.weight(self.d), m.a1 + m.a2, m.a2, m.b2)
-
-
-GREVLEX4 = _Grevlex4()
-GREVLEX_Z = _GrevlexZ()
 
 Coefficient = Union[GaussianRational, complex]
 Scalar = Union[GaussianRational, complex, float, int, Fraction]
@@ -243,18 +211,15 @@ class Polynomial:
     def is_pure_w(self) -> bool:
         return all(m.is_pure_w() for m in self.terms)
 
-    def sorted_terms(self, order: MonomialOrder):
-        """Terms as (monomial, coeff), largest first."""
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
-
-    def leading_term(self, order: MonomialOrder) -> tuple[Monomial, Coefficient]:
+    def leading_term(self, key: Callable[[Monomial], Any]) -> tuple[Monomial, Coefficient]:
+        """The term whose monomial has the largest key."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
+        m = max(self.terms, key=key)
         return m, self.terms[m]
 
-    def leading_monomial(self, order: MonomialOrder) -> Monomial:
-        return self.leading_term(order)[0]
+    def leading_monomial(self, key: Callable[[Monomial], Any]) -> Monomial:
+        return self.leading_term(key)[0]
 
     def coefficient(self, m: Monomial) -> Coefficient:
         return self.terms.get(m, ZERO[self.precision])
@@ -307,7 +272,9 @@ class Polynomial:
         c0 = _coerce_scalar(value, self.precision)
         if not c0:
             return Polynomial.zero(self.precision)
-        return Polynomial._of({m: c0 * c for m, c in self.terms.items()}, self.precision)
+        terms = {m: c0 * c for m, c in self.terms.items()}
+        # a float product can underflow to zero; drop it, as __mul__ does
+        return Polynomial._of({m: c for m, c in terms.items() if c}, self.precision)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):

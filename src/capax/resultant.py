@@ -194,8 +194,6 @@ def is_regular(f: GraphMap) -> bool:
         return bool(resultant(f))
     a = max(abs(c) for c in _form_coeffs(f.f1, f.d1))
     b = max(abs(c) for c in _form_coeffs(f.f2, f.d2))
-    if a == 0 or b == 0:
-        return False
     phase, logmag = resultant_slog(f)
     if phase == 0:
         return False

@@ -26,7 +26,6 @@ from .exact import GaussianRational
 from .groebner import buchberger, reduce_full, staircase_of
 from .polynomials import (
     GREVLEX4,
-    GREVLEX_Z,
     GraphWeighted,
     Monomial,
     Polynomial,
@@ -126,9 +125,9 @@ def staircase(f: GraphMap) -> list[Monomial]:
     if f._staircase is not None:
         return list(f._staircase)
     fh1, fh2 = f.top_forms()
-    gb = buchberger([fh1, fh2], GREVLEX_Z)
+    gb = buchberger([fh1, fh2])
     try:
-        stairs = staircase_of(gb, GREVLEX_Z)
+        stairs = staircase_of(gb)
     except ValueError as exc:
         raise StaircaseError(str(exc)) from None
     if len(stairs) != f.d1 * f.d2:
@@ -150,7 +149,7 @@ def generic_staircase(d: int) -> list[Monomial]:
         for b2 in range(d)
         for b1 in range(2 * d - 1 - 2 * b2)
     ]
-    out.sort(key=GREVLEX_Z.key)
+    out.sort(key=GREVLEX4)
     return out
 
 
@@ -176,7 +175,7 @@ def graph_basis(f: GraphMap) -> list[Polynomial]:
     if f._graph_gb is None:
         w1 = Polynomial.variable("w1", "exact")
         w2 = Polynomial.variable("w2", "exact")
-        f._graph_gb = buchberger([f.f1 - w1, f.f2 - w2], GREVLEX4)
+        f._graph_gb = buchberger([f.f1 - w1, f.f2 - w2])
     return f._graph_gb
 
 
@@ -188,7 +187,7 @@ def normal_form(p: Polynomial, f: GraphMap) -> Polynomial:
     """
     if p.precision != "exact":
         raise PrecisionError("normal_form needs an exact polynomial")
-    return reduce_full(p, graph_basis(f), GREVLEX4)
+    return reduce_full(p, graph_basis(f))
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +228,13 @@ def _w_level(nu: int) -> list[Monomial]:
 def _staircase_level(stairs: Sequence[Monomial], d: int, nu: int) -> list[Monomial]:
     """Weight-nu monomials w^a z^b with b in the staircase, graph order."""
     out = []
-    order = GraphWeighted(d)
     for s in stairs:
         rem = nu - (s.b1 + s.b2)
         if rem < 0 or rem % d:
             continue
         k = rem // d
         out.extend(Monomial(k - a2, a2, s.b1, s.b2) for a2 in range(k + 1))
-    out.sort(key=order.key)
+    out.sort(key=GraphWeighted(d))
     return out
 
 
@@ -379,12 +377,12 @@ class StarCertificate:
         )
 
 
-def _star_try(f: GraphMap, beta: tuple[int, int], bt: tuple[int, int], order: GraphWeighted):
+def _star_try(f: GraphMap, beta: tuple[int, int], bt: tuple[int, int]):
     m = z_monomial((beta[0] + bt[0], beta[1] + bt[1]))
     nf = normal_form(Polynomial({m: GaussianRational(1)}, "exact"), f)
     if nf.is_zero():
         return None
-    lm, lc = nf.leading_term(order)
+    lm, lc = nf.leading_term(GraphWeighted(f.d))
     if lm.is_pure_w():
         return StarCertificate(beta, bt, lm.alpha, lc, nf)
     return None
@@ -404,15 +402,14 @@ def star_certificate(f: GraphMap, beta: tuple[int, int]) -> StarCertificate:
     stairs = staircase(f)
     if z_monomial(beta) not in stairs:
         raise MapError(f"beta={beta} is not in the staircase")
-    order = GraphWeighted(d)
     bound = 4 * d
     for j in range(bound + 1):
-        cert = _star_try(f, beta, (0, j), order)
+        cert = _star_try(f, beta, (0, j))
         if cert is not None:
             return cert
     for total in range(1, bound + 1):
         for t1 in range(total, 0, -1):
-            cert = _star_try(f, beta, (t1, total - t1), order)
+            cert = _star_try(f, beta, (t1, total - t1))
             if cert is not None:
                 return cert
     raise StarSearchError(

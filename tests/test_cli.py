@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from capax import GraphMap, build_mesh, graph_lift, parse_poly, transfinite_diameter
 from capax.cli import main
 
 SQUARES = {"f1": "z1^2", "f2": "z2^2", "precision": "exact"}
@@ -218,6 +219,35 @@ def test_tdiam_json_carries_series_meta(capsys):
     assert 0 <= meta["irls_converged"] <= len(payload["m"]) * 6
     assert meta["irls_steps"] >= meta["irls_converged"]
     assert 0.0 <= meta["cheb_gap_max"] <= 1e-6
+
+
+def test_tdiam_lifts_the_set_through_the_map(map_file, capsys):
+    mapping = {"f1": "z1^2 + z1*z2 + z2^2", "f2": "z1*z2 + 1"}
+    code, payload = run_json(
+        capsys,
+        ["tdiam", "--map", map_file(mapping), "--set", "torus:1,1", "--basis", "B",
+         "--nmax", "2", "--mesh", "8", "--format", "json"],
+    )
+    assert code == 0
+    f = GraphMap(parse_poly(mapping["f1"]), parse_poly(mapping["f2"]))
+    series = transfinite_diameter(graph_lift(f, build_mesh("torus:1,1", 8)), "B", 2)
+    assert payload["estimates"] == series.estimates
+
+
+def test_cheb_z_target_on_lifted_torus(map_file, capsys):
+    code, payload = run_json(
+        capsys,
+        ["cheb", "--map", map_file(SQUARES), "--set", "torus:1,1", "--basis", "z",
+         "--alpha", "0,0", "--beta", "2,0"],
+    )
+    assert code == 0
+    assert abs(payload["value"] - 1.0) < 1e-12
+
+
+def test_z_basis_without_map_is_domain_error(capsys):
+    code = main(["tdiam", "--set", "torus:1,1", "--basis", "z", "--nmax", "1"])
+    assert code == 1
+    assert "pass --map" in capsys.readouterr().err
 
 
 def test_threads_flag_is_gone(capsys):

@@ -171,6 +171,18 @@ def test_telescoping_lower_bound_on_generic_lift():
     assert 0.0 <= series.meta["cheb_gap_max"] <= 1e-6
 
 
+def test_telescoping_on_truncated_ledger():
+    # w2 = 0 on the whole sample, so the third monomial w2 vanishes there
+    mesh = build_mesh("box:-2,2,0,0", (8, 1))
+    series = transfinite_diameter(mesh, "w", 1)
+    assert series.ledger.truncated
+    assert series.estimates == [0.0]
+    assert series.step_cheb[2] == 0
+    row = telescoping_check(mesh, "w", 1, series=series).rows[1]
+    assert row.step == 2 and row.ratio == 0.0
+    assert row.lower_ok and row.upper_ok
+
+
 # ---------------------------------------------------------------------------
 # the pullback comparison
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from capax import (
     GREVLEX4,
-    GREVLEX_Z,
     DegreeOverflowError,
     GaussianRational,
     GraphWeighted,
@@ -59,27 +58,28 @@ def test_exponent_ceiling():
 # orders
 
 
-def test_grevlex4_degree_one_chain():
-    # w1 < w2 < z1 < z2 at degree 1
-    chain = [w_monomial((1, 0)), w_monomial((0, 1)), z_monomial((1, 0)), z_monomial((0, 1))]
-    keys = [GREVLEX4.key(m) for m in chain]
+@pytest.mark.parametrize(
+    "chain",
+    [
+        # w1 < w2 < z1 < z2 at degree 1
+        [w_monomial((1, 0)), w_monomial((0, 1)), z_monomial((1, 0)), z_monomial((0, 1))],
+        # z1^2 < z1 z2 < z2^2
+        [z_monomial((2, 0)), z_monomial((1, 1)), z_monomial((0, 2))],
+    ],
+    ids=["degree_one", "degree_two"],
+)
+def test_grevlex4_chain(chain):
+    keys = [GREVLEX4(m) for m in chain]
     assert keys == sorted(keys)
-    assert max(chain, key=GREVLEX4.key) == z_monomial((0, 1))
-
-
-def test_grevlex_z_degree_two_chain():
-    # z1^2 < z1 z2 < z2^2
-    chain = [z_monomial((2, 0)), z_monomial((1, 1)), z_monomial((0, 2))]
-    keys = [GREVLEX_Z.key(m) for m in chain]
-    assert keys == sorted(keys)
+    assert max(chain, key=GREVLEX4) == chain[-1]
 
 
 def test_graph_weighted_prefers_low_w_degree():
-    order = GraphWeighted(2)
+    key = GraphWeighted(2)
     # same weight 2: z1^2 before w1 before w2
-    assert order.key(z_monomial((2, 0))) < order.key(w_monomial((1, 0)))
-    assert order.key(w_monomial((1, 0))) < order.key(w_monomial((0, 1)))
-    assert order.key(w_monomial((1, 0))) < order.key(z_monomial((0, 3)))  # weight 2 < 3
+    assert key(z_monomial((2, 0))) < key(w_monomial((1, 0)))
+    assert key(w_monomial((1, 0))) < key(w_monomial((0, 1)))
+    assert key(w_monomial((1, 0))) < key(z_monomial((0, 3)))  # weight 2 < 3
 
 
 # ---------------------------------------------------------------------------
@@ -217,4 +217,4 @@ def test_leading_term_is_maximal(p):
     lm, lc = p.leading_term(GREVLEX4)
     assert lc
     for m in p.terms:
-        assert GREVLEX4.key(m) <= GREVLEX4.key(lm)
+        assert GREVLEX4(m) <= GREVLEX4(lm)
