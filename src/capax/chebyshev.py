@@ -14,12 +14,23 @@ block of that R.  The SVD of R's t x t block gives a's singular values, and
 those below sv[0] * max(N, t) * eps are cut, so a rank-deficient prefix gets
 the minimum-norm fit.  Otherwise a primal-dual interior-point method
 (Mehrotra predictor-corrector, Nesterov-Todd scaling) takes over from the
-fit.  Every per-cone operation is closed form on arrays over the points,
-and each Newton system is solved through an R factor of the scaled
-constraint matrix: the Cholesky factor of its normal matrix, which costs one
-matrix product.  Only when that Gram matrix is not numerically positive
-definite, so Cholesky fails, does R come from a QR of the constraint matrix
-itself.
+fit.  It runs solves in lockstep: all steps of a series share the points,
+so each round does the per-cone algebra once, closed form on (B, 3, N)
+arrays over the B solves still running, and a solve leaves the stack when
+it stops.  A series passes the steps its fits leave uncertified, in order,
+in windows of consecutive steps whose in-flight bytes stay under
+_WINDOW_BYTES; a single minimax_from_matrix call is a window of one.  Only
+the Newton systems, each of its solve's own size, are formed one solve at a
+time, and never from the 3N x (2t + 1) scaled constraint matrix itself:
+with avc the conjugate of a V, each point's three cone rows act on avc_i
+through one 2 x 2 weight, so the d block of the Gram matrix is Y^T Y for
+the 2N x 2t real view Y of two complex N x t products of avc with
+per-point weights.  One matrix-vector product gives the s column, and
+Cholesky factors the result.  Only when that Gram matrix is not
+numerically positive definite, so Cholesky fails, is that solve's scaled
+constraint matrix built and factored by QR; the other solves of the round
+are not touched.  No solve's arithmetic depends on which others share its
+window.
 
 Every estimate is a bracket.  value is the attained max |b + a c| at the
 returned coefficients, an upper bound.  lower is |y^H b| / ||y||_1 for the
@@ -44,6 +55,8 @@ from .variety import MonomialBasisStream
 
 MINIMAX_TOL = 1e-8  # relative certificate gap at which a solve counts as converged
 MINIMAX_MAX_ITER = 50  # solver iterations per solve, the least-squares start included
+_WINDOW_BYTES = 3 << 20  # in-flight bytes of one lockstep window of interior-point solves
+_CONE_WORK = 48  # stacked cone work per point and solve, in complex numbers
 
 
 def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.ndarray:
@@ -88,12 +101,13 @@ def minimax_from_matrix(
     """min_c max_i |b_i + (a c)_i| with a certified bracket [lower, value].
 
     rfac is the upper triangular R factor of [a | b], with t + 1 columns,
-    computed here when not given; a series passes a leading block of the R
-    factor of its whole matrix.  The least-squares start is
+    computed here when not given.  The least-squares start is
     c = -R11^+ rfac[:t, t] on the block R11 = rfac[:t, :t]: a = Q R11 with Q
     orthonormal, so R11 has a's singular values, and those at most
     sv[0] * max(N, t) * eps are cut, as numpy's lstsq cuts them.  The fit's
     residual b + a c is formed explicitly, so value is the attained sup norm.
+    A start that does not certify goes on to the interior point as a window
+    of one solve.
 
     residual is value - lower; a solve has converged once it is at most
     MINIMAX_TOL * max(1, value).  iterations counts the least-squares start
@@ -107,63 +121,196 @@ def minimax_from_matrix(
         )
     if rfac is None:
         rfac = np.linalg.qr(np.column_stack([a, b]), mode="r")
-    # the least-squares fit (Lawson's first step) on the block of R
-    u, sv, vh = np.linalg.svd(rfac[:t, :t], full_matrices=False)
-    k = int((sv > sv[0] * max(npts, t) * np.finfo(float).eps).sum())
-    c = vh[:k].conj().T @ ((u[:, :k].conj().T @ -rfac[:t, t]) / sv[:k])
-    r = b + a @ c
-    mags = np.abs(r)
-    upper = float(mags.max())
-    lower = min(float(np.sqrt(np.mean(mags**2))), upper)
-    if upper - lower <= MINIMAX_TOL * max(1.0, upper):
+    solve = _Solve(a, b, rfac)
+    if not solve.converged:
+        _interior_point([solve])
+    return solve.estimate()
+
+
+def minimax_series(e: np.ndarray, rfac: np.ndarray) -> list[ChebyshevEstimate]:
+    """The minimax of each column e[:, t], t >= 1, over the columns before it.
+
+    rfac is the R factor of e, and step t's least-squares start solves on its
+    leading (t + 1) x (t + 1) block, exactly as minimax_from_matrix does.
+    The steps whose start does not certify go, in order, through the
+    interior point in windows of consecutive steps.  A window's in-flight
+    state, each solve's N x t avc plus its share of the stacked cone work,
+    stays under _WINDOW_BYTES, with at least one solve per window.
+    """
+    npts, m = e.shape
+    solves: list[_Solve] = []
+    window: list[_Solve] = []
+    nbytes = 0
+    for t in range(1, m):
+        solve = _Solve(e[:, :t], e[:, t], rfac[: t + 1, : t + 1])
+        solves.append(solve)
+        if solve.converged:
+            continue
+        size = 16 * npts * (t + _CONE_WORK)
+        if window and nbytes + size > _WINDOW_BYTES:
+            _interior_point(window)
+            window, nbytes = [], 0
+        window.append(solve)
+        nbytes += size
+    _interior_point(window)
+    return [solve.estimate() for solve in solves]
+
+
+class _Solve:
+    """One minimax solve of b over the columns of a, from the least-squares
+    start on the block rfac of [a | b]'s R factor.
+
+    While _interior_point runs it, the solve also holds avc = conj(a V),
+    with a = U S V^H the thin SVD cut to a's numerical rank, the squared
+    singular values sv2, the interior-point coordinates d (c = V d) and the
+    inverse R factor of its current Newton system.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, rfac: np.ndarray) -> None:
+        npts, t = a.shape
+        u, sv, vh = np.linalg.svd(rfac[:t, :t], full_matrices=False)
+        k = int((sv > sv[0] * max(npts, t) * np.finfo(float).eps).sum())
+        self.a, self.b = a, b
+        self.c = vh[:k].conj().T @ ((u[:, :k].conj().T @ -rfac[:t, t]) / sv[:k])
+        mags = np.abs(b + a @ self.c)
+        self.upper = float(mags.max())
+        self.lower = min(float(np.sqrt(np.mean(mags**2))), self.upper)
+        self.iterations = 1
+
+    @property
+    def converged(self) -> bool:
+        return self.upper - self.lower <= MINIMAX_TOL * max(1.0, self.upper)
+
+    def estimate(self) -> ChebyshevEstimate:
         return ChebyshevEstimate(
-            value=upper,
-            lower=lower,
-            residual=upper - lower,
-            iterations=1,
-            converged=True,
-            coefficients=c,
+            value=self.upper,
+            lower=self.lower,
+            residual=self.upper - self.lower,
+            iterations=self.iterations,
+            converged=self.converged,
+            coefficients=self.c,
         )
-    return _interior_point(a, b, c, r, upper, lower)
+
+    def begin(self) -> np.ndarray:
+        """Set up the interior-point basis; returns the residual b + a c."""
+        u, sv, vh = np.linalg.svd(self.a, full_matrices=False)
+        t = int((sv > sv[0] * max(self.a.shape) * np.finfo(float).eps).sum())
+        self.avc = (u[:, :t] * sv[:t]).conj()
+        self.sv2 = sv[:t] ** 2
+        self.vhc = vh[:t].conj()
+        self.d = vh[:t] @ self.c
+        return self.b + self.a @ self.c
+
+    def end(self) -> None:
+        """Drop the interior-point state; the bracket and c stay."""
+        self.avc = self.sv2 = self.vhc = self.d = self.rinv = None
+
+    def factor(
+        self, gc: np.ndarray, g: np.ndarray, omega: np.ndarray, sg: np.ndarray, gss: float
+    ) -> None:
+        """Keep R^-1 for the Newton system R^T R = G^T W^-2 G, from the
+        complex a V and per-point weights instead of W^-1 G itself.
+
+        Row (k, i) of W^-1 G is the (re, im) pairs of gc_ki avc_i followed by
+        g_ki, so the d block of the Gram matrix sums, per point, the 2 x 2
+        weight M_i = sum_k (Re gc_ki, Im gc_ki)^T (Re gc_ki, Im gc_ki) on the
+        pairs of avc_i and i avc_i.  omega holds the rows (S11 + i S12,
+        S12 + i S22) of the square root S of each M_i, so the (re, im) pairs
+        of the two complex N x t products omega_k avc form a 2N x 2t matrix
+        Y with Y^T Y that d block.  The s column is sg avc with
+        sg = sum_k g_k gc_k, and gss = sum g^2.  Cholesky factors the Gram
+        matrix; only when rounding leaves it not numerically positive
+        definite is this solve's W^-1 G built (gc is conj(gamma) and g its s
+        column) and R taken from the R factors of its three row blocks.
+        """
+        avc = self.avc
+        npts, t = avc.shape
+        y = (omega[:, :, None] * avc).view(float).reshape(2 * npts, 2 * t)
+        gram = np.empty((2 * t + 1, 2 * t + 1))
+        gram[:-1, :-1] = y.T @ y
+        gram[:-1, -1] = gram[-1, :-1] = (sg @ avc).view(float)
+        gram[-1, -1] = gss
+        try:
+            rfac = np.linalg.cholesky(gram).T
+        except np.linalg.LinAlgError:
+            gh = np.empty((3, npts, 2 * t + 1))
+            gh[:, :, :-1].view(complex)[:] = gc[:, :, None] * avc
+            gh[:, :, -1] = g
+            # each QR copies its input, so one row block at a time keeps the
+            # copies small
+            r3 = np.concatenate([np.linalg.qr(block, mode="r") for block in gh])
+            rfac = np.linalg.qr(r3, mode="r")
+        self.rinv = np.linalg.inv(rfac)
+
+    def newton(self, q: np.ndarray, hs: float) -> tuple[np.ndarray, float, np.ndarray]:
+        """dx = -(R^T R)^-1 h for h = ((q avc as (re, im) pairs), hs); returns
+        its d part, its s part and avc conj(d part)."""
+        dx = -self.rinv @ (self.rinv.T @ np.append((q @ self.avc).view(float), hs))
+        dd = dx[:-1].view(complex)
+        return dd, dx[-1], self.avc @ dd.conj()
+
+    def advance(self, alpha: float, dd: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Step d by alpha dd, then tighten the bracket: upper from the new
+        residual, lower from the dual y; returns the new residual."""
+        self.d += alpha * dd
+        c = self.d @ self.vhc
+        r = self.b + self.a @ c
+        value = float(np.abs(r).max())
+        if value < self.upper:
+            self.upper, self.c = value, c
+        # project y onto null(a^H): U = conj(avc) / sv spans a's columns
+        y = y - (self.avc @ ((y @ self.avc) / self.sv2).conj()).conj()
+        norm = float(np.abs(y).sum())
+        if norm > 0:
+            self.lower = max(self.lower, abs(complex(np.vdot(y, self.b))) / norm)
+        self.iterations += 1
+        return r
 
 
-# Per-cone algebra of the cone {(u0, u1, u2): u0 >= |(u1, u2)|}.  A (3, N)
-# array holds one vector in each of N cones; J = diag(1, -1, -1).
+# Per-cone algebra of the cone {(u0, u1, u2): u0 >= |(u1, u2)|}.  A (B, 3, N)
+# array holds one vector in each of N cones for each of B solves;
+# J = diag(1, -1, -1).
 
 _J = np.array([1.0, -1.0, -1.0])[:, None]
 _E = np.array([1.0, 0.0, 0.0])[:, None]
+_SHIFT = np.array([0.0, 1.0, 1j])[:, None]
 
 
 def _jdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u^T J v per cone."""
-    return u[0] * v[0] - u[1] * v[1] - u[2] * v[2]
+    return u[..., 0, :] * v[..., 0, :] - u[..., 1, :] * v[..., 1, :] - u[..., 2, :] * v[..., 2, :]
 
 
 def _circ(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The Jordan product (u^T v, u0 v1 + v0 u1, u0 v2 + v0 u2) per cone."""
-    out = u[0] * v + v[0] * u
-    out[0] = (u * v).sum(axis=0)
+    out = u[:, :1] * v + v[:, :1] * u
+    out[:, 0] = (u * v).sum(axis=1)
     return out
 
 
-def _step_to_boundary(lam: np.ndarray, det: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha with lam + alpha d in every cone (inf if none binds).
+def _step_to_boundary(
+    lam: np.ndarray, det: np.ndarray, ds: np.ndarray, dz: np.ndarray
+) -> np.ndarray:
+    """Per solve, the largest alpha with lam + alpha ds and lam + alpha dz in
+    every cone (inf if none binds).
 
     det is lam^T J lam.  (lam + alpha d)^T J (lam + alpha d) / det factors as
     (1 - k1 alpha)(1 - k2 alpha) with real k; the step ends at 1 / max k.
     """
+    d = np.stack([ds, dz])
     bb = _jdot(lam, d)
     k = (np.sqrt(np.maximum(bb * bb - _jdot(d, d) * det, 0.0)) - bb) / det
-    top = float(k.max())
-    return 1.0 / top if top > 0 else math.inf
+    top = k.max(axis=2).max(axis=0)
+    alpha = np.full(len(top), math.inf)
+    np.divide(1.0, top, out=alpha, where=top > 0)
+    return alpha
 
 
-def _interior_point(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, r: np.ndarray, upper: float, lower: float
-) -> ChebyshevEstimate:
-    """Primal-dual interior-point solve started from the least-squares fit c.
+def _interior_point(solves: list[_Solve]) -> None:
+    """Primal-dual interior-point solves in lockstep, each started from its
+    least-squares fit c.
 
-    The solve runs on a V = U S, with a = U S V^H the thin SVD cut to the
+    A solve runs on a V = U S, with a = U S V^H the thin SVD cut to the
     numerical rank of a, so its columns are independent even when a's are
     not; c = V d.  Primal: x = (Re d_1, Im d_1, ..., Re d_t, Im d_t, s),
     minimize s with the cone slacks (s, Re r_i, Im r_i), r = b + a c; so
@@ -171,115 +318,120 @@ def _interior_point(
     Re y_i, Im y_i) in the cones with sum z0 = 1 and U^H y = 0; its objective
     -Re(b^H y) is at most the minimax.  The fit residual is orthogonal to the
     columns of a, so s = 2 max |r| and z_i = (s, -r_i) / (N s) start both
-    strictly feasible.  upper and lower are the fit's bounds; the best of
-    each is kept.
+    strictly feasible.  Each solve keeps the best of its upper and lower
+    bounds.
+
+    All solves share the points, so each round runs the per-cone algebra
+    once on (B, 3, N) stacks over the solves still running; only the Newton
+    systems, of each solve's own size, are formed and solved one solve at a
+    time.  A solve leaves the stack when it certifies, when rounding puts
+    its iterate on a cone boundary, or when its step vanishes.
     """
-    npts = a.shape[0]
-    basis, sv, vh = np.linalg.svd(a, full_matrices=False)
-    t = int((sv > sv[0] * max(a.shape) * np.finfo(float).eps).sum())
-    basis, vh = basis[:, :t], vh[:t]  # U, and V^H
-    avc = (basis * sv[:t]).conj()  # conj(a V)
-    best_c = c
-    x = np.empty(2 * t + 1)
-    x[: 2 * t].view(complex)[:] = vh @ c
-    x[-1] = 2.0 * upper
-    z = np.stack([np.full(npts, 1.0 / npts), -r.real / (npts * x[-1]), -r.imag / (npts * x[-1])])
-    # W^-1 G, the constraint matrix in scaled coordinates: the row for
-    # component k of cone i takes x to Re(gamma_ki (a V d)_i) + g_ki s, with
-    # the conj(gamma_ki (a V)_i) entries viewed as (re, im) pairs
-    gh = np.empty((3, npts, 2 * t + 1))
-    flat = gh.reshape(3 * npts, 2 * t + 1)
-    gh_d = gh[:, :, : 2 * t].view(complex)
-    shift = np.array([0.0, 1.0, -1j])[:, None]
-    iterations = 1
-    converged = False
-    while iterations < MINIMAX_MAX_ITER:
-        sl = np.stack([np.full(npts, x[-1]), r.real, r.imag])
+    live = list(solves)
+    if not live:
+        return
+    npts = len(live[0].b)
+    r = np.array([solve.begin() for solve in live])
+    s = np.array([2.0 * solve.upper for solve in live])
+    z = np.empty((len(live), 3, npts))
+    z[:, 0] = 1.0 / npts
+    z[:, 1] = -r.real / (npts * s[:, None])
+    z[:, 2] = -r.imag / (npts * s[:, None])
+    while live and live[0].iterations < MINIMAX_MAX_ITER:
+        sl = np.empty_like(z)
+        sl[:, 0] = s[:, None]
+        sl[:, 1] = r.real
+        sl[:, 2] = r.imag
         sdet = _jdot(sl, sl)
         zdet = _jdot(z, z)
-        if not (sdet.min() > 0 and zdet.min() > 0):
-            break  # rounding put an iterate on a cone boundary
+        # a certified solve stops, and so does one whose iterate rounding put
+        # on a cone boundary
+        keep = (sdet.min(axis=1) > 0) & (zdet.min(axis=1) > 0)
+        keep &= [not solve.converged for solve in live]
+        if not keep.all():
+            live = [solve for solve, k in zip(live, keep) if k]
+            sl, sdet, zdet, z, s = sl[keep], sdet[keep], zdet[keep], z[keep], s[keep]
+            if not live:
+                break
         # Nesterov-Todd scaling W = beta (2 v v^T - J): W z = W^-1 sl = lam
         sn = np.sqrt(sdet)
         zn = np.sqrt(zdet)
-        sb = sl / sn
-        zb = z / zn
-        gam = np.sqrt(0.5 * (1.0 + (sb * zb).sum(axis=0)))
-        v = (sb + _J * zb) / (2.0 * gam)
-        v[0] += 1.0
-        v /= np.sqrt(2.0 * v[0])
+        sb = sl / sn[:, None]
+        zb = z / zn[:, None]
+        gam = np.sqrt(0.5 * (1.0 + (sb * zb).sum(axis=1)))
+        v = (sb + _J * zb) / (2.0 * gam[:, None])
+        v[:, 0] += 1.0
+        v /= np.sqrt(2.0 * v[:, :1])
         ibeta = np.sqrt(zn / sn)
         det = sn * zn
         lam = np.empty_like(sb)
-        lam[0] = gam
-        lam[1:] = ((gam + zb[0]) * sb[1:] + (gam + sb[0]) * zb[1:]) / (sb[0] + zb[0] + 2.0 * gam)
-        lam *= np.sqrt(det)
-        # W^-1 = ibeta J (2 v v^T J - I), applied to G's columns
-        gamma = (ibeta * _J) * (2.0 * (v[1] - 1j * v[2]) * v + shift)
-        np.multiply(gamma.conj()[:, :, None], avc, out=gh_d)
-        gh[:, :, -1] = (ibeta * _J) * (_E - 2.0 * v[0] * v)
-        # R with R^T R = G^T W^-2 G: the Cholesky factor of that normal
-        # matrix.  When rounding leaves the Gram matrix not numerically
-        # positive definite, R comes instead from the R factors of W^-1 G's
-        # three row blocks; each QR copies its input, so one block at a time
-        # keeps the copies small.
-        try:
-            rfac = np.linalg.cholesky(flat.T @ flat).T
-        except np.linalg.LinAlgError:
-            r3 = np.concatenate([np.linalg.qr(block, mode="r") for block in gh])
-            rfac = np.linalg.qr(r3, mode="r")
-        rinv = np.linalg.inv(rfac)
-        # dual residual G^T z + e_s
-        rx = np.empty(2 * t + 1)
-        rx[: 2 * t].view(complex)[:] = -((z[1] + 1j * z[2]) @ avc)
-        rx[-1] = 1.0 - z[0].sum()
+        lam[:, 0] = gam
+        lam[:, 1:] = (
+            (gam + zb[:, 0])[:, None] * sb[:, 1:] + (gam + sb[:, 0])[:, None] * zb[:, 1:]
+        ) / (sb[:, 0] + zb[:, 0] + 2.0 * gam)[:, None]
+        lam *= np.sqrt(det)[:, None]
+        # W^-1 = ibeta J (2 v v^T J - I) applied to G: cone row k of point i
+        # takes x to Re(gamma_ki (a V d)_i) + g_ki s, and gc = conj(gamma)
+        ib = ibeta[:, None] * _J
+        gc = ib * (2.0 * (v[:, 1] + 1j * v[:, 2])[:, None] * v + _SHIFT)
+        g = ib * (_E - 2.0 * v[:, :1] * v)
+        # each point's 2 x 2 weight M of the d block and its square root
+        # S = (M + sqrt(det M) I) / sqrt(trace M + 2 sqrt(det M)); M is
+        # positive definite because W^-1 is nonsingular
+        m11 = (gc.real * gc.real).sum(axis=1)
+        m12 = (gc.real * gc.imag).sum(axis=1)
+        m22 = (gc.imag * gc.imag).sum(axis=1)
+        root = np.sqrt(np.maximum(m11 * m22 - m12 * m12, 0.0))
+        tau = np.sqrt(m11 + m22 + 2.0 * root)
+        s11, s12, s22 = (m11 + root) / tau, m12 / tau, (m22 + root) / tau
+        omega = np.stack([s11 + 1j * s12, s12 + 1j * s22], axis=1)
+        sg = (g * gc).sum(axis=1)
+        gss = (g * g).sum(axis=1).sum(axis=1)
+        for solve, *weights in zip(live, gc, g, omega, sg, gss):
+            solve.factor(*weights)
+        # the dual residual G^T z + e_s is (-y avc, 1 - sum z0)
+        y = z[:, 1] + 1j * z[:, 2]
+        rxs = 1.0 - z[:, 0].sum(axis=1)
 
-        def newton(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Step (dx, W^-1 ds, W dz) for the linearized complementarity
-            lam o (W^-1 ds + W dz) = lam o rhs, through R^T R = G^T W^-2 G."""
-            dx = -rinv @ (rinv.T @ (rx + flat.T @ rhs.reshape(-1)))
-            dz = (flat @ dx).reshape(3, npts) + rhs
-            return dx, rhs - dz, dz
+        def newton(rhs: np.ndarray) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+            """Steps (d, s, W^-1 ds, W dz) of every live solve for the
+            linearized complementarity lam o (W^-1 ds + W dz) = lam o rhs:
+            G^T W^-1 rhs is ((sum_k gc_k rhs_k) avc, sum g rhs), and W dz =
+            W^-1 G dx + rhs is Re(gc (avc conj(dd))) + g ds + rhs."""
+            q = (gc * rhs).sum(axis=1) - y
+            hs = rxs + (g * rhs).sum(axis=1).sum(axis=1)
+            dd, dsv, u = zip(*(solve.newton(*h) for solve, *h in zip(live, q, hs)))
+            dsv = np.array(dsv)
+            dz = (gc * np.array(u)[:, None]).real + g * dsv[:, None, None] + rhs
+            return list(dd), dsv, rhs - dz, dz
 
-        gap = float((lam * lam).sum())
+        gap = (lam * lam).sum(axis=1).sum(axis=1)
         # predictor: the affine direction, lam o rhs = -lam o lam
-        _, ds, dz = newton(-lam)
-        alpha = min(1.0, _step_to_boundary(lam, det, ds), _step_to_boundary(lam, det, dz))
-        shrink = float(((lam + alpha * ds) * (lam + alpha * dz)).sum()) / gap
+        _, _, ds, dz = newton(-lam)
+        alpha = np.minimum(1.0, _step_to_boundary(lam, det, ds, dz))[:, None, None]
+        shrink = ((lam + alpha * ds) * (lam + alpha * dz)).sum(axis=1).sum(axis=1) / gap
         # corrector: lam o rhs = -lam o lam + centering mu e - ds o dz
         rc = -_circ(ds, dz)
-        rc[0] += min(1.0, max(0.0, shrink)) ** 3 * gap / npts
+        rc[:, 0] += (np.clip(shrink, 0.0, 1.0) ** 3 * gap / npts)[:, None]
         rhs = np.empty_like(rc)
-        rhs[0] = _jdot(lam, rc) / det
-        rhs[1:] = (rc[1:] - rhs[0] * lam[1:]) / lam[0]
-        dx, ds, dz = newton(rhs - lam)
-        alpha = min(1.0, 0.99 * min(_step_to_boundary(lam, det, ds), _step_to_boundary(lam, det, dz)))
-        if not alpha > 0:
-            break
-        iterations += 1
-        x += alpha * dx
-        z += alpha * ibeta * _J * (2.0 * v * _jdot(v, dz) - dz)  # W^-1 dz
-        c = x[: 2 * t].view(complex) @ vh.conj()
-        r = b + a @ c
-        value = float(np.abs(r).max())
-        if value < upper:
-            upper, best_c = value, c
-        y = z[1] + 1j * z[2]
-        y -= basis @ (y.conj() @ basis).conj()
-        norm = float(np.abs(y).sum())
-        if norm > 0:
-            lower = max(lower, abs(complex(np.vdot(y, b))) / norm)
-        if upper - lower <= MINIMAX_TOL * max(1.0, upper):
-            converged = True
-            break
-    return ChebyshevEstimate(
-        value=upper,
-        lower=lower,
-        residual=upper - lower,
-        iterations=iterations,
-        converged=converged,
-        coefficients=best_c,
-    )
+        rhs[:, 0] = _jdot(lam, rc) / det
+        rhs[:, 1:] = (rc[:, 1:] - rhs[:, :1] * lam[:, 1:]) / lam[:, :1]
+        dd, dsv, ds, dz = newton(rhs - lam)
+        alpha = np.minimum(1.0, 0.99 * _step_to_boundary(lam, det, ds, dz))
+        keep = alpha > 0
+        if not keep.all():
+            live = [solve for solve, k in zip(live, keep) if k]
+            dd = [step for step, k in zip(dd, keep) if k]
+            alpha, dsv, dz, ibeta, v, z, s = (x[keep] for x in (alpha, dsv, dz, ibeta, v, z, s))
+            if not live:
+                break
+        s = s + alpha * dsv
+        # z + alpha W^-1 dz
+        z = z + (alpha[:, None] * ibeta)[:, None] * _J * (2.0 * v * _jdot(v, dz)[:, None] - dz)
+        y = z[:, 1] + 1j * z[:, 2]
+        r = np.array([solve.advance(*step) for solve, *step in zip(live, alpha, dd, y)])
+    for solve in solves:
+        solve.end()
 
 
 def chebyshev_value(

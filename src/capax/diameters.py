@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import evaluate_monomials, minimax_from_matrix
+from .chebyshev import evaluate_monomials, minimax_series
 from .errors import EstimateError, MapError
 from .polynomials import Monomial
 from .resultant import resultant_slog
@@ -146,17 +146,24 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
     ledger = _greedy_select(points, monomials, e)
     y = np.empty(len(monomials))
     # irls_converged counts the certified solves and irls_steps their solver
-    # iterations; cheb_gap_max is the worst relative bracket width
-    estimates_meta = {"irls_converged": 0, "irls_steps": 0, "cheb_gap_max": 0.0}
+    # iterations; cheb_gap_max is the worst relative bracket width, and
+    # cheb_uncertified lists the steps whose solve stopped uncertified
+    estimates_meta = {
+        "irls_converged": 0,
+        "irls_steps": 0,
+        "cheb_gap_max": 0.0,
+        "cheb_uncertified": [],
+    }
     y[0] = float(np.abs(e[:, 0]).max())
     # the R factor of each prefix [e[:, :t] | e[:, t]] is a leading block of
     # this one, so every step's least-squares start solves on a small block
     rfac = np.linalg.qr(e, mode="r")
-    for t in range(1, len(monomials)):
-        est = minimax_from_matrix(e[:, :t], e[:, t], rfac[: t + 1, : t + 1])
+    for t, est in enumerate(minimax_series(e, rfac), start=1):
         y[t] = est.value
         estimates_meta["irls_converged"] += int(est.converged)
         estimates_meta["irls_steps"] += est.iterations
+        if not est.converged:
+            estimates_meta["cheb_uncertified"].append(t)
         if est.value > 0:
             gap = est.residual / est.value
             estimates_meta["cheb_gap_max"] = max(estimates_meta["cheb_gap_max"], gap)

@@ -259,6 +259,89 @@ def test_series_factors_its_matrix_once(monkeypatch):
     assert qr_shapes == [(256, 28)]
 
 
+def _generic_series_matrix():
+    """The monomial matrix and R factor of the B series at n = 3 of the
+    Random(11) generic map on the 8 x 8 torus, as transfinite_diameter
+    builds them."""
+    f = random_generic_map(random.Random(11), 2)
+    lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
+    e = evaluate_monomials(basis_stream(f, "B").upto(3 * f.d), lift)
+    return e, np.linalg.qr(e, mode="r")
+
+
+def _record_windows(monkeypatch):
+    """Patch the lockstep solver to record each window's size."""
+    windows = []
+    interior_point = capax.chebyshev._interior_point
+
+    def recorded(solves):
+        windows.append(len(solves))
+        return interior_point(solves)
+
+    monkeypatch.setattr(capax.chebyshev, "_interior_point", recorded)
+    return windows
+
+
+def test_series_lockstep_matches_single_solves(monkeypatch):
+    e, rfac = _generic_series_matrix()
+    npts, m = e.shape
+    singles = [minimax_from_matrix(e[:, :t], e[:, t], rfac[: t + 1, : t + 1]) for t in range(1, m)]
+    solved = sum(est.iterations > 1 for est in singles)
+    assert solved >= 6
+    windows = _record_windows(monkeypatch)
+    # about three of the largest solves per window, then one window for all
+    small = 3 * 16 * npts * (m + capax.chebyshev._CONE_WORK)
+    for budget in (small, 1 << 40):
+        monkeypatch.setattr(capax.chebyshev, "_WINDOW_BYTES", budget)
+        windows.clear()
+        series = capax.chebyshev.minimax_series(e, rfac)
+        assert sum(windows) == solved
+        if budget == small:
+            assert len(windows) >= 3 and max(windows) > 1
+        else:
+            assert windows == [solved]
+        for t, (lock, single) in enumerate(zip(series, singles), start=1):
+            assert lock.iterations == single.iterations, t
+            assert lock.converged == single.converged, t
+            assert math.isclose(lock.value, single.value, rel_tol=1e-9), t
+            assert lock.lower <= single.value and single.lower <= lock.value, t
+
+
+def test_cholesky_failure_stays_inside_its_solve(monkeypatch):
+    e, rfac = _generic_series_matrix()
+    npts = e.shape[0]
+    plain = capax.chebyshev.minimax_series(e, rfac)
+    linalg = capax.chebyshev.np.linalg
+    cholesky, qr = linalg.cholesky, linalg.qr
+    calls, qr_shapes = [], []
+
+    def second_fails(m):
+        # call 2 factors the second solve of the first window, in its first
+        # round; every other call factors as usual
+        calls.append(m.shape[0])
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(m)
+
+    def counted_qr(m, *args, **kwargs):
+        qr_shapes.append(m.shape)
+        return qr(m, *args, **kwargs)
+
+    windows = _record_windows(monkeypatch)
+    monkeypatch.setattr(linalg, "cholesky", second_fails)
+    monkeypatch.setattr(linalg, "qr", counted_qr)
+    patched = capax.chebyshev.minimax_series(e, rfac)
+    assert windows[0] >= 2
+    size = calls[1]
+    step = (size - 1) // 2  # a B prefix has full rank t, so its system is 2t + 1
+    # the block QR ran once, on that solve's three row blocks
+    assert qr_shapes == [(npts, size)] * 3 + [(3 * size, size)]
+    assert all(est.converged for est in patched)
+    for t, (p, q) in enumerate(zip(plain, patched), start=1):
+        if t != step:
+            assert abs(p.value - q.value) <= 1e-12, t
+
+
 def test_dependent_prefixes_match_least_squares():
     # w1^4 = w2^4 = 1 on the 4 x 4 torus, so those two targets lie in the span
     # of their prefixes, and every later prefix is rank deficient

@@ -219,6 +219,7 @@ def test_tdiam_json_carries_series_meta(capsys):
     assert 0 <= meta["irls_converged"] <= len(payload["m"]) * 6
     assert meta["irls_steps"] >= meta["irls_converged"]
     assert 0.0 <= meta["cheb_gap_max"] <= 1e-6
+    assert meta["cheb_uncertified"] == []
 
 
 def test_tdiam_lifts_the_set_through_the_map(map_file, capsys):

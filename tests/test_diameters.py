@@ -15,6 +15,7 @@ from capax import (
     telescoping_check,
     transfinite_diameter,
 )
+from capax.chebyshev import evaluate_monomials, minimax_from_matrix
 from conftest import random_generic_map
 
 
@@ -169,6 +170,23 @@ def test_telescoping_lower_bound_on_generic_lift():
     assert all(row.lower_ok for row in report.rows)
     assert series.meta["irls_converged"] == len(series.step_cheb) - 1
     assert 0.0 <= series.meta["cheb_gap_max"] <= 1e-6
+
+
+def test_series_meta_lists_uncertified_steps():
+    # the C matrix of this map is badly scaled, and some of its solves stop
+    # on a cone boundary before they certify
+    f = random_generic_map(random.Random(10), 2)
+    lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
+    series = transfinite_diameter(lift, "C", 3)
+    uncertified = series.meta["cheb_uncertified"]
+    assert uncertified
+    assert len(uncertified) == len(series.step_cheb) - 1 - series.meta["irls_converged"]
+    e = evaluate_monomials(series.ledger.monomials, lift)
+    rfac = np.linalg.qr(e, mode="r")
+    for t in range(1, e.shape[1]):
+        est = minimax_from_matrix(e[:, :t], e[:, t], rfac[: t + 1, : t + 1])
+        assert (t in uncertified) == (not est.converged), t
+    assert transfinite_diameter(lift, "B", 3).meta["cheb_uncertified"] == []
 
 
 def test_telescoping_on_truncated_ledger():
