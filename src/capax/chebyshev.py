@@ -6,38 +6,37 @@ its predecessors: min over coefficients c of max over sample points of
 second-order cone program min s subject to |b_i + (a c)_i| <= s, one
 three-dimensional cone (s, Re r_i, Im r_i) per point.
 
-A solve starts with the least-squares fit, whose root mean square residual
-is a lower bound; when that already certifies, the fit is the answer.  The
-fit is solved on the R factor of [a | b]: a diameter series factors its
-whole monomial matrix once, and each step's prefix and target are a leading
-block of that R.  The SVD of R's t x t block gives a's singular values, and
-those below sv[0] * max(N, t) * eps are cut, so a rank-deficient prefix gets
-the minimum-norm fit.  Otherwise a primal-dual interior-point method
-(Mehrotra predictor-corrector, Nesterov-Todd scaling) takes over from the
-fit.  It runs solves in lockstep: all steps of a series share the points,
-so each round does the per-cone algebra once, closed form on (B, 3, N)
-arrays over the B solves still running, and a solve leaves the stack when
-it stops.  A series passes the steps its fits leave uncertified, in order,
-in windows of consecutive steps whose in-flight bytes stay under
-_WINDOW_BYTES; a single minimax_from_matrix call is a window of one.  Only
-the Newton systems, each of its solve's own size, are formed one solve at a
-time, and never from the 3N x (2t + 1) scaled constraint matrix itself:
-with avc the conjugate of a V, each point's three cone rows act on avc_i
-through one 2 x 2 weight, so the d block of the Gram matrix is Y^T Y for
-the 2N x 2t real view Y of two complex N x t products of avc with
-per-point weights.  One matrix-vector product gives the s column, and
-Cholesky factors the result.  Only when that Gram matrix is not
-numerically positive definite, so Cholesky fails, is that solve's scaled
-constraint matrix built and factored by QR; the other solves of the round
-are not touched.  No solve's arithmetic depends on which others share its
-window.
+A diameter series orthonormalizes its monomial matrix once, column by
+column, by CGS2 (classical Gram-Schmidt, two passes per column); a column
+whose residual after both passes is at most _DEPENDENT of its norm is
+dependent and adds no basis column.  Step t then minimizes over the k
+orthonormal columns Q_k kept before it, which span its prefix, so the
+prefix's scaling stops mattering.  Its least-squares residual is the w_t
+that CGS2 formed: the sup norm of w_t bounds the minimax from above and its
+root mean square from below, with no solve at all; a dependent step's w_t
+is rounding, and it certifies at once.  A start that does not certify goes
+to a primal-dual interior-point method (Mehrotra predictor-corrector,
+Nesterov-Todd scaling), which runs solves in lockstep: all steps of a
+series share the points, so each round does the per-cone algebra once,
+closed form on (B, 3, N) arrays over the B solves still running, and a
+solve leaves the stack when it stops.  A series passes its uncertified
+steps, in order, in windows of consecutive steps whose stacked cone work
+stays under _WINDOW_BYTES; a single minimax_from_matrix call is a window of
+one.  Only the Newton systems are formed one solve at a time, on the view
+avc = conj(Q_k) of the one stored basis: each point's three cone rows act
+on avc_i through one 2 x 2 weight, so the d block of the Gram matrix is
+Y^T Y for the 2N x 2k real view Y of two complex N x k products of avc
+with per-point weights, and Cholesky factors it.  Only when Cholesky fails
+is that solve's scaled constraint matrix built and factored by QR.  No
+solve's arithmetic depends on which others share its window.
 
-Every estimate is a bracket.  value is the attained max |b + a c| at the
-returned coefficients, an upper bound.  lower is |y^H b| / ||y||_1 for the
-solver's dual vector y projected onto null(a^H): any such y gives
-|y^H b| = |y^H (b + a c)| <= ||y||_1 max |b + a c| for every c, so lower is
-a bound that holds whatever the solver's accuracy.  The solver settings are
-the module constants below.
+Every estimate is a bracket.  value is max |b + a c| at the solver's best
+c, formed on the basis as max |w_t + Q_k d|, an upper bound.  lower is
+|y^H b| / ||y||_1 for the solver's dual vector y projected onto null(a^H):
+any such y gives |y^H b| = |y^H (b + a c)| <= ||y||_1 max |b + a c| for
+every c, so lower is a bound whatever the solver's accuracy.  A solve is
+certified when value - lower <= MINIMAX_TOL * value.  The solver settings
+are the module constants below.
 """
 
 from __future__ import annotations
@@ -55,7 +54,8 @@ from .variety import MonomialBasisStream
 
 MINIMAX_TOL = 1e-8  # relative certificate gap at which a solve counts as converged
 MINIMAX_MAX_ITER = 50  # solver iterations per solve, the least-squares start included
-_WINDOW_BYTES = 3 << 20  # in-flight bytes of one lockstep window of interior-point solves
+_DEPENDENT = 1e-12  # a column whose CGS2 residual is at most this share of its norm is dependent
+_WINDOW_BYTES = 3 << 20  # stacked cone work of one lockstep window of interior-point solves
 _CONE_WORK = 48  # stacked cone work per point and solve, in complex numbers
 
 
@@ -81,9 +81,8 @@ def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.
 
 @dataclass
 class ChebyshevEstimate:
-    """A minimax solve: the minimax lies in [lower, value].
-
-    value is attained at coefficients; residual is value - lower.
+    """A minimax solve: the minimax lies in [lower, value], and residual is
+    value - lower.  minimax_from_matrix also returns the c that attains value.
     """
 
     value: float
@@ -95,121 +94,123 @@ class ChebyshevEstimate:
     coefficients: Optional[np.ndarray] = None
 
 
-def minimax_from_matrix(
-    a: np.ndarray, b: np.ndarray, rfac: Optional[np.ndarray] = None
-) -> ChebyshevEstimate:
-    """min_c max_i |b_i + (a c)_i| with a certified bracket [lower, value].
+def minimax_from_matrix(a: np.ndarray, b: np.ndarray) -> ChebyshevEstimate:
+    """min_c max_i |b_i + (a c)_i| with a certified bracket [lower, value]:
+    step t = a.shape[1] of [a | b], solved as minimax_series solves it.
 
-    rfac is the upper triangular R factor of [a | b], with t + 1 columns,
-    computed here when not given.  The least-squares start is
-    c = -R11^+ rfac[:t, t] on the block R11 = rfac[:t, :t]: a = Q R11 with Q
-    orthonormal, so R11 has a's singular values, and those at most
-    sv[0] * max(N, t) * eps are cut, as numpy's lstsq cuts them.  The fit's
-    residual b + a c is formed explicitly, so value is the attained sup norm.
-    A start that does not certify goes on to the interior point as a window
-    of one solve.
-
-    residual is value - lower; a solve has converged once it is at most
-    MINIMAX_TOL * max(1, value).  iterations counts the least-squares start
-    and the interior-point steps after it.
+    coefficients holds c, zero on the columns of a that CGS2 found
+    dependent, and value is max |b + a c| formed from it.  iterations counts
+    the least-squares start and the interior-point steps after it.
     """
-    npts, t = a.shape
+    t = a.shape[1]
     if t == 0:
         value = float(np.abs(b).max())
         return ChebyshevEstimate(
             value=value, lower=value, residual=0.0, iterations=0, converged=True
         )
-    if rfac is None:
-        rfac = np.linalg.qr(np.column_stack([a, b]), mode="r")
-    solve = _Solve(a, b, rfac)
+    basis = _Basis(np.column_stack([a, b]))
+    solve = _Solve(basis, t)
     if not solve.converged:
         _interior_point([solve])
-    return solve.estimate()
+    # a's kept columns are Q_k h[:k, kept], so a c = Q_k (d - h[:k, t])
+    k = len(solve.best)
+    kept = basis.kept[:k]
+    c = np.zeros(t, dtype=complex)
+    c[kept] = np.linalg.solve(basis.h[:k, kept], solve.best - basis.h[:k, t])
+    # value is what c attains on a itself; it differs from the basis value
+    # by rounding only
+    value = float(np.abs(b + a @ c).max())
+    lower = min(solve.lower, value)
+    return ChebyshevEstimate(
+        value, lower, value - lower, solve.iterations, solve.converged, coefficients=c
+    )
 
 
-def minimax_series(e: np.ndarray, rfac: np.ndarray) -> list[ChebyshevEstimate]:
+def minimax_series(e: np.ndarray) -> list[ChebyshevEstimate]:
     """The minimax of each column e[:, t], t >= 1, over the columns before it.
 
-    rfac is the R factor of e, and step t's least-squares start solves on its
-    leading (t + 1) x (t + 1) block, exactly as minimax_from_matrix does.
-    The steps whose start does not certify go, in order, through the
-    interior point in windows of consecutive steps.  A window's in-flight
-    state, each solve's N x t avc plus its share of the stacked cone work,
-    stays under _WINDOW_BYTES, with at least one solve per window.
+    The steps whose least-squares start does not certify go, in order,
+    through the interior point in windows of as many consecutive steps as
+    keep the stacked cone work under _WINDOW_BYTES, and at least one.
     """
     npts, m = e.shape
-    solves: list[_Solve] = []
-    window: list[_Solve] = []
-    nbytes = 0
-    for t in range(1, m):
-        solve = _Solve(e[:, :t], e[:, t], rfac[: t + 1, : t + 1])
-        solves.append(solve)
-        if solve.converged:
-            continue
-        size = 16 * npts * (t + _CONE_WORK)
-        if window and nbytes + size > _WINDOW_BYTES:
-            _interior_point(window)
-            window, nbytes = [], 0
-        window.append(solve)
-        nbytes += size
-    _interior_point(window)
-    return [solve.estimate() for solve in solves]
+    basis = _Basis(e)
+    solves = [_Solve(basis, t) for t in range(1, m)]
+    pending = [solve for solve in solves if not solve.converged]
+    per_window = max(1, _WINDOW_BYTES // (16 * npts * _CONE_WORK))
+    for i in range(0, len(pending), per_window):
+        _interior_point(pending[i : i + per_window])
+    return [
+        ChebyshevEstimate(x.upper, x.lower, x.upper - x.lower, x.iterations, x.converged)
+        for x in solves
+    ]
+
+
+class _Basis:
+    """CGS2 of e, column by column.  Column t's coefficients on the k_t =
+    rank[t] basis columns kept before it sum in h[:k_t, t] over both passes,
+    and w_t is what is left, with sup[t] = max |w_t| and norm[t] = ||w_t||.
+    An independent column adds basis column k_t = w_t / ||w_t|| with
+    h[k_t, t] = ||w_t||, so e[:, kept] = Q h[:, kept].  The basis is held as
+    qc = conj(Q), the form the interior point reads.
+    """
+
+    def __init__(self, e: np.ndarray) -> None:
+        npts, m = e.shape
+        # column-major, so each prefix Q_k is one contiguous block
+        self.qc = np.empty((m, npts), dtype=complex).T
+        self.h = np.zeros((m, m), dtype=complex)
+        self.kept: list[int] = []
+        self.rank = np.zeros(m + 1, dtype=int)
+        self.sup = np.empty(m)
+        self.norm = np.empty(m)
+        for t in range(m):
+            k = len(self.kept)
+            qc = self.qc[:, :k]
+            w = e[:, t]
+            for _ in range(2):
+                p = w @ qc  # Q^H w
+                w = w - (qc @ p.conj()).conj()
+                self.h[:k, t] += p
+            self.sup[t] = float(np.abs(w).max())
+            self.norm[t] = norm = float(np.linalg.norm(w))
+            if norm > _DEPENDENT * np.linalg.norm(e[:, t]):
+                self.qc[:, k] = w.conj() / norm
+                self.h[k, t] = norm
+                self.kept.append(t)
+            self.rank[t + 1] = len(self.kept)
 
 
 class _Solve:
-    """One minimax solve of b over the columns of a, from the least-squares
-    start on the block rfac of [a | b]'s R factor.
-
-    While _interior_point runs it, the solve also holds avc = conj(a V),
-    with a = U S V^H the thin SVD cut to a's numerical rank, the squared
-    singular values sv2, the interior-point coordinates d (c = V d) and the
-    inverse R factor of its current Newton system.
+    """Step t of a basis, min_d max |w_t + Q_k d|, from the least-squares
+    start d = 0; best keeps the best d found.  While _interior_point runs
+    it, the solve also holds b = w_t, avc = conj(Q_k) and the inverse R
+    factor of its current Newton system.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, rfac: np.ndarray) -> None:
-        npts, t = a.shape
-        u, sv, vh = np.linalg.svd(rfac[:t, :t], full_matrices=False)
-        k = int((sv > sv[0] * max(npts, t) * np.finfo(float).eps).sum())
-        self.a, self.b = a, b
-        self.c = vh[:k].conj().T @ ((u[:, :k].conj().T @ -rfac[:t, t]) / sv[:k])
-        mags = np.abs(b + a @ self.c)
-        self.upper = float(mags.max())
-        self.lower = min(float(np.sqrt(np.mean(mags**2))), self.upper)
+    def __init__(self, basis: _Basis, t: int) -> None:
+        self.basis, self.t = basis, t
+        self.dependent = bool(basis.rank[t + 1] == basis.rank[t])
+        self.d = self.best = np.zeros(basis.rank[t], dtype=complex)
+        self.upper = float(basis.sup[t])
+        self.lower = min(float(basis.norm[t]) / math.sqrt(len(basis.qc)), self.upper)
         self.iterations = 1
 
     @property
     def converged(self) -> bool:
-        return self.upper - self.lower <= MINIMAX_TOL * max(1.0, self.upper)
-
-    def estimate(self) -> ChebyshevEstimate:
-        return ChebyshevEstimate(
-            value=self.upper,
-            lower=self.lower,
-            residual=self.upper - self.lower,
-            iterations=self.iterations,
-            converged=self.converged,
-            coefficients=self.c,
-        )
+        return self.dependent or self.upper - self.lower <= MINIMAX_TOL * self.upper
 
     def begin(self) -> np.ndarray:
-        """Set up the interior-point basis; returns the residual b + a c."""
-        u, sv, vh = np.linalg.svd(self.a, full_matrices=False)
-        t = int((sv > sv[0] * max(self.a.shape) * np.finfo(float).eps).sum())
-        self.avc = (u[:, :t] * sv[:t]).conj()
-        self.sv2 = sv[:t] ** 2
-        self.vhc = vh[:t].conj()
-        self.d = vh[:t] @ self.c
-        return self.b + self.a @ self.c
-
-    def end(self) -> None:
-        """Drop the interior-point state; the bracket and c stay."""
-        self.avc = self.sv2 = self.vhc = self.d = self.rinv = None
+        """Set up the interior-point state; returns the start's residual w_t."""
+        self.avc = self.basis.qc[:, : len(self.d)]
+        self.b = self.basis.qc[:, len(self.d)].conj() * self.basis.norm[self.t]
+        return self.b
 
     def factor(
         self, gc: np.ndarray, g: np.ndarray, omega: np.ndarray, sg: np.ndarray, gss: float
     ) -> None:
         """Keep R^-1 for the Newton system R^T R = G^T W^-2 G, from the
-        complex a V and per-point weights instead of W^-1 G itself.
+        basis view avc and per-point weights instead of W^-1 G itself.
 
         Row (k, i) of W^-1 G is the (re, im) pairs of gc_ki avc_i followed by
         g_ki, so the d block of the Gram matrix sums, per point, the 2 x 2
@@ -225,7 +226,7 @@ class _Solve:
         """
         avc = self.avc
         npts, t = avc.shape
-        y = (omega[:, :, None] * avc).view(float).reshape(2 * npts, 2 * t)
+        y = np.multiply(omega[:, :, None], avc, order="C").view(float).reshape(2 * npts, 2 * t)
         gram = np.empty((2 * t + 1, 2 * t + 1))
         gram[:-1, :-1] = y.T @ y
         gram[:-1, -1] = gram[-1, :-1] = (sg @ avc).view(float)
@@ -252,14 +253,13 @@ class _Solve:
     def advance(self, alpha: float, dd: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Step d by alpha dd, then tighten the bracket: upper from the new
         residual, lower from the dual y; returns the new residual."""
-        self.d += alpha * dd
-        c = self.d @ self.vhc
-        r = self.b + self.a @ c
+        self.d = self.d + alpha * dd
+        r = self.b + (self.avc @ self.d.conj()).conj()
         value = float(np.abs(r).max())
         if value < self.upper:
-            self.upper, self.c = value, c
-        # project y onto null(a^H): U = conj(avc) / sv spans a's columns
-        y = y - (self.avc @ ((y @ self.avc) / self.sv2).conj()).conj()
+            self.upper, self.best = value, self.d
+        # project y onto null(Q_k^H)
+        y = y - (self.avc @ (y @ self.avc).conj()).conj()
         norm = float(np.abs(y).sum())
         if norm > 0:
             self.lower = max(self.lower, abs(complex(np.vdot(y, self.b))) / norm)
@@ -308,18 +308,15 @@ def _step_to_boundary(
 
 def _interior_point(solves: list[_Solve]) -> None:
     """Primal-dual interior-point solves in lockstep, each started from its
-    least-squares fit c.
+    least-squares fit d = 0 on its orthonormal basis columns Q_k.
 
-    A solve runs on a V = U S, with a = U S V^H the thin SVD cut to the
-    numerical rank of a, so its columns are independent even when a's are
-    not; c = V d.  Primal: x = (Re d_1, Im d_1, ..., Re d_t, Im d_t, s),
-    minimize s with the cone slacks (s, Re r_i, Im r_i), r = b + a c; so
-    G x = -(s, Re (a V d)_i, Im (a V d)_i) per cone.  Dual: z_i = (z0_i,
-    Re y_i, Im y_i) in the cones with sum z0 = 1 and U^H y = 0; its objective
-    -Re(b^H y) is at most the minimax.  The fit residual is orthogonal to the
-    columns of a, so s = 2 max |r| and z_i = (s, -r_i) / (N s) start both
-    strictly feasible.  Each solve keeps the best of its upper and lower
-    bounds.
+    Primal: x = (Re d_1, Im d_1, ..., Re d_k, Im d_k, s), minimize s with
+    the cone slacks (s, Re r_i, Im r_i), r = b + Q_k d; so
+    G x = -(s, Re (Q_k d)_i, Im (Q_k d)_i) per cone.  Dual: z_i = (z0_i,
+    Re y_i, Im y_i) in the cones with sum z0 = 1 and Q_k^H y = 0; its
+    objective -Re(b^H y) is at most the minimax.  b is orthogonal to Q_k, so
+    s = 2 max |b| and z_i = (s, -b_i) / (N s) start both strictly feasible.
+    Each solve keeps the best of its upper and lower bounds.
 
     All solves share the points, so each round runs the per-cone algebra
     once on (B, 3, N) stacks over the solves still running; only the Newton
@@ -328,10 +325,8 @@ def _interior_point(solves: list[_Solve]) -> None:
     its iterate on a cone boundary, or when its step vanishes.
     """
     live = list(solves)
-    if not live:
-        return
-    npts = len(live[0].b)
     r = np.array([solve.begin() for solve in live])
+    npts = r.shape[1]
     s = np.array([2.0 * solve.upper for solve in live])
     z = np.empty((len(live), 3, npts))
     z[:, 0] = 1.0 / npts
@@ -371,7 +366,7 @@ def _interior_point(solves: list[_Solve]) -> None:
         ) / (sb[:, 0] + zb[:, 0] + 2.0 * gam)[:, None]
         lam *= np.sqrt(det)[:, None]
         # W^-1 = ibeta J (2 v v^T J - I) applied to G: cone row k of point i
-        # takes x to Re(gamma_ki (a V d)_i) + g_ki s, and gc = conj(gamma)
+        # takes x to Re(gamma_ki (Q_k d)_i) + g_ki s, and gc = conj(gamma)
         ib = ibeta[:, None] * _J
         gc = ib * (2.0 * (v[:, 1] + 1j * v[:, 2])[:, None] * v + _SHIFT)
         g = ib * (_E - 2.0 * v[:, :1] * v)
@@ -430,8 +425,8 @@ def _interior_point(solves: list[_Solve]) -> None:
         z = z + (alpha[:, None] * ibeta)[:, None] * _J * (2.0 * v * _jdot(v, dz)[:, None] - dz)
         y = z[:, 1] + 1j * z[:, 2]
         r = np.array([solve.advance(*step) for solve, *step in zip(live, alpha, dd, y)])
-    for solve in solves:
-        solve.end()
+    for solve in solves:  # the bracket and best stay
+        solve.avc = solve.b = solve.rinv = None
 
 
 def chebyshev_value(

@@ -105,7 +105,7 @@ class RunConfig:
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None:
+            if value is None or f.name == "out":
                 continue
             out[f.name] = list(value) if isinstance(value, tuple) else value
         out["format"] = self.resolved_format()

@@ -64,33 +64,35 @@ def greedy_fekete(
 def _greedy_select(
     points: SampledSet, monomials: list[Monomial], values: np.ndarray
 ) -> VandermondeLedger:
-    """Greedy Fekete selection on values, the (points, monomials) matrix;
-    values is left unchanged."""
+    """Greedy Fekete selection on values, the (points, monomials) matrix:
+    LU with row pivoting, the largest available |value| of each eliminated
+    column taken, ties to the earliest point; values is left unchanged."""
     n = len(monomials)
     npts = len(points)
     if npts < n:
         raise EstimateError(f"set has {npts} points, fewer than n = {n}")
-    e = values.copy()
+    # left-looking (Crout): column t of the Schur complement is e_t less the
+    # multiplier columns low of the steps taken times u, u from the
+    # triangular solve on their selected rows; rows already taken are zero
+    # in it.  low is column-major, so each of its prefixes is one block
+    low = np.zeros((n, npts), dtype=complex).T
     avail = np.ones(npts, dtype=bool)
     selected: list[int] = []
     step_logs = np.full(n, NEG_INF)
     truncated = False
     for t in range(n):
-        col = np.abs(e[:, t])
-        col[~avail] = -1.0
-        idx = int(np.argmax(col))
-        pivot = e[idx, t]
+        u = np.linalg.solve(low[selected, :t], values[selected, t])
+        col = values[:, t] - low[:, :t] @ u
+        col[~avail] = 0.0
+        idx = int(np.argmax(np.abs(col)))
+        pivot = col[idx]
         if abs(pivot) <= 1e-300:
             truncated = True
             break
         selected.append(idx)
         avail[idx] = False
         step_logs[t] = math.log(abs(pivot))
-        if t + 1 < n:
-            # every row is updated in place, which needs one temporary instead
-            # of the two a masked update takes; rows already taken are never
-            # read again
-            e[:, t + 1 :] -= np.outer(e[:, t] / pivot, e[idx, t + 1 :])
+        low[:, t] = col / pivot
     return VandermondeLedger(
         monomials=monomials,
         selected=selected,
@@ -155,10 +157,7 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
         "cheb_uncertified": [],
     }
     y[0] = float(np.abs(e[:, 0]).max())
-    # the R factor of each prefix [e[:, :t] | e[:, t]] is a leading block of
-    # this one, so every step's least-squares start solves on a small block
-    rfac = np.linalg.qr(e, mode="r")
-    for t, est in enumerate(minimax_series(e, rfac), start=1):
+    for t, est in enumerate(minimax_series(e), start=1):
         y[t] = est.value
         estimates_meta["irls_converged"] += int(est.converged)
         estimates_meta["irls_steps"] += est.iterations

@@ -234,39 +234,47 @@ def test_newton_certifies_a_generic_series():
     assert series.meta["irls_steps"] <= 302
 
 
+def test_certified_series_gap_is_relative():
+    # every step of this series is below 1, where a gap of MINIMAX_TOL *
+    # max(1, value) would pass relative gaps above MINIMAX_TOL
+    f = random_generic_map(random.Random(1), 2)
+    lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
+    series = transfinite_diameter(lift, "B", 3)
+    assert series.meta["irls_converged"] == len(series.step_cheb) - 1
+    assert series.meta["cheb_gap_max"] <= MINIMAX_TOL
+
+
 def test_series_factors_its_matrix_once(monkeypatch):
     f = random_generic_map(random.Random(11), 2)
     lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
     linalg = capax.chebyshev.np.linalg
-    lstsq, qr = linalg.lstsq, linalg.qr
-    lstsq_calls, qr_shapes = [], []
+    calls = []
 
-    def counted_lstsq(*args, **kwargs):
-        lstsq_calls.append(1)
-        return lstsq(*args, **kwargs)
+    def counted(name):
+        real = getattr(linalg, name)
 
-    def counted_qr(m, *args, **kwargs):
-        qr_shapes.append(m.shape)
-        return qr(m, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "lstsq", counted_lstsq)
-    monkeypatch.setattr(linalg, "qr", counted_qr)
+        return wrapper
+
+    for name in ("lstsq", "qr", "svd"):
+        monkeypatch.setattr(linalg, name, counted(name))
     series = transfinite_diameter(lift, "B", 3)
     assert series.step_cheb.shape == (28,)
-    assert not lstsq_calls
-    # the series matrix is factored once, and Cholesky never fails here, so
-    # the interior point's block QR never runs
-    assert qr_shapes == [(256, 28)]
+    assert series.meta["irls_steps"] > len(series.step_cheb) - 1
+    # the series is orthonormalized by CGS2, and Cholesky never fails here,
+    # so the interior point's block QR never runs
+    assert calls == []
 
 
 def _generic_series_matrix():
-    """The monomial matrix and R factor of the B series at n = 3 of the
-    Random(11) generic map on the 8 x 8 torus, as transfinite_diameter
-    builds them."""
+    """The monomial matrix of the B series at n = 3 of the Random(11)
+    generic map on the 8 x 8 torus, as transfinite_diameter builds it."""
     f = random_generic_map(random.Random(11), 2)
     lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
-    e = evaluate_monomials(basis_stream(f, "B").upto(3 * f.d), lift)
-    return e, np.linalg.qr(e, mode="r")
+    return evaluate_monomials(basis_stream(f, "B").upto(3 * f.d), lift)
 
 
 def _record_windows(monkeypatch):
@@ -283,9 +291,9 @@ def _record_windows(monkeypatch):
 
 
 def test_series_lockstep_matches_single_solves(monkeypatch):
-    e, rfac = _generic_series_matrix()
+    e = _generic_series_matrix()
     npts, m = e.shape
-    singles = [minimax_from_matrix(e[:, :t], e[:, t], rfac[: t + 1, : t + 1]) for t in range(1, m)]
+    singles = [minimax_from_matrix(e[:, :t], e[:, t]) for t in range(1, m)]
     solved = sum(est.iterations > 1 for est in singles)
     assert solved >= 6
     windows = _record_windows(monkeypatch)
@@ -294,7 +302,7 @@ def test_series_lockstep_matches_single_solves(monkeypatch):
     for budget in (small, 1 << 40):
         monkeypatch.setattr(capax.chebyshev, "_WINDOW_BYTES", budget)
         windows.clear()
-        series = capax.chebyshev.minimax_series(e, rfac)
+        series = capax.chebyshev.minimax_series(e)
         assert sum(windows) == solved
         if budget == small:
             assert len(windows) >= 3 and max(windows) > 1
@@ -308,9 +316,9 @@ def test_series_lockstep_matches_single_solves(monkeypatch):
 
 
 def test_cholesky_failure_stays_inside_its_solve(monkeypatch):
-    e, rfac = _generic_series_matrix()
+    e = _generic_series_matrix()
     npts = e.shape[0]
-    plain = capax.chebyshev.minimax_series(e, rfac)
+    plain = capax.chebyshev.minimax_series(e)
     linalg = capax.chebyshev.np.linalg
     cholesky, qr = linalg.cholesky, linalg.qr
     calls, qr_shapes = [], []
@@ -330,7 +338,7 @@ def test_cholesky_failure_stays_inside_its_solve(monkeypatch):
     windows = _record_windows(monkeypatch)
     monkeypatch.setattr(linalg, "cholesky", second_fails)
     monkeypatch.setattr(linalg, "qr", counted_qr)
-    patched = capax.chebyshev.minimax_series(e, rfac)
+    patched = capax.chebyshev.minimax_series(e)
     assert windows[0] >= 2
     size = calls[1]
     step = (size - 1) // 2  # a B prefix has full rank t, so its system is 2t + 1

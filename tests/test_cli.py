@@ -290,6 +290,14 @@ def test_determinism_byte_identical(map_file, capsys):
     assert first == second
 
 
+def test_report_bytes_do_not_depend_on_out_path(tmp_path, capsys):
+    argv = ["tdiam", "--set", "torus:1,1", "--basis", "w", "--nmax", "2", "--mesh", "8,8"]
+    paths = [tmp_path / "tdiam-1.json", tmp_path / "tdiam-2.json"]
+    for path in paths:
+        assert main(argv + ["--format", "json", "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 
