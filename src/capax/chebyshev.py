@@ -30,20 +30,22 @@ with per-point weights, and Cholesky factors it.  Only when Cholesky fails
 is that solve's scaled constraint matrix built and factored by QR.  No
 solve's arithmetic depends on which others share its window.
 
-Every estimate is a bracket.  value is max |b + a c| at the solver's best
-c, formed on the basis as max |w_t + Q_k d|, an upper bound.  lower is
-|y^H b| / ||y||_1 for the solver's dual vector y projected onto null(a^H):
-any such y gives |y^H b| = |y^H (b + a c)| <= ||y||_1 max |b + a c| for
-every c, so lower is a bound whatever the solver's accuracy.  A solve is
-certified when value - lower <= MINIMAX_TOL * value.  The solver settings
-are the module constants below.
+Every estimate is a bracket, the same for a step whether a series or a
+single call solves it.  value is the basis value, the least
+max |w_t + Q_k d| over the solver's iterates d, an upper bound since each
+w_t + Q_k d is some b + a c.  lower is |y^H w_t| / ||y||_1 for the solver's
+dual vector y projected onto null(Q_k^H) = null(a^H): any such y gives
+|y^H w_t| = |y^H (b + a c)| <= ||y||_1 max |b + a c| for every c, so lower
+is a bound whatever the solver's accuracy.  A solve is certified when
+value - lower <= MINIMAX_TOL * value.  The solver settings are the module
+constants below.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,49 +83,32 @@ def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.
 
 @dataclass
 class ChebyshevEstimate:
-    """A minimax solve: the minimax lies in [lower, value], and residual is
-    value - lower.  minimax_from_matrix also returns the c that attains value.
-    """
+    """Step prefix_size of a series: the minimax of a target over its
+    prefix_size predecessors lies in [lower, value]."""
 
     value: float
     lower: float
-    residual: float
     iterations: int
     converged: bool
-    prefix_size: int = 0
-    coefficients: Optional[np.ndarray] = None
+    prefix_size: int
+
+    @property
+    def residual(self) -> float:
+        return self.value - self.lower
 
 
 def minimax_from_matrix(a: np.ndarray, b: np.ndarray) -> ChebyshevEstimate:
     """min_c max_i |b_i + (a c)_i| with a certified bracket [lower, value]:
-    step t = a.shape[1] of [a | b], solved as minimax_series solves it.
-
-    coefficients holds c, zero on the columns of a that CGS2 found
-    dependent, and value is max |b + a c| formed from it.  iterations counts
-    the least-squares start and the interior-point steps after it.
-    """
+    step t = a.shape[1] of [a | b], as minimax_series returns it; iterations
+    counts the least-squares start and the interior-point steps after it."""
     t = a.shape[1]
     if t == 0:
         value = float(np.abs(b).max())
-        return ChebyshevEstimate(
-            value=value, lower=value, residual=0.0, iterations=0, converged=True
-        )
-    basis = _Basis(np.column_stack([a, b]))
-    solve = _Solve(basis, t)
+        return ChebyshevEstimate(value, value, 0, True, 0)
+    solve = _Solve(_Basis(np.column_stack([a, b])), t)
     if not solve.converged:
         _interior_point([solve])
-    # a's kept columns are Q_k h[:k, kept], so a c = Q_k (d - h[:k, t])
-    k = len(solve.best)
-    kept = basis.kept[:k]
-    c = np.zeros(t, dtype=complex)
-    c[kept] = np.linalg.solve(basis.h[:k, kept], solve.best - basis.h[:k, t])
-    # value is what c attains on a itself; it differs from the basis value
-    # by rounding only
-    value = float(np.abs(b + a @ c).max())
-    lower = min(solve.lower, value)
-    return ChebyshevEstimate(
-        value, lower, value - lower, solve.iterations, solve.converged, coefficients=c
-    )
+    return solve.estimate()
 
 
 def minimax_series(e: np.ndarray) -> list[ChebyshevEstimate]:
@@ -140,18 +125,14 @@ def minimax_series(e: np.ndarray) -> list[ChebyshevEstimate]:
     per_window = max(1, _WINDOW_BYTES // (16 * npts * _CONE_WORK))
     for i in range(0, len(pending), per_window):
         _interior_point(pending[i : i + per_window])
-    return [
-        ChebyshevEstimate(x.upper, x.lower, x.upper - x.lower, x.iterations, x.converged)
-        for x in solves
-    ]
+    return [solve.estimate() for solve in solves]
 
 
 class _Basis:
-    """CGS2 of e, column by column.  Column t's coefficients on the k_t =
-    rank[t] basis columns kept before it sum in h[:k_t, t] over both passes,
-    and w_t is what is left, with sup[t] = max |w_t| and norm[t] = ||w_t||.
-    An independent column adds basis column k_t = w_t / ||w_t|| with
-    h[k_t, t] = ||w_t||, so e[:, kept] = Q h[:, kept].  The basis is held as
+    """CGS2 of e, column by column.  Column t less its projections onto the
+    k_t = rank[t] basis columns kept before it, over both passes, is w_t,
+    with sup[t] = max |w_t| and norm[t] = ||w_t||; an independent column
+    adds basis column k_t = w_t / ||w_t||.  The basis is held as
     qc = conj(Q), the form the interior point reads.
     """
 
@@ -159,39 +140,34 @@ class _Basis:
         npts, m = e.shape
         # column-major, so each prefix Q_k is one contiguous block
         self.qc = np.empty((m, npts), dtype=complex).T
-        self.h = np.zeros((m, m), dtype=complex)
-        self.kept: list[int] = []
         self.rank = np.zeros(m + 1, dtype=int)
         self.sup = np.empty(m)
         self.norm = np.empty(m)
+        k = 0
         for t in range(m):
-            k = len(self.kept)
             qc = self.qc[:, :k]
             w = e[:, t]
             for _ in range(2):
-                p = w @ qc  # Q^H w
-                w = w - (qc @ p.conj()).conj()
-                self.h[:k, t] += p
+                w = w - (qc @ (w @ qc).conj()).conj()  # w - Q Q^H w
             self.sup[t] = float(np.abs(w).max())
             self.norm[t] = norm = float(np.linalg.norm(w))
             if norm > _DEPENDENT * np.linalg.norm(e[:, t]):
                 self.qc[:, k] = w.conj() / norm
-                self.h[k, t] = norm
-                self.kept.append(t)
-            self.rank[t + 1] = len(self.kept)
+                k += 1
+            self.rank[t + 1] = k
 
 
 class _Solve:
     """Step t of a basis, min_d max |w_t + Q_k d|, from the least-squares
-    start d = 0; best keeps the best d found.  While _interior_point runs
-    it, the solve also holds b = w_t, avc = conj(Q_k) and the inverse R
-    factor of its current Newton system.
+    start d = 0; upper is the least max |w_t + Q_k d| met on the way.  While
+    _interior_point runs it, the solve also holds b = w_t, avc = conj(Q_k)
+    and the inverse R factor of its current Newton system.
     """
 
     def __init__(self, basis: _Basis, t: int) -> None:
         self.basis, self.t = basis, t
         self.dependent = bool(basis.rank[t + 1] == basis.rank[t])
-        self.d = self.best = np.zeros(basis.rank[t], dtype=complex)
+        self.d = np.zeros(basis.rank[t], dtype=complex)
         self.upper = float(basis.sup[t])
         self.lower = min(float(basis.norm[t]) / math.sqrt(len(basis.qc)), self.upper)
         self.iterations = 1
@@ -199,6 +175,9 @@ class _Solve:
     @property
     def converged(self) -> bool:
         return self.dependent or self.upper - self.lower <= MINIMAX_TOL * self.upper
+
+    def estimate(self) -> ChebyshevEstimate:
+        return ChebyshevEstimate(self.upper, self.lower, self.iterations, self.converged, self.t)
 
     def begin(self) -> np.ndarray:
         """Set up the interior-point state; returns the start's residual w_t."""
@@ -256,8 +235,7 @@ class _Solve:
         self.d = self.d + alpha * dd
         r = self.b + (self.avc @ self.d.conj()).conj()
         value = float(np.abs(r).max())
-        if value < self.upper:
-            self.upper, self.best = value, self.d
+        self.upper = min(self.upper, value)
         # project y onto null(Q_k^H)
         y = y - (self.avc @ (y @ self.avc).conj()).conj()
         norm = float(np.abs(y).sum())
@@ -425,7 +403,7 @@ def _interior_point(solves: list[_Solve]) -> None:
         z = z + (alpha[:, None] * ibeta)[:, None] * _J * (2.0 * v * _jdot(v, dz)[:, None] - dz)
         y = z[:, 1] + 1j * z[:, 2]
         r = np.array([solve.advance(*step) for solve, *step in zip(live, alpha, dd, y)])
-    for solve in solves:  # the bracket and best stay
+    for solve in solves:  # the bracket stays
         solve.avc = solve.b = solve.rinv = None
 
 
@@ -435,9 +413,7 @@ def chebyshev_value(
     """Discrete Chebyshev value of a stream monomial over its stream prefix."""
     prefix = stream.prefix_of(target)
     matrix = evaluate_monomials(prefix + [target], points)
-    est = minimax_from_matrix(matrix[:, : len(prefix)], matrix[:, len(prefix)])
-    est.prefix_size = len(prefix)
-    return est
+    return minimax_from_matrix(matrix[:, : len(prefix)], matrix[:, len(prefix)])
 
 
 def direction_exponent(theta: float, s: int) -> tuple[int, int]:

@@ -229,7 +229,9 @@ def _emit(cfg: RunConfig, payload: dict, csv_rows: Optional[tuple[list[str], lis
     try:
         if cfg.resolved_format() == "csv":
             header, rows = csv_rows
-            out.write("# config " + json.dumps(payload["config"], sort_keys=True) + "\n")
+            for key in ("config", "meta"):
+                if key in payload:
+                    out.write(f"# {key} " + json.dumps(payload[key], sort_keys=True) + "\n")
             out.write(",".join(header) + "\n")
             for row in rows:
                 out.write(

@@ -104,6 +104,7 @@ def test_minimax_empty_prefix_is_sup_norm():
     assert est.value == 3.0
     assert est.lower == 3.0
     assert est.converged
+    assert est.prefix_size == 0
 
 
 def test_minimax_constant_shift():
@@ -112,7 +113,6 @@ def test_minimax_constant_shift():
     est = minimax_from_matrix(np.ones((9, 1), dtype=complex), x)
     assert est.converged
     assert abs(est.value - 2.0) < 1e-9
-    assert abs(est.coefficients[0]) < 1e-9
 
 
 def test_minimax_degree_two_on_interval():
@@ -124,7 +124,6 @@ def test_minimax_degree_two_on_interval():
         est = minimax_from_matrix(a, x**2)
         assert est.converged
         assert abs(est.value - 0.5) < 1e-6
-        assert abs(est.coefficients[0] + 0.5) < 1e-2
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,8 +140,6 @@ def test_minimax_bracket_on_random_complex_data(seed, t, extra):
     est = minimax_from_matrix(a, b)
     assert est.lower <= est.value
     assert est.residual == est.value - est.lower
-    attained = float(np.abs(b + a @ est.coefficients).max())
-    assert math.isclose(est.value, attained, rel_tol=1e-14)
     # c = 0 and the least-squares fit are admissible, so the minimax is below
     # their sup norms; value is within the certified gap of the minimax
     c_ls = np.linalg.lstsq(a, -b, rcond=None)[0]
@@ -311,6 +308,7 @@ def test_series_lockstep_matches_single_solves(monkeypatch):
         for t, (lock, single) in enumerate(zip(series, singles), start=1):
             assert lock.iterations == single.iterations, t
             assert lock.converged == single.converged, t
+            assert lock.prefix_size == single.prefix_size == t, t
             assert math.isclose(lock.value, single.value, rel_tol=1e-9), t
             assert lock.lower <= single.value and single.lower <= lock.value, t
 

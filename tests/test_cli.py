@@ -174,11 +174,18 @@ def test_tdiam_csv_default_format(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("# config ")
-    assert lines[1] == "n,m_n,l_n,logVan,estimate"
-    assert len(lines) == 4
+    assert lines[1].startswith("# meta ")
+    assert lines[2] == "n,m_n,l_n,logVan,estimate"
+    assert len(lines) == 5
     cfg = json.loads(lines[0][len("# config ") :])
     assert cfg["command"] == "tdiam"
     assert cfg["mesh"] == [8, 8]
+    code, payload = run_json(
+        capsys,
+        ["tdiam", "--set", "torus:1,1", "--basis", "w", "--nmax", "2", "--mesh", "8,8", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(lines[1][len("# meta ") :]) == payload["meta"]
 
 
 def test_pullback_squares(map_file, capsys):

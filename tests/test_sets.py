@@ -215,6 +215,15 @@ def test_graph_lift_matches_per_point_fibers(case):
     assert np.abs(lifted.z - per_point).max() <= 1e-12 * max(1.0, np.abs(per_point).max())
     assert lifted.meta["near_discriminant_fibers"] == sum(r.near_discriminant for r in fibers)
     assert lifted.meta["roots_missing"] == sum(r.defect for r in fibers)
+    # the batches are independent to the last bit: the order of the lifted
+    # points follows the eigenvalue order, which one bit can flip
+    k = len(base) // 2 + 3
+    assert k % FIBER_CHUNK  # the halves split a batch
+    halves = [graph_lift(f, SampledSet(w=w)) for w in (base.w[:k], base.w[k:])]
+    assert np.array_equal(np.concatenate([h.w for h in halves]), lifted.w)
+    assert np.array_equal(np.concatenate([h.z for h in halves]), lifted.z)
+    for key in ("roots_missing", "near_discriminant_fibers"):
+        assert sum(h.meta[key] for h in halves) == lifted.meta[key]
 
 
 @pytest.mark.parametrize("case", sorted(LIFT_CASES))
