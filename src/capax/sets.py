@@ -10,7 +10,11 @@ per map eliminates z1 through Sylvester determinants sampled on a circle
 roots from stacked companion matrices, back-substitutes, runs Newton on every
 candidate at once, and then certifies each fiber on its own: residuals, root
 dedupe, and the near-discriminant flag.  fiber, graph_lift and
-fiber_average_poly all go through it, FIBER_CHUNK base points at a time.
+fiber_average_poly all go through it, in one pass over all their base points.
+Only the two stacks that grow with points times work, the sampled Sylvester
+matrices and the Horner evaluation stack, are built in slices of at most
+_FIBER_BYTES; every step is elementwise or per matrix, so the slicing never
+changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ DUPLICATE_TOL = 1e-12
 FIBER_RESIDUAL_TOL = 1e-9
 NEAR_DISCRIMINANT_TOL = 1e-6
 ROOT_DEDUPE_TOL = 1e-8
-FIBER_CHUNK = 16  # base points per batched solve; bounds the Sylvester tensor
+_FIBER_BYTES = 1 << 20  # one slice of the sampled Sylvester stack or of the Horner stack
 
 
 @dataclass(frozen=True)
@@ -197,10 +201,15 @@ def _poly_coeff_grid(p: Polynomial) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, x) -> np.ndarray:
-    """sum_k coeffs[..., k] * x**k, with x broadcasting against coeffs[..., 0]."""
+    """sum_k coeffs[..., k] * x**k, with x broadcasting against coeffs[..., 0].
+
+    The sum is built in place, so an evaluation holds one array of the
+    broadcast shape and not three.
+    """
     acc = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], np.shape(x)), dtype=complex)
     for k in range(coeffs.shape[-1] - 1, -1, -1):
-        acc = acc * x + coeffs[..., k]
+        acc *= x
+        acc += coeffs[..., k]
     return acc
 
 
@@ -241,14 +250,18 @@ def _greedy_distinct(values: np.ndarray, valid: np.ndarray, tol: float) -> tuple
 
     values has shape (rows, k, coords); the distance is the sum of coordinate
     gaps and the tolerance scales with 1 + the earlier entry's magnitudes.
-    Returns the kept mask and the (rows, k, k) distance table.
+    Returns the kept mask and, per row, the least distance between two kept
+    entries (inf when fewer than two are kept).
     """
-    gap = np.abs(values[:, :, None, :] - values[:, None, :, :]).sum(axis=-1)
-    close = gap <= tol * (1 + np.abs(values).sum(axis=-1))[:, None, :]
+    tols = tol * (1 + np.abs(values).sum(axis=-1))
     keep = np.zeros_like(valid)
+    sep = np.full(len(values), np.inf)
     for k in range(values.shape[1]):
-        keep[:, k] = valid[:, k] & ~(close[:, k, :k] & keep[:, :k]).any(axis=1)
-    return keep, gap
+        gap = np.abs(values[:, k, None, :] - values[:, :k, :]).sum(axis=-1)
+        keep[:, k] = valid[:, k] & ~((gap <= tols[:, :k]) & keep[:, :k]).any(axis=1)
+        pairs = keep[:, k, None] & keep[:, :k]
+        sep = np.minimum(sep, np.where(pairs, gap, np.inf).min(axis=1, initial=np.inf))
+    return keep, sep
 
 
 @dataclass
@@ -318,17 +331,6 @@ class _FiberSolver:
             m_samples = 1 << max(4, math.ceil(math.log2(2 * degree_cap)))
             self.samples = np.exp(2j * np.pi * np.arange(m_samples) / m_samples)
 
-    def solve(self, w: np.ndarray) -> _FiberBatch:
-        """Fibers over the rows of w, FIBER_CHUNK base points at a time."""
-        parts = [self._solve_chunk(w[s : s + FIBER_CHUNK]) for s in range(0, len(w), FIBER_CHUNK)]
-        return _FiberBatch(
-            z=np.concatenate([p.z for p in parts]),
-            residuals=np.concatenate([p.residuals for p in parts]),
-            counts=np.concatenate([p.counts for p in parts]),
-            near=np.concatenate([p.near for p in parts]),
-            errors={s * FIBER_CHUNK + i: msg for s, p in enumerate(parts) for i, msg in p.errors.items()},
-        )
-
     def _shifted(self, k: int, w: np.ndarray) -> np.ndarray:
         """Grids of f_k - w_k, one per value in w, stacked."""
         grids = np.repeat((self.g1, self.g2)[k][None], len(w), axis=0)
@@ -346,10 +348,16 @@ class _FiberSolver:
             for i in np.nonzero(lengths == 1)[0]:
                 errors[int(i)] = "degenerate fiber: a component reduced to a constant"
         else:
-            a, b = (_z1_coefficients(self._shifted(k, w[:, k])[:, None], self.samples[None]) for k in (0, 1))
+            size = n1 + n2
+            step = max(1, _FIBER_BYTES // (16 * len(self.samples) * size * size))
+            dets = np.empty((len(w), len(self.samples)), dtype=complex)
+            for s in range(0, len(w), step):
+                ws = w[s : s + step]
+                a, b = (_z1_coefficients(self._shifted(k, ws[:, k])[:, None], self.samples[None]) for k in (0, 1))
+                dets[s : s + step] = np.linalg.det(_sylvester_stack(a, b))
             # samples run counterclockwise, so the forward transform reads off
             # the coefficients; ifft would hand them back reversed
-            elim = np.fft.fft(np.linalg.det(_sylvester_stack(a, b)), axis=1) / len(self.samples)
+            elim = np.fft.fft(dets, axis=1) / len(self.samples)
             lengths = _trimmed_lengths(elim, 1e-11)
             vanished = np.abs(elim).max(axis=1) <= 1e-300
             for i in np.nonzero(vanished)[0]:
@@ -372,9 +380,16 @@ class _FiberSolver:
         cand, slot = np.nonzero(valid)
         return point[cand], z1[cand, slot], z2[cand]
 
-    def _values(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        """(n, 6): f1, f2 and the four partials at the points (z1, z2)."""
-        return _horner(_horner(self.stack, z2[:, None, None]), z1[:, None])
+    def _values(self, z1: np.ndarray, z2: np.ndarray, parts: int = 6) -> np.ndarray:
+        """(n, parts): the first parts of f1, f2 and the four partials, in
+        stack order, at the points (z1, z2); evaluated in slices of
+        candidates whose Horner stack stays under _FIBER_BYTES."""
+        stack = self.stack[:parts]
+        step = max(1, _FIBER_BYTES // (16 * stack[..., 0].size))
+        out = np.empty((len(z1), parts), dtype=complex)
+        for s in range(0, len(z1), step):
+            out[s : s + step] = _horner(_horner(stack, z2[s : s + step, None, None]), z1[s : s + step, None])
+        return out
 
     def _newton(self, w: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> None:
         """Polish in place; a root stops on a near-singular Jacobian or a tiny step."""
@@ -397,7 +412,8 @@ class _FiberSolver:
             small = np.abs(dz1) + np.abs(dz2) < 1e-15 * (1 + np.abs(z1[active]) + np.abs(z2[active]))
             active = active[~small]
 
-    def _solve_chunk(self, w: np.ndarray) -> _FiberBatch:
+    def solve(self, w: np.ndarray) -> _FiberBatch:
+        """Fibers over the rows of w, in one pass over all of them."""
         npts = len(w)
         errors: dict[int, str] = {}
         point, z2 = self._z2_candidates(w, errors)
@@ -405,7 +421,7 @@ class _FiberSolver:
         wq = w[point]
         with np.errstate(all="ignore"):
             self._newton(wq, z1, z2)
-            v = self._values(z1, z2)[:, :2] - wq
+            v = self._values(z1, z2, parts=2) - wq
             coeff_scale = np.maximum(self.scale_floor, np.abs(self.constants - w).max(axis=1))
             local = np.maximum(1.0, np.maximum(np.abs(z1), np.abs(z2))) ** self.power
             res = np.abs(v).max(axis=1) / (coeff_scale[point] * local)
@@ -420,10 +436,8 @@ class _FiberSolver:
         residuals[point, slot] = res
         accepted = np.zeros((npts, width), dtype=bool)
         accepted[point, slot] = res <= FIBER_RESIDUAL_TOL
-        keep, gap = _greedy_distinct(roots, accepted, ROOT_DEDUPE_TOL)
+        keep, sep = _greedy_distinct(roots, accepted, ROOT_DEDUPE_TOL)
         kept = keep.sum(axis=1)
-        pairs = keep[:, :, None] & keep[:, None, :] & ~np.eye(width, dtype=bool)
-        sep = np.where(pairs, gap, np.inf).min(axis=(1, 2), initial=np.inf)
         near = (kept < self.expected) | (sep < NEAR_DISCRIMINANT_TOL)
         for i in np.nonzero(kept == 0)[0]:
             errors.setdefault(int(i), f"no certified roots for w = ({complex(w[i, 0])}, {complex(w[i, 1])})")

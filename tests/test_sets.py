@@ -1,10 +1,13 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+import capax.sets
 from capax import (
+    FiberError,
     GraphMap,
     MeshError,
     Monomial,
@@ -16,7 +19,7 @@ from capax import (
     graph_lift,
     parse_poly,
 )
-from capax.sets import FIBER_CHUNK, _FiberSolver
+from capax.sets import ROOT_DEDUPE_TOL, _FiberSolver, _greedy_distinct
 
 from conftest import random_generic_map
 
@@ -203,10 +206,9 @@ LIFT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(LIFT_CASES))
-def test_graph_lift_matches_per_point_fibers(case):
+def test_graph_lift_matches_per_point_fibers(case, monkeypatch):
     make_map, make_base = LIFT_CASES[case]
     f, base = make_map(), make_base()
-    assert len(base) > FIBER_CHUNK  # more than one batch
     lifted = graph_lift(f, base)
     fibers = [fiber(f, w) for w in base.w]
     assert np.array_equal(lifted.w, np.repeat(base.w, [len(r.z) for r in fibers], axis=0))
@@ -218,12 +220,86 @@ def test_graph_lift_matches_per_point_fibers(case):
     # the batches are independent to the last bit: the order of the lifted
     # points follows the eigenvalue order, which one bit can flip
     k = len(base) // 2 + 3
-    assert k % FIBER_CHUNK  # the halves split a batch
     halves = [graph_lift(f, SampledSet(w=w)) for w in (base.w[:k], base.w[k:])]
     assert np.array_equal(np.concatenate([h.w for h in halves]), lifted.w)
     assert np.array_equal(np.concatenate([h.z for h in halves]), lifted.z)
     for key in ("roots_missing", "near_discriminant_fibers"):
         assert sum(h.meta[key] for h in halves) == lifted.meta[key]
+    # so are the slices of the Sylvester and Horner stacks: a budget of one
+    # byte builds every slice from one base point or one candidate
+    monkeypatch.setattr(capax.sets, "_FIBER_BYTES", 1)
+    sliced = graph_lift(f, base)
+    assert np.array_equal(sliced.w, lifted.w)
+    assert np.array_equal(sliced.z, lifted.z)
+    assert sliced.meta == lifted.meta
+
+
+def test_graph_lift_error_names_the_first_failed_point():
+    # over w2 = 0 the map (z1*z2, z2) forces z2 = 0, where z1*z2 = w1 has no
+    # root for w1 != 0; the error must name the lower of two such base points
+    torus = build_mesh("torus:0.5,1.5", (6, 7)).w
+    w = np.concatenate([torus[:20], [[1, 0]], torus[20:31], [[2, 0]], torus[31:]])
+    assert len(w) == 44
+    with pytest.raises(FiberError, match=re.escape("no certified roots for w = ((1+0j), 0j)")):
+        graph_lift(M("z1*z2", "z2"), SampledSet(w=w))
+
+
+def test_fiber_average_redraws_points_without_a_fiber(monkeypatch):
+    solve = _FiberSolver.solve
+    failed = []
+
+    def two_points_fail_once(self, w):
+        if not failed:
+            # a NaN base point reduces its eliminant to a constant, so the
+            # solver reports that fiber failed and returns no root for it
+            w = w.copy()
+            w[[17, 25]] = np.nan
+        batch = solve(self, w)
+        failed.append((len(w), sorted(batch.errors)))
+        return batch
+
+    monkeypatch.setattr(_FiberSolver, "solve", two_points_fail_once)
+    f = M("z1^2 + z2", "z2^2 + 1")
+    avg, residual = fiber_average_poly(parse_poly("z1^2", "float"), f, 4)
+    assert failed == [(30, [17, 25]), (2, [])]  # 2 x 15 grid points, then the two drawn again
+    _assert_z1_squared_averages_to_w1(avg, residual)
+
+
+def _greedy_distinct_table(values, valid, tol):
+    """The (rows, k, k) gap-table dedupe that _greedy_distinct replaced, and
+    the least kept-pair gap read from that table."""
+    gap = np.abs(values[:, :, None, :] - values[:, None, :, :]).sum(axis=-1)
+    close = gap <= tol * (1 + np.abs(values).sum(axis=-1))[:, None, :]
+    keep = np.zeros_like(valid)
+    for k in range(values.shape[1]):
+        keep[:, k] = valid[:, k] & ~(close[:, k, :k] & keep[:, :k]).any(axis=1)
+    pairs = keep[:, :, None] & keep[:, None, :] & ~np.eye(values.shape[1], dtype=bool)
+    return keep, np.where(pairs, gap, np.inf).min(axis=(1, 2), initial=np.inf)
+
+
+@pytest.mark.parametrize("coords", [1, 2])
+def test_greedy_distinct_matches_the_gap_table(coords):
+    rng = np.random.default_rng(coords)
+    merged = planted = 0
+    for width in range(1, 28):
+        rows = 24
+        values = rng.normal(size=(rows, width, coords)) + 1j * rng.normal(size=(rows, width, coords))
+        # plant entries at 0.5x, 1x and 2x the tolerance from an earlier one
+        for r, k in zip(*np.nonzero(rng.random((rows, width)) < 0.4)):
+            if k:
+                j = rng.integers(k)
+                tol = ROOT_DEDUPE_TOL * (1 + np.abs(values[r, j]).sum())
+                values[r, k] = values[r, j]
+                values[r, k, 0] += rng.choice([0.5, 1.0, 2.0]) * tol * np.exp(2j * np.pi * rng.random())
+                planted += 1
+        valid = rng.random((rows, width)) < 0.8
+        keep, sep = _greedy_distinct(values, valid, ROOT_DEDUPE_TOL)
+        want_keep, want_sep = _greedy_distinct_table(values, valid, ROOT_DEDUPE_TOL)
+        assert np.array_equal(keep, want_keep), width
+        assert np.array_equal(sep, want_sep), width
+        assert np.isinf(sep[keep.sum(axis=1) < 2]).all()
+        merged += int((valid & ~keep).sum())
+    assert planted > 1000 and merged > 100
 
 
 @pytest.mark.parametrize("case", sorted(LIFT_CASES))
