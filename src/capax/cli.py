@@ -7,7 +7,10 @@ which override the built-in defaults.  Exit codes: 0 success, 1 domain
 errors, 2 usage errors.
 
 Each flag and each subcommand is declared once, in the tables _FLAGS and
-_SUBCOMMANDS; parsing, checking and dispatch all read them.
+_SUBCOMMANDS; parsing, RunConfig, checking and dispatch all read them, and a
+flag the command would not read is a usage error.  A report that carries a
+library record whole takes its keys from the record's fields: cheb --alpha
+from ChebyshevEstimate, block-check from BlockShape.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -25,14 +28,9 @@ from .errors import CapaxError, EstimateError
 from .exact import GaussianRational
 from .parsing import parse_poly
 from .polynomials import Monomial
-from .resultant import (
-    block_factorization,
-    resultant,
-    resultant_root_oracle,
-    resultant_slog,
-)
+from .resultant import block_factorization, resultant, resultant_root_oracle, resultant_slog
 from .sets import SetSpec, build_mesh, fiber, graph_lift
-from .variety import GraphMap, basis_stream, is_generic, staircase
+from .variety import BASIS_KINDS, GraphMap, basis_stream, is_generic, staircase
 
 
 class UsageError(Exception):
@@ -48,25 +46,17 @@ DEFAULT_MESH = (24, 24)  # for every command that takes --mesh
 
 @dataclass
 class RunConfig:
-    """One resolved invocation; every report embeds this verbatim."""
+    """One resolved invocation: the command and the value of each flag it was
+    given.  Each _FLAGS name reads as an attribute (None when not given);
+    every report embeds this verbatim."""
 
     command: str
-    map: Optional[str] = None
-    set: Optional[str] = None
-    mesh: Optional[tuple[int, int]] = None
-    nmax: Optional[int] = None
-    basis: Optional[str] = None
-    precision: Optional[str] = None
-    out: Optional[str] = None
-    format: Optional[str] = None
-    # per-command extras
-    k: Optional[int] = None
-    w: Optional[list[float]] = None
-    alpha: Optional[tuple[int, int]] = None
-    beta: Optional[tuple[int, int]] = None
-    theta: Optional[float] = None
-    s: Optional[int] = None
-    oracle: Optional[bool] = None
+    values: dict = field(default_factory=dict)
+
+    def __getattr__(self, name: str):
+        if name not in _FLAGS:
+            raise AttributeError(name)
+        return self.values.get(name)
 
     def validate(self) -> None:
         spec = _SUBCOMMANDS[self.command]
@@ -76,7 +66,7 @@ class RunConfig:
         if self.format == "csv" and not spec.csv:
             raise UsageError(f"{self.command} has no CSV form; use --format json")
         if self.mesh is None and "mesh" in spec.flags:
-            self.mesh = DEFAULT_MESH
+            self.values["mesh"] = DEFAULT_MESH
         if self.mesh is not None and min(self.mesh) < 1:
             raise UsageError("mesh counts must be positive")
         if self.nmax is not None:
@@ -97,56 +87,39 @@ class RunConfig:
             raise UsageError("--alpha names the target; it takes no --theta or --s")
         if self.beta is not None and self.alpha is None:
             raise UsageError("--beta needs --alpha")
+        # a w stream reads no map, nor does a z stream that lifts no set
+        if self.map is not None and self.basis in (("z", "w") if self.command == "basis" else ("w",)):
+            raise UsageError(f"{self.command} --basis {self.basis} reads no --map")
+        if self.precision is not None and self.map is None:
+            raise UsageError("--precision needs --map")
 
     def resolved_format(self) -> str:
         return self.format or ("csv" if _SUBCOMMANDS[self.command].csv else "json")
 
     def report_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None or f.name == "out":
-                continue
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        out["format"] = self.resolved_format()
-        return out
+        shown = {k: list(v) if isinstance(v, tuple) else v
+                 for k, v in self.values.items() if k != "out"}
+        return {"command": self.command, **shown, "format": self.resolved_format()}
 
 
 # ---------------------------------------------------------------------------
 # flags: value parsers and the flag table; config-file values parse as flags do
 
 
-def _mesh_arg(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            n = int(parts[0])
-            return (n, n)
-        if len(parts) == 2:
-            return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("mesh counts: one integer or n1,n2")
+def _numbers_arg(kind: type, counts: tuple[int, ...], message: str) -> Callable[[str], tuple]:
+    """Parser of comma-separated numbers of one kind; a lone value where more
+    are allowed stands for each of them (mesh 8 is 8,8)."""
 
+    def parse(text: str) -> tuple:
+        try:
+            vals = tuple(kind(x) for x in text.split(","))
+        except ValueError:
+            vals = ()
+        if len(vals) not in counts:
+            raise argparse.ArgumentTypeError(message)
+        return vals * (max(counts) // len(vals))
 
-def _pair_arg(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    try:
-        if len(parts) == 2:
-            return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("expected a pair e1,e2")
-
-
-def _w_arg(text: str) -> list[float]:
-    try:
-        vals = [float(x) for x in text.split(",")]
-    except ValueError:
-        vals = []
-    if len(vals) != 4:
-        raise argparse.ArgumentTypeError("expected re1,im1,re2,im2")
-    return vals
+    return parse
 
 
 def _switch_arg(text: str) -> bool:
@@ -168,13 +141,16 @@ class _Flag:
 _FLAGS = {
     "map": _Flag(),
     "set": _Flag(),
-    "mesh": _Flag(_mesh_arg),
-    "basis": _Flag(choices=("z", "w", "B", "C")),
+    "mesh": _Flag(_numbers_arg(int, (1, 2), "mesh counts: one integer or n1,n2")),
+    "basis": _Flag(choices=BASIS_KINDS),
     "nmax": _Flag(int),
     "k": _Flag(int),
-    "w": _Flag(_w_arg, help="re1,im1,re2,im2"),
-    "alpha": _Flag(_pair_arg, help="w-exponent a1,a2 of the target"),
-    "beta": _Flag(_pair_arg, help="z-exponent b1,b2 of the target"),
+    "w": _Flag(_numbers_arg(float, (4,), "expected re1,im1,re2,im2"),
+               help="re1,im1,re2,im2"),
+    "alpha": _Flag(_numbers_arg(int, (2,), "expected a pair e1,e2"),
+                   help="w-exponent a1,a2 of the target"),
+    "beta": _Flag(_numbers_arg(int, (2,), "expected a pair e1,e2"),
+                  help="z-exponent b1,b2 of the target"),
     "theta": _Flag(float, help="direction in (0, 1) for the transform"),
     "s": _Flag(int, help="transform degree, at least 2"),
     "oracle": _Flag(_switch_arg, help="cross-check through root products"),
@@ -323,12 +299,7 @@ def _cmd_block_check(cfg: RunConfig) -> None:
     f = _load_map(cfg)
     report = block_factorization(f, cfg.k)
     payload = {
-        "k": report.shape.k,
-        "ell": report.shape.ell,
-        "r": report.shape.r,
-        "modified": report.shape.modified,
-        "copies": report.shape.copies,
-        "rows": report.shape.rows,
+        **asdict(report.shape),
         "matches": report.matches,
         "sign": report.sign,
         "det": _coeff_json(report.det),
@@ -342,39 +313,25 @@ def _cmd_fiber(cfg: RunConfig) -> None:
     vals = cfg.w
     w = (complex(vals[0], vals[1]), complex(vals[2], vals[3]))
     result = fiber(f, w)
-    rows = [
-        [z1.real, z1.imag, z2.real, z2.imag]
-        for z1, z2 in result.z
-    ]
+    rows = [[z1.real, z1.imag, z2.real, z2.imag] for z1, z2 in result.z]
     payload = {
         "points": rows,
         "residual_max": float(result.residuals.max()),
         "near_discriminant": result.near_discriminant,
         "defect": result.defect,
     }
-    _emit(
-        cfg,
-        payload,
-        csv_rows=(["z1_re", "z1_im", "z2_re", "z2_im"], [[float(v) for v in r] for r in rows]),
-    )
+    _emit(cfg, payload, csv_rows=(["z1_re", "z1_im", "z2_re", "z2_im"], rows))
 
 
 def _cmd_cheb(cfg: RunConfig) -> None:
     f = _load_map(cfg) if cfg.map else None
     points = _lifted_set(cfg, f)
-    stream = basis_stream(f if cfg.basis in ("B", "C") else None, cfg.basis)
+    stream = basis_stream(f, cfg.basis)
     if cfg.alpha is not None:
         beta = cfg.beta or (0, 0)
         target = Monomial(cfg.alpha[0], cfg.alpha[1], beta[0], beta[1])
         est = chebyshev_value(points, stream, target)
-        payload = {
-            "value": est.value,
-            "lower": est.lower,
-            "residual": est.residual,
-            "iterations": est.iterations,
-            "converged": est.converged,
-            "prefix_size": est.prefix_size,
-        }
+        payload = {**asdict(est), "residual": est.residual}
     else:
         value = chebyshev_transform(points, stream, cfg.theta, cfg.s)
         payload = {
@@ -389,22 +346,15 @@ def _cmd_tdiam(cfg: RunConfig) -> None:
     f = _load_map(cfg) if cfg.map else None
     points = _lifted_set(cfg, f)
     series = transfinite_diameter(points, cfg.basis, cfg.nmax)
-    rows = []
-    for i, n in enumerate(series.levels):
-        rows.append(
-            [
-                n,
-                series.m_counts[i],
-                series.l_counts[i],
-                series.ledger.logdet_prefix(series.m_counts[i]),
-                series.estimates[i],
-            ]
-        )
+    rows = [
+        [n, m, l, series.ledger.logdet_prefix(m), est]
+        for n, m, l, est in zip(series.levels, series.m_counts, series.l_counts, series.estimates)
+    ]
     payload = {
         "levels": series.levels,
         "m": series.m_counts,
         "l": series.l_counts,
-        "log_vandermonde": [float(r[3]) for r in rows],
+        "log_vandermonde": [r[3] for r in rows],
         "estimates": series.estimates,
         "van_root_estimates": series.van_root_estimates,
         "points": len(points),
@@ -499,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 def build_config(argv: Optional[list[str]] = None) -> RunConfig:
     """Parse argv and merge flag, config-file, and default layers."""
     values = vars(build_parser().parse_args(argv))
+    command = values.pop("command")
     config_path = values.pop("config")
     data: dict = {}
     if config_path is not None:
@@ -511,12 +462,12 @@ def build_config(argv: Optional[list[str]] = None) -> RunConfig:
             raise UsageError(f"config file {config_path} must hold a JSON object")
         data = {k: _config_value(k, v) for k, v in data.items()}
         # the namespace holds one entry per flag of the chosen subcommand, so
-        # its keys are exactly the fields that command reads
+        # its keys are exactly the flags that command reads
         extra = sorted(set(data) - set(values))
         if extra:
-            raise UsageError(f"{values['command']} takes no config key {', '.join(extra)}")
+            raise UsageError(f"{command} takes no config key {', '.join(extra)}")
     data.update({k: v for k, v in values.items() if v is not None})
-    return RunConfig(**data)
+    return RunConfig(command, data)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

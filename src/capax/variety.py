@@ -368,13 +368,7 @@ class StarCertificate:
     beta_tilde: tuple[int, int]
     gamma: tuple[int, int]
     constant: GaussianRational
-    reduction: Polynomial
-
-    def __repr__(self) -> str:
-        return (
-            f"StarCertificate(beta={self.beta}, beta_tilde={self.beta_tilde}, "
-            f"gamma={self.gamma}, constant={self.constant})"
-        )
+    reduction: Polynomial = field(repr=False)
 
 
 def _star_try(f: GraphMap, beta: tuple[int, int], bt: tuple[int, int]):

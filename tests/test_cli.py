@@ -1,10 +1,19 @@
+import dataclasses
 import importlib
 import json
 import math
 
 import pytest
 
-from capax import GraphMap, build_mesh, graph_lift, parse_poly, transfinite_diameter
+from capax import (
+    BlockShape,
+    ChebyshevEstimate,
+    GraphMap,
+    build_mesh,
+    graph_lift,
+    parse_poly,
+    transfinite_diameter,
+)
 from capax.cli import main
 
 SQUARES = {"f1": "z1^2", "f2": "z2^2", "precision": "exact"}
@@ -305,6 +314,35 @@ def test_report_bytes_do_not_depend_on_out_path(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_cheb_value_keys_are_the_estimate_fields(capsys):
+    code, payload = run_json(
+        capsys,
+        ["cheb", "--set", "torus:1,1", "--basis", "w", "--alpha", "2,1", "--mesh", "8,8"],
+    )
+    assert code == 0
+    names = {f.name for f in dataclasses.fields(ChebyshevEstimate)}
+    assert set(payload) == names | {"residual", "config"}
+
+
+def test_block_check_keys_are_the_shape_fields(map_file, capsys):
+    code, payload = run_json(capsys, ["block-check", "--map", map_file(SQUARES), "--k", "5"])
+    assert code == 0
+    names = {f.name for f in dataclasses.fields(BlockShape)}
+    assert set(payload) == names | {"matches", "sign", "det", "res", "config"}
+
+
+def test_tdiam_json_log_vandermonde_is_the_csv_column(capsys):
+    argv = ["tdiam", "--set", "torus:1,1", "--basis", "w", "--nmax", "3", "--mesh", "8,8"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    header = lines[2].split(",")
+    column = [float(line.split(",")[header.index("logVan")]) for line in lines[3:]]
+    code, payload = run_json(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert len(column) == 3
+    assert payload["log_vandermonde"] == column
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 
@@ -474,6 +512,50 @@ def test_cheb_rejects_flags_it_would_ignore(flags, capsys):
     code = main(["cheb", "--set", "torus:1,1", "--basis", "w", "--mesh", "8,8", *flags])
     assert code == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, from_file, flag",
+    [
+        (["cheb", "--set", "torus:1,1", "--mesh", "8", "--basis", "w", "--alpha", "1,1",
+          "--map", "{map}"], {}, "--map"),
+        (["tdiam", "--set", "torus:1,1", "--mesh", "8", "--basis", "w", "--nmax", "1",
+          "--map", "{map}"], {}, "--map"),
+        (["basis", "--basis", "z", "--nmax", "1", "--map", "{map}"], {}, "--map"),
+        (["basis", "--basis", "w", "--nmax", "1", "--map", "{map}"], {}, "--map"),
+        (["basis", "--basis", "w", "--nmax", "1", "--precision", "float"], {}, "--precision"),
+        (["cheb", "--set", "torus:1,1", "--mesh", "8", "--basis", "w", "--alpha", "1,1",
+          "--precision", "exact"], {}, "--precision"),
+        (["tdiam", "--set", "torus:1,1", "--mesh", "8", "--basis", "w", "--nmax", "1",
+          "--precision", "exact"], {}, "--precision"),
+        # the same keys from a config file
+        (["tdiam", "--set", "torus:1,1", "--mesh", "8", "--basis", "w", "--nmax", "1"],
+         {"map": "{map}"}, "--map"),
+        (["basis", "--basis", "z", "--nmax", "1"], {"map": "{map}"}, "--map"),
+        (["basis", "--basis", "w", "--nmax", "1"], {"precision": "float"}, "--precision"),
+    ],
+)
+def test_flags_a_command_would_ignore_are_usage_errors(argv, from_file, flag, map_file,
+                                                       tmp_path, capsys):
+    path = map_file(SQUARES)
+    argv = [a.format(map=path) for a in argv]
+    if from_file:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({k: v.format(map=path) for k, v in from_file.items()}))
+        argv += ["--config", str(cfg)]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and flag in err
+
+
+def test_config_key_command_is_rejected(map_file, tmp_path, capsys):
+    # the subcommand comes from argv alone; a file's "command" would be ignored
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "staircase"}))
+    code = main(["resultant", "--map", map_file(SQUARES), "--config", str(cfg)])
+    assert code == 2
+    assert "config key command" in capsys.readouterr().err
 
 
 def test_singular_map_reports_domain_error(map_file, capsys):

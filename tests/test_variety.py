@@ -352,3 +352,13 @@ def test_star_certificate_requires_staircase_membership():
     with pytest.raises(MapError):
         star_certificate(generic_map(), (1, 1))
 
+
+def test_star_certificate_repr_leaves_out_the_reduction():
+    cert = star_certificate(generic_map(), (0, 1))
+    assert cert.reduction.terms  # the reduction is there, just not shown
+    assert repr(cert) == (
+        "StarCertificate(beta=(0, 1), beta_tilde=(0, 1), gamma=(0, 1), "
+        "constant=GaussianRational(-1))"
+    )
+    assert "reduction" not in repr(cert)
+
