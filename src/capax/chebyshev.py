@@ -6,15 +6,20 @@ its predecessors: min over coefficients c of max over sample points of
 second-order cone program min s subject to |b_i + (a c)_i| <= s, one
 three-dimensional cone (s, Re r_i, Im r_i) per point.
 
-A diameter series orthonormalizes its monomial matrix once, column by
-column, by CGS2 (classical Gram-Schmidt, two passes per column); a column
-whose residual after both passes is at most _DEPENDENT of its norm is
-dependent and adds no basis column.  Step t then minimizes over the k
-orthonormal columns Q_k kept before it, which span its prefix, so the
-prefix's scaling stops mattering.  Its least-squares residual is the w_t
-that CGS2 formed: the sup norm of w_t bounds the minimax from above and its
-root mean square from below, with no solve at all; a dependent step's w_t
-is rounding, and it certifies at once.  A start that does not certify goes
+A diameter series orthonormalizes its monomial matrix once, by BCGS2
+(block classical Gram-Schmidt, two passes): each block of _BLOCK columns is
+projected onto the complement of the earlier basis by matrix-matrix
+products, twice where the first pass cancels much of a column, then
+finished column by column by CGS2 against the block's own basis columns;
+a column that its own block shrinks below _REORTH of what the earlier
+blocks left is projected again onto the whole basis.  A column whose
+residual is at most _DEPENDENT of its norm is dependent and adds no basis
+column.  Step t then minimizes over the k orthonormal columns Q_k kept
+before it, which span its prefix, so the prefix's scaling stops
+mattering.  Its least-squares residual is the w_t that BCGS2 formed: the
+sup norm of w_t bounds the minimax from above and its root mean square
+from below, with no solve at all; a dependent step's w_t is rounding, and
+it certifies at once.  A start that does not certify goes
 to a primal-dual interior-point method (Mehrotra predictor-corrector,
 Nesterov-Todd scaling), which runs solves in lockstep: all steps of a
 series share the points, so each round does the per-cone algebra once,
@@ -56,7 +61,10 @@ from .variety import MonomialBasisStream
 
 MINIMAX_TOL = 1e-8  # relative certificate gap at which a solve counts as converged
 MINIMAX_MAX_ITER = 50  # solver iterations per solve, the least-squares start included
-_DEPENDENT = 1e-12  # a column whose CGS2 residual is at most this share of its norm is dependent
+_DEPENDENT = 1e-12  # a column whose BCGS2 residual is at most this share of its norm is dependent
+_BLOCK = 12  # columns per block of the basis and of the greedy elimination
+_SECOND_PASS = 0.5**0.5  # a block is projected again when the first pass leaves a column below this share
+_REORTH = 1e-2  # a column its own block shrinks below this share is projected on the whole basis again
 _WINDOW_BYTES = 3 << 20  # stacked cone work of one lockstep window of interior-point solves
 _CONE_WORK = 48  # stacked cone work per point and solve, in complex numbers
 
@@ -65,8 +73,9 @@ def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.
     """(N, t) matrix of monomial values on the set's points.
 
     Column j is filled straight from polynomials.monomial_values, so the
-    matrix is held once.  Monomials touching z require a lifted set (one
-    that carries z coordinates).
+    matrix is held once, column-major so that each block of columns the
+    basis and the greedy read is contiguous.  Monomials touching z require
+    a lifted set (one that carries z coordinates).
     """
     if points.z is None and any(not m.is_pure_w() for m in monomials):
         raise EstimateError(
@@ -75,7 +84,7 @@ def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.
         )
     z = (None, None) if points.z is None else (points.z[:, 0], points.z[:, 1])
     values = monomial_values(monomials, (points.w[:, 0], points.w[:, 1]) + z)
-    out = np.empty((len(points), len(monomials)), dtype=complex)
+    out = np.empty((len(points), len(monomials)), dtype=complex, order="F")
     for j, v in enumerate(values):
         out[:, j] = v
     return out
@@ -129,11 +138,20 @@ def minimax_series(e: np.ndarray) -> list[ChebyshevEstimate]:
 
 
 class _Basis:
-    """CGS2 of e, column by column.  Column t less its projections onto the
-    k_t = rank[t] basis columns kept before it, over both passes, is w_t,
-    with sup[t] = max |w_t| and norm[t] = ||w_t||; an independent column
-    adds basis column k_t = w_t / ||w_t||.  The basis is held as
-    qc = conj(Q), the form the interior point reads.
+    """BCGS2 of e, _BLOCK columns at a time.  Each block is projected onto
+    the complement of the basis columns kept before it by matrix-matrix
+    products, and a second time when the first pass left some column below
+    _SECOND_PASS of its norm; when none, the rounding the first pass left is
+    as small against each column as a second pass would leave it (Kahan's
+    twice-is-enough test).  Its columns are then finished one at a time by
+    CGS2 against the columns the block itself kept, and by CGS2 against the
+    whole basis when the block's own columns took all but _REORTH of one:
+    the rounding left along the earlier columns is then no longer small
+    against the rest.  Column t less its projections onto the k_t = rank[t]
+    basis columns kept before it, over all passes, is w_t, with
+    sup[t] = max |w_t| and norm[t] = ||w_t||; an independent column adds
+    basis column k_t = w_t / ||w_t||.  The basis is held as qc = conj(Q),
+    the form the interior point reads, and no pass copies it.
     """
 
     def __init__(self, e: np.ndarray) -> None:
@@ -144,17 +162,34 @@ class _Basis:
         self.sup = np.empty(m)
         self.norm = np.empty(m)
         k = 0
-        for t in range(m):
+        for t0 in range(0, m, _BLOCK):
+            block = np.array(e[:, t0 : t0 + _BLOCK], order="F")
+            scale = np.linalg.norm(block, axis=0)
             qc = self.qc[:, :k]
-            w = e[:, t]
-            for _ in range(2):
-                w = w - (qc @ (w @ qc).conj()).conj()  # w - Q Q^H w
-            self.sup[t] = float(np.abs(w).max())
-            self.norm[t] = norm = float(np.linalg.norm(w))
-            if norm > _DEPENDENT * np.linalg.norm(e[:, t]):
-                self.qc[:, k] = w.conj() / norm
-                k += 1
-            self.rank[t + 1] = k
+            block -= (qc @ (qc.T @ block).conj()).conj()  # W - Q Q^H W
+            outer = np.linalg.norm(block, axis=0)
+            if (outer < _SECOND_PASS * scale).any():
+                block -= (qc @ (qc.T @ block).conj()).conj()
+                outer = np.linalg.norm(block, axis=0)
+            # the block's kept columns Q overwrite its finished columns
+            k0 = k
+            for j in range(block.shape[1]):
+                w, q, qc = block[:, j], block[:, : k - k0], self.qc[:, k0:k]
+                for _ in range(2):
+                    w -= q @ (w @ qc)  # w - Q Q^H w
+                if np.linalg.norm(w) < _REORTH * outer[j]:
+                    qc = self.qc[:, :k]
+                    for _ in range(2):
+                        w -= (qc @ (w @ qc).conj()).conj()
+                t = t0 + j
+                self.sup[t] = float(np.abs(w).max())
+                self.norm[t] = norm = float(np.linalg.norm(w))
+                if norm > _DEPENDENT * scale[j]:
+                    q = block[:, k - k0]
+                    np.divide(w, norm, out=q)
+                    np.conjugate(q, out=self.qc[:, k])
+                    k += 1
+                self.rank[t + 1] = k
 
 
 class _Solve:

@@ -41,7 +41,7 @@ class UsageError(Exception):
 # configuration
 
 
-DEFAULT_MESH = (24, 24)  # for every command that takes --mesh
+DEFAULT_MESH = (24, 24)  # for every command that takes --mesh, unless the set is points:
 
 
 @dataclass
@@ -65,7 +65,11 @@ class RunConfig:
                 raise UsageError(f"{self.command} needs --{name}")
         if self.format == "csv" and not spec.csv:
             raise UsageError(f"{self.command} has no CSV form; use --format json")
-        if self.mesh is None and "mesh" in spec.flags:
+        # a points: set is its own sample, so no mesh builds it
+        points = self.set is not None and self.set.partition(":")[0].strip().lower() == "points"
+        if points and self.mesh is not None:
+            raise UsageError("a points: set takes no --mesh")
+        if self.mesh is None and "mesh" in spec.flags and not points:
             self.values["mesh"] = DEFAULT_MESH
         if self.mesh is not None and min(self.mesh) < 1:
             raise UsageError("mesh counts must be positive")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import evaluate_monomials, minimax_series
+from .chebyshev import _BLOCK, evaluate_monomials, minimax_series
 from .errors import EstimateError, MapError
 from .polynomials import Monomial
 from .resultant import resultant_slog
@@ -28,6 +28,7 @@ from .variety import GraphMap, basis_stream
 
 NEG_INF = float("-inf")
 TELESCOPING_SLACK = 1e-6  # relative slack on both telescoping inequalities
+_TIE = 1e-10  # a greedy candidate within this share of the largest |value| ties with it
 
 
 @dataclass
@@ -48,7 +49,9 @@ def greedy_fekete(
 ) -> VandermondeLedger:
     """Greedily select n points maximizing the Vandermonde determinant.
 
-    Ties go to the earliest point in mesh order.  A vanishing pivot means no
+    Ties go to the earliest point in mesh order: a candidate within the
+    relative _TIE of the largest residual ties with it, so rounding does not
+    pick among the points of a symmetric mesh.  A vanishing pivot means no
     remaining point enlarges the configuration (the set is too small or lies
     on a zero set of the basis); the ledger is then truncated and the later
     step logs are -inf.
@@ -66,33 +69,40 @@ def _greedy_select(
 ) -> VandermondeLedger:
     """Greedy Fekete selection on values, the (points, monomials) matrix:
     LU with row pivoting, the largest available |value| of each eliminated
-    column taken, ties to the earliest point; values is left unchanged."""
+    column taken; points within the relative _TIE of that largest value tie
+    with it, and ties go to the earliest point.  values is left unchanged."""
     n = len(monomials)
     npts = len(points)
     if npts < n:
         raise EstimateError(f"set has {npts} points, fewer than n = {n}")
-    # left-looking (Crout): column t of the Schur complement is e_t less the
-    # multiplier columns low of the steps taken times u, u from the
-    # triangular solve on their selected rows; rows already taken are zero
-    # in it.  low is column-major, so each of its prefixes is one block
+    # blocked left-looking (Crout), _BLOCK columns at a time: column t of the
+    # Schur complement is e_t less the multiplier columns low of the steps
+    # taken times u, u from the triangular solve on their selected rows; rows
+    # already taken are zero in it.  A block takes the steps before it in one
+    # solve and one product, and each column then the block's own steps.
+    # low is column-major, so each of its prefixes is one block
     low = np.zeros((n, npts), dtype=complex).T
-    avail = np.ones(npts, dtype=bool)
     selected: list[int] = []
     step_logs = np.full(n, NEG_INF)
     truncated = False
-    for t in range(n):
-        u = np.linalg.solve(low[selected, :t], values[selected, t])
-        col = values[:, t] - low[:, :t] @ u
-        col[~avail] = 0.0
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) <= 1e-300:
-            truncated = True
+    for t0 in range(0, n, _BLOCK):
+        block = np.array(values[:, t0 : t0 + _BLOCK], order="F")
+        block -= low[:, :t0] @ np.linalg.solve(low[selected, :t0], block[selected])
+        for t, col in enumerate(block.T, start=t0):
+            picked = selected[t0:]
+            col -= low[:, t0:t] @ np.linalg.solve(low[picked, t0:t], col[picked])
+            col[selected] = 0.0
+            size = np.abs(col)
+            idx = int(np.argmax(size >= (1.0 - _TIE) * size.max()))
+            pivot = col[idx]
+            if abs(pivot) <= 1e-300:
+                truncated = True
+                break
+            selected.append(idx)
+            step_logs[t] = math.log(abs(pivot))
+            np.divide(col, pivot, out=low[:, t])
+        if truncated:
             break
-        selected.append(idx)
-        avail[idx] = False
-        step_logs[t] = math.log(abs(pivot))
-        low[:, t] = col / pivot
     return VandermondeLedger(
         monomials=monomials,
         selected=selected,
@@ -278,7 +288,8 @@ def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
     The left side is the z-basis diameter of the lifted set; the right side
     uses the w-basis diameter of the base mesh.  The graph-basis series rides
     along as a cross-check (it estimates the same base diameter through the
-    normal-form monomials).
+    normal-form monomials).  mesh gives the counts build_mesh takes; a
+    points: set takes none, and its meta has no mesh.
     """
     d = f.d
     base = build_mesh(spec, mesh)
@@ -292,6 +303,7 @@ def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
     rhs = math.exp(-log_res / (2 * d * d)) * d3.final ** (1.0 / d)
     lhs = d1.final
     ratio = lhs / rhs if rhs > 0 else math.inf
+    meta = {"mesh": mesh} if base.provenance != "points" else {}
     return PullbackReport(
         lhs=lhs,
         rhs=rhs,
@@ -301,7 +313,7 @@ def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
         d3=d3,
         res_log_abs=log_res,
         meta={
-            "mesh": mesh,
+            **meta,
             "base_points": len(base),
             "lift_points": len(lifted),
             "levels": n_max,

@@ -119,11 +119,11 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
     """Deterministic sample of a set spec; counts = points per coordinate.
 
     Non-degenerate coordinates need at least 4 points; a collapsed box
-    interval [c, c] takes exactly one.
+    interval [c, c] takes exactly one.  A points: set is read as it is, and
+    counts is not read (it may be None).
     """
     if isinstance(spec, str):
         spec = SetSpec.parse(spec)
-    n1, n2 = _mesh_counts(counts)
     if spec.kind == "points":
         path = spec.params[0]
         rows = []
@@ -139,6 +139,7 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
             raise MeshError(f"no points in {path}")
         return SampledSet(w=np.array(rows), provenance="points")
 
+    n1, n2 = _mesh_counts(counts)
     if spec.kind == "torus":
         r1, r2 = spec.params
         if n1 < 4 or n2 < 4:

@@ -26,7 +26,13 @@ from capax import (
     parse_poly,
     transfinite_diameter,
 )
-from capax.chebyshev import MINIMAX_TOL, direction_exponent, minimax_from_matrix
+from capax.chebyshev import (
+    _BLOCK,
+    _DEPENDENT,
+    MINIMAX_TOL,
+    direction_exponent,
+    minimax_from_matrix,
+)
 from conftest import random_generic_map
 
 
@@ -365,6 +371,73 @@ def test_dependent_prefixes_match_least_squares():
         else:
             assert math.isclose(series.step_cheb[t], sup, rel_tol=1e-12)
     assert in_span == 2
+
+
+def basis_cgs2_columnwise(e):
+    """Oracle for chebyshev._Basis: unblocked CGS2, each column projected
+    twice against every basis column kept before it.  Returns rank, sup and
+    norm."""
+    npts, m = e.shape
+    q = np.empty((npts, 0), dtype=complex)
+    rank = np.zeros(m + 1, dtype=int)
+    sup, norm = np.empty(m), np.empty(m)
+    for t in range(m):
+        w = e[:, t]
+        for _ in range(2):
+            w = w - q @ (q.conj().T @ w)
+        sup[t], norm[t] = np.abs(w).max(), np.linalg.norm(w)
+        if norm[t] > _DEPENDENT * np.linalg.norm(e[:, t]):
+            q = np.column_stack([q, w / norm[t]])
+        rank[t + 1] = q.shape[1]
+    return rank, sup, norm
+
+
+def _basis_case(case):
+    if case == "squares":
+        # the B matrix of the pullback check on (3/2 z1^2, 3/2 z2^2), 32 x 32:
+        # 4,096 x 91, eight blocks
+        f = GraphMap(parse_poly("3/2*z1^2"), parse_poly("3/2*z2^2"))
+        lift = graph_lift(f, build_mesh("torus:1,1", (32, 32)))
+        return evaluate_monomials(basis_stream(f, "B").upto(6 * f.d), lift)
+    if case == "torus-4":
+        # w1^4 = w2^4 = 1 on the 4 x 4 torus: two dependent columns
+        mesh = build_mesh("torus:1,1", (4, 4))
+        return evaluate_monomials(w_stream().upto(4), mesh)
+    if case == "generic":
+        return _generic_series_matrix()
+    # a dependent column opens the second block
+    rng = np.random.default_rng(1)
+    e = rng.normal(size=(200, 30)) + 1j * rng.normal(size=(200, 30))
+    e[:, _BLOCK] = e[:, :_BLOCK] @ (rng.normal(size=_BLOCK) + 1j)
+    return e
+
+
+@pytest.mark.parametrize(
+    "case, dependent",
+    [("squares", []), ("torus-4", [10, 14]), ("generic", []), ("dependent-opens-block", [_BLOCK])],
+)
+def test_blocked_basis_matches_columnwise_oracle(case, dependent):
+    e = _basis_case(case)
+    rank, sup, norm = basis_cgs2_columnwise(e)
+    basis = capax.chebyshev._Basis(e)
+    assert np.array_equal(basis.rank, rank)
+    kept = rank[1:] > rank[:-1]
+    assert list(np.flatnonzero(~kept)) == dependent
+    for got, want in ((basis.sup, sup), (basis.norm, norm)):
+        assert np.allclose(got[kept], want[kept], rtol=1e-12, atol=0)
+    qk = basis.qc[:, : rank[-1]].conj()
+    assert np.abs(qk.conj().T @ qk - np.eye(rank[-1])).max() <= 1e-13
+
+
+def test_blocked_basis_stays_orthonormal_on_nearly_dependent_columns():
+    # real powers on [0.1, 1]: the later columns lie within 1e-8 to 1e-12 of
+    # the span of the earlier ones, and their own block removes nearly all
+    # that the earlier blocks left of them
+    e = np.vander(np.linspace(0.1, 1.0, 300), 30, increasing=True).astype(complex)
+    basis = capax.chebyshev._Basis(e)
+    k = basis.rank[-1]
+    qk = basis.qc[:, :k].conj()
+    assert np.abs(qk.conj().T @ qk - np.eye(k)).max() <= 1e-13
 
 
 def test_minimax_with_more_columns_than_points():

@@ -470,6 +470,41 @@ def test_directory_in_place_of_a_file_is_domain_error(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture
+def torus_points(tmp_path):
+    """The 8 x 8 torus mesh as a points: file."""
+    path = tmp_path / "torus.csv"
+    w = build_mesh("torus:1,1", 8).w.tolist()
+    path.write_text("".join(f"{a.real!r},{a.imag!r},{b.real!r},{b.imag!r}\n" for a, b in w))
+    return f"points:{path}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cheb", "--basis", "w", "--alpha", "1,1"],
+        ["tdiam", "--basis", "w", "--nmax", "2", "--format", "json"],
+        ["pullback", "--map", "{map}", "--nmax", "2"],
+    ],
+)
+def test_points_set_takes_no_mesh(argv, torus_points, map_file, capsys):
+    argv = [a.format(map=map_file(SQUARES)) for a in argv] + ["--set", torus_points]
+    code = main(argv + ["--mesh", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "--mesh" in err
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert "mesh" not in payload["config"]
+    assert "mesh" not in payload.get("meta", {})
+    # the same points as the 8 x 8 mesh give the same report
+    code, meshed = run_json(capsys, [a.replace(torus_points, "torus:1,1") for a in argv]
+                            + ["--mesh", "8"])
+    assert code == 0
+    for key in set(payload) - {"config", "meta"}:
+        assert payload[key] == pytest.approx(meshed[key], rel=1e-12, abs=1e-12), key
+
+
 def test_nmax_out_of_range(capsys):
     code = main(["tdiam", "--set", "torus:1,1", "--basis", "w", "--nmax", "0"])
     assert code == 2

@@ -18,7 +18,7 @@ from capax import (
     transfinite_diameter,
 )
 from capax.chebyshev import evaluate_monomials, minimax_from_matrix
-from capax.diameters import _greedy_select
+from capax.diameters import _TIE, _greedy_select
 from conftest import random_generic_map
 
 
@@ -93,25 +93,40 @@ def test_greedy_truncates_when_basis_degenerates():
 
 def greedy_select_right_looking(values):
     """Oracle for diameters._greedy_select: the same greedy selection by
-    right-looking elimination, one rank-one update of every later column per
-    step.  Returns the selected rows and the step logs."""
+    unblocked right-looking elimination, one rank-one update of every later
+    column per step, ties within _TIE to the earliest point.  Returns the
+    selected rows, the step logs and each step's |column| (0 on taken rows)."""
     e = values.copy()
     npts, n = e.shape
-    avail = np.ones(npts, dtype=bool)
-    selected = []
+    selected, sizes = [], []
     step_logs = np.full(n, -math.inf)
     for t in range(n):
-        col = np.abs(e[:, t])
-        col[~avail] = -1.0
-        idx = int(np.argmax(col))
+        size = np.abs(e[:, t])
+        size[selected] = 0.0
+        idx = int(np.argmax(size >= (1.0 - _TIE) * size.max()))
         pivot = e[idx, t]
         if abs(pivot) <= 1e-300:
             break
         selected.append(idx)
-        avail[idx] = False
+        sizes.append(size)
         step_logs[t] = math.log(abs(pivot))
         e[:, t + 1 :] -= np.outer(e[:, t] / pivot, e[idx, t + 1 :])
-    return selected, step_logs
+    return selected, step_logs, sizes
+
+
+def assert_greedy_matches_oracle(points, monomials):
+    """_greedy_select against the oracle: the same points, step logs within
+    1e-12; returns the ledger and the oracle's step columns."""
+    values = evaluate_monomials(monomials, points)
+    ledger = _greedy_select(points, monomials, values)
+    selected, step_logs, sizes = greedy_select_right_looking(values)
+    assert ledger.selected == selected
+    assert ledger.truncated == (len(selected) < len(monomials))
+    finite = np.isfinite(step_logs)
+    assert np.array_equal(np.isfinite(ledger.step_logs), finite)
+    # equal logs to 1e-12 are equal ratios to 1e-12 relative
+    assert np.abs(ledger.step_logs[finite] - step_logs[finite]).max() <= 1e-12
+    return ledger, sizes
 
 
 @pytest.mark.parametrize(
@@ -133,15 +148,26 @@ def test_greedy_matches_right_looking_oracle(seed, count, exponents):
     else:
         points = build_mesh("box:-2,2,0,0", (count, 1))
         monomials = [Monomial(a1, a2, 0, 0) for a1, a2 in exponents]
-    values = evaluate_monomials(monomials, points)
-    ledger = _greedy_select(points, monomials, values)
-    selected, step_logs = greedy_select_right_looking(values)
-    assert ledger.selected == selected
-    assert ledger.truncated == (len(selected) < len(monomials))
-    finite = np.isfinite(step_logs)
-    assert np.array_equal(np.isfinite(ledger.step_logs), finite)
-    # equal logs to 1e-12 are equal ratios to 1e-12 relative
-    assert np.abs(ledger.step_logs[finite] - step_logs[finite]).max() <= 1e-12
+    assert_greedy_matches_oracle(points, monomials)
+
+
+@pytest.mark.parametrize("case", ["torus-w", "squares"])
+def test_greedy_ties_go_to_the_earliest_point(case):
+    # on symmetric meshes whole orbits tie up to rounding
+    if case == "torus-w":
+        points, monomials = build_mesh("torus:1,1", (8, 8)), basis_stream(None, "w").upto(5)
+    else:
+        # 4,096 points and 91 monomials, eight column blocks
+        f = M("3/2*z1^2", "3/2*z2^2")
+        points = graph_lift(f, build_mesh("torus:1,1", (32, 32)))
+        monomials = basis_stream(f, "B").upto(6 * f.d)
+    ledger, sizes = assert_greedy_matches_oracle(points, monomials)
+    # no available point before a step's pick comes within _TIE of its pivot
+    ties = 0
+    for idx, size in zip(ledger.selected, sizes):
+        assert not (size[:idx] >= (1.0 - _TIE) * size[idx]).any()
+        ties += int((size[idx:] >= (1.0 - _TIE) * size[idx]).sum() > 1)
+    assert ties > 0
 
 
 def test_greedy_rejects_bad_n():
