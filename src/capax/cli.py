@@ -374,7 +374,6 @@ def _cmd_pullback(cfg: RunConfig) -> None:
         "lhs": report.lhs,
         "rhs": report.rhs,
         "ratio": report.ratio,
-        "d2_cross": report.d2.final,
         "d3_final": report.d3.final,
         "res_log_abs": report.res_log_abs,
         "meta": report.meta,

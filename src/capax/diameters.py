@@ -276,7 +276,6 @@ class PullbackReport:
     rhs: float
     ratio: float
     d1: DiameterSeries
-    d2: DiameterSeries
     d3: DiameterSeries
     res_log_abs: float
     meta: dict = field(default_factory=dict)
@@ -285,21 +284,20 @@ class PullbackReport:
 def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
     """Compare d(f^{-1} K) with |Res|^(-1/(2 d^2)) d(K)^(1/d) on a mesh.
 
-    The left side is the z-basis diameter of the lifted set; the right side
-    uses the w-basis diameter of the base mesh.  The graph-basis series rides
-    along as a cross-check (it estimates the same base diameter through the
-    normal-form monomials).  mesh gives the counts build_mesh takes; a
-    points: set takes none, and its meta has no mesh.
+    The left side is the z-basis diameter d1 of the lifted set; the right side
+    uses the w-basis diameter d3 of the base mesh and |Res| of the top forms.
+    Regularity is checked before any point is sampled.  Nothing here needs
+    the staircase, so float maps work.  mesh gives the counts build_mesh
+    takes; a points: set takes none, and its meta has no mesh.
     """
     d = f.d
+    _, log_res = resultant_slog(f)
+    if not math.isfinite(log_res):
+        raise EstimateError("the map is not regular; the pullback formula needs Res != 0")
     base = build_mesh(spec, mesh)
     lifted = graph_lift(f, base)
     d3 = transfinite_diameter(base, "w", n_max)
     d1 = transfinite_diameter(lifted, "z", n_max)
-    d2 = transfinite_diameter(lifted, "B", n_max)
-    _, log_res = resultant_slog(f)
-    if not math.isfinite(log_res):
-        raise EstimateError("the map is not regular; the pullback formula needs Res != 0")
     rhs = math.exp(-log_res / (2 * d * d)) * d3.final ** (1.0 / d)
     lhs = d1.final
     ratio = lhs / rhs if rhs > 0 else math.inf
@@ -309,7 +307,6 @@ def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
         rhs=rhs,
         ratio=ratio,
         d1=d1,
-        d2=d2,
         d3=d3,
         res_log_abs=log_res,
         meta={

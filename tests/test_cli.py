@@ -216,10 +216,35 @@ def test_pullback_squares(map_file, capsys):
     assert abs(payload["lhs"] - 1.0) < 1e-9
     assert abs(payload["rhs"] - 1.0) < 1e-9
     assert abs(payload["ratio"] - 1.0) < 1e-9
-    assert "d2_cross" in payload
+    assert "d2_cross" not in payload  # the formula reads no B series
     assert "oracle" not in payload["config"]  # only resultant has --oracle
     assert payload["meta"]["near_discriminant_fibers"] == 0
     assert payload["meta"]["roots_missing"] == 0
+
+
+def test_pullback_float_map_matches_exact(map_file, capsys):
+    # the formula needs no staircase, so a float map takes the same path
+    scaled = {"f1": "3/2*z1^2", "f2": "3/2*z2^2"}
+    argv = ["pullback", "--set", "torus:1,1", "--nmax", "3", "--mesh", "12"]
+    code, exact = run_json(capsys, argv + ["--map", map_file(scaled)])
+    assert code == 0
+    code, floating = run_json(capsys, argv + ["--map", map_file(scaled), "--precision", "float"])
+    assert code == 0
+    assert floating["config"]["precision"] == "float"
+    want = 1.5**-0.5
+    for key in ("lhs", "rhs"):
+        assert abs(floating[key] - want) < 1e-9
+        assert floating[key] == pytest.approx(exact[key], rel=1e-12)
+    assert floating["res_log_abs"] == pytest.approx(exact["res_log_abs"], rel=1e-12)
+
+
+def test_pullback_rejects_a_map_that_is_not_regular(map_file, capsys):
+    # the top forms share z1^2, so Res = 0
+    code = main(["pullback", "--map", map_file({"f1": "z1^2 + z2", "f2": "z1^2"}),
+                 "--set", "torus:1,1", "--nmax", "2", "--mesh", "8"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not regular" in err
 
 
 def test_tdiam_json_carries_series_meta(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import capax.chebyshev
 from capax import (
+    EstimateError,
     GraphMap,
     Monomial,
     basis_stream,
@@ -313,3 +314,38 @@ def test_pullback_on_doubled_squares_map():
     assert abs(report.rhs - want) < 1e-9
     assert abs(report.ratio - 1.0) < 1e-9
     assert abs(report.res_log_abs - math.log(16.0)) < 1e-12
+
+
+def test_pullback_float_map_matches_exact():
+    exact = pullback_check(M("3/2*z1^2", "3/2*z2^2"), "torus:1,1", 3, (12, 12))
+    f = GraphMap(parse_poly("3/2*z1^2", "float"), parse_poly("3/2*z2^2", "float"))
+    floating = pullback_check(f, "torus:1,1", 3, (12, 12))
+    want = 1.5**-0.5
+    for side in ("lhs", "rhs"):
+        assert abs(getattr(floating, side) - want) < 1e-9
+        assert getattr(floating, side) == pytest.approx(getattr(exact, side), rel=1e-12)
+    assert floating.res_log_abs == pytest.approx(exact.res_log_abs, rel=1e-12)
+
+
+def test_pullback_rejects_a_map_that_is_not_regular(monkeypatch):
+    import capax.diameters as diameters
+
+    def no_sampling(*args):
+        raise AssertionError("sampled a map that is not regular")
+
+    monkeypatch.setattr(diameters, "build_mesh", no_sampling)
+    with pytest.raises(EstimateError, match="not regular"):
+        pullback_check(M("z1^2 + z2", "z1^2"), "torus:1,1", 2, (8, 8))
+
+
+def test_pullback_cubic_trajectory():
+    # a generic d = 3 map on the 8 x 8 torus: lhs/rhs falls toward 1 with n,
+    # measured 3.3846, 2.6436, 1.8699, 1.6527 and 1.5651 for n = 1..5
+    f = random_generic_map(random.Random(3), 3)
+    ratios = []
+    for n in range(1, 6):
+        report = pullback_check(f, "torus:1,1", n, (8, 8))
+        assert report.meta["roots_missing"] == 0
+        ratios.append(report.ratio)
+    assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
+    assert ratios[-1] < 1.6
