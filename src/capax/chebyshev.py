@@ -14,9 +14,10 @@ finished column by column by CGS2 against the block's own basis columns;
 a column that its own block shrinks below _REORTH of what the earlier
 blocks left is projected again onto the whole basis.  A column whose
 residual is at most _DEPENDENT of its norm is dependent and adds no basis
-column.  Step t then minimizes over the k orthonormal columns Q_k kept
-before it, which span its prefix, so the prefix's scaling stops
-mattering.  Its least-squares residual is the w_t that BCGS2 formed: the
+column; the series' greedy Fekete selection, greedy_select, runs on the
+basis too and so shares this test.  Step t then minimizes over the k
+orthonormal columns Q_k kept before it, which span its prefix, so the
+prefix's scaling stops mattering.  Its least-squares residual is the w_t that BCGS2 formed: the
 sup norm of w_t bounds the minimax from above and its root mean square
 from below, with no solve at all; a dependent step's w_t is rounding, and
 it certifies at once.  A start that does not certify goes
@@ -63,6 +64,7 @@ MINIMAX_TOL = 1e-8  # relative certificate gap at which a solve counts as conver
 MINIMAX_MAX_ITER = 50  # solver iterations per solve, the least-squares start included
 _DEPENDENT = 1e-12  # a column whose BCGS2 residual is at most this share of its norm is dependent
 _BLOCK = 12  # columns per block of the basis and of the greedy elimination
+_TIE = 1e-10  # a greedy candidate within this share of the largest |value| ties with it
 _SECOND_PASS = 0.5**0.5  # a block is projected again when the first pass leaves a column below this share
 _REORTH = 1e-2  # a column its own block shrinks below this share is projected on the whole basis again
 _WINDOW_BYTES = 3 << 20  # stacked cone work of one lockstep window of interior-point solves
@@ -74,7 +76,7 @@ def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.
 
     Column j is filled straight from polynomials.monomial_values, so the
     matrix is held once, column-major so that each block of columns the
-    basis and the greedy read is contiguous.  Monomials touching z require
+    basis reads is contiguous.  Monomials touching z require
     a lifted set (one that carries z coordinates).
     """
     if points.z is None and any(not m.is_pure_w() for m in monomials):
@@ -114,22 +116,22 @@ def minimax_from_matrix(a: np.ndarray, b: np.ndarray) -> ChebyshevEstimate:
     if t == 0:
         value = float(np.abs(b).max())
         return ChebyshevEstimate(value, value, 0, True, 0)
-    solve = _Solve(_Basis(np.column_stack([a, b])), t)
+    solve = _Solve(Basis(np.column_stack([a, b])), t)
     if not solve.converged:
         _interior_point([solve])
     return solve.estimate()
 
 
-def minimax_series(e: np.ndarray) -> list[ChebyshevEstimate]:
-    """The minimax of each column e[:, t], t >= 1, over the columns before it.
+def minimax_series(basis: Basis) -> list[ChebyshevEstimate]:
+    """The minimax of each column e[:, t], t >= 1, of the basis' matrix e
+    over the columns before it.
 
     The steps whose least-squares start does not certify go, in order,
     through the interior point in windows of as many consecutive steps as
     keep the stacked cone work under _WINDOW_BYTES, and at least one.
     """
-    npts, m = e.shape
-    basis = _Basis(e)
-    solves = [_Solve(basis, t) for t in range(1, m)]
+    npts = len(basis.qc)
+    solves = [_Solve(basis, t) for t in range(1, len(basis.norm))]
     pending = [solve for solve in solves if not solve.converged]
     per_window = max(1, _WINDOW_BYTES // (16 * npts * _CONE_WORK))
     for i in range(0, len(pending), per_window):
@@ -137,7 +139,7 @@ def minimax_series(e: np.ndarray) -> list[ChebyshevEstimate]:
     return [solve.estimate() for solve in solves]
 
 
-class _Basis:
+class Basis:
     """BCGS2 of e, _BLOCK columns at a time.  Each block is projected onto
     the complement of the basis columns kept before it by matrix-matrix
     products, and a second time when the first pass left some column below
@@ -151,7 +153,8 @@ class _Basis:
     basis columns kept before it, over all passes, is w_t, with
     sup[t] = max |w_t| and norm[t] = ||w_t||; an independent column adds
     basis column k_t = w_t / ||w_t||.  The basis is held as qc = conj(Q),
-    the form the interior point reads, and no pass copies it.
+    the form the interior point and the greedy read, and no pass copies it;
+    it keeps no reference to e.
     """
 
     def __init__(self, e: np.ndarray) -> None:
@@ -192,6 +195,44 @@ class _Basis:
                 self.rank[t + 1] = k
 
 
+def greedy_select(basis: Basis) -> tuple[list[int], np.ndarray]:
+    """Greedy Fekete selection on the columns of e, by LU with row pivoting
+    on its basis qc = conj(Q).  Elimination commutes with the triangular
+    change of basis, so the picks are those of e, and step t's determinant
+    ratio is its basis column's pivot times norm[t].  Each step takes the
+    largest available |value|; candidates within the relative _TIE of it
+    tie, and ties go to the earliest point.  A dependent step takes no point
+    and has log ratio -inf.  Q is orthonormal, so an eliminated column keeps
+    all of its own q and no pivot falls below 1 / sqrt(N).  Returns the
+    selected points and every step's log ratio."""
+    npts, m = len(basis.qc), len(basis.norm)
+    if npts < m:
+        raise EstimateError(f"set has {npts} points, fewer than n = {m}")
+    k = basis.rank[-1]
+    qc = basis.qc[:, :k]
+    # _BLOCK columns at a time: one solve and one product against the steps
+    # before the block, then one rank-one update of the block's later columns
+    # per pivot; low is column-major, so each of its prefixes is one block
+    low = np.zeros((k, npts), dtype=complex).T
+    selected: list[int] = []
+    logs = np.empty(k)
+    for k0 in range(0, k, _BLOCK):
+        block = np.array(qc[:, k0 : k0 + _BLOCK], order="F")
+        block -= low[:, :k0] @ np.linalg.solve(low[selected, :k0], block[selected])
+        for j, col in enumerate(block.T):
+            col[selected] = 0.0
+            size = np.abs(col)
+            idx = int(np.argmax(size >= (1.0 - _TIE) * size.max()))
+            selected.append(idx)
+            logs[k0 + j] = math.log(size[idx])
+            mult = np.divide(col, col[idx], out=low[:, k0 + j])
+            block[:, j + 1 :] -= np.outer(mult, block[idx, j + 1 :])
+    kept = basis.rank[1:] > basis.rank[:-1]
+    step_logs = np.full(m, -math.inf)
+    step_logs[kept] = logs + np.log(basis.norm[kept])
+    return selected, step_logs
+
+
 class _Solve:
     """Step t of a basis, min_d max |w_t + Q_k d|, from the least-squares
     start d = 0; upper is the least max |w_t + Q_k d| met on the way.  While
@@ -199,7 +240,7 @@ class _Solve:
     and the inverse R factor of its current Newton system.
     """
 
-    def __init__(self, basis: _Basis, t: int) -> None:
+    def __init__(self, basis: Basis, t: int) -> None:
         self.basis, self.t = basis, t
         self.dependent = bool(basis.rank[t + 1] == basis.rank[t])
         self.d = np.zeros(basis.rank[t], dtype=complex)

@@ -219,7 +219,9 @@ def _emit(cfg: RunConfig, payload: dict, csv_rows: Optional[tuple[list[str], lis
                     + "\n"
                 )
         else:
-            out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            # strict JSON, which has no -inf or nan: a float that is not finite is null
+            strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+            out.write(json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -3,12 +3,12 @@
 greedy_fekete grows a point configuration one basis monomial at a time,
 always taking the point where the current interpolation residual is largest;
 that is exactly greedy determinant maximization, and the residual magnitudes
-are the successive determinant ratios.  The ledger keeps both the raw
-log-determinant series and the per-step discrete Chebyshev values; the
-reported diameter estimate exponentiates the Chebyshev sum against the
-graded weight l_n, which is the normalization that converges at desk-scale
-levels (the raw determinant root carries the m_n! combinatorial factor and
-is reported alongside, unnormalized).
+are the successive determinant ratios.  The ledger keeps their logs, and the
+series the per-step discrete Chebyshev values (step_cheb); the reported
+diameter estimate exponentiates the Chebyshev sum against the graded weight
+l_n, which is the normalization that converges at desk-scale levels (the raw
+determinant root carries the m_n! combinatorial factor and is reported
+alongside, unnormalized).
 """
 
 from __future__ import annotations
@@ -19,24 +19,26 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import _BLOCK, evaluate_monomials, minimax_series
+from .chebyshev import Basis, evaluate_monomials, greedy_select, minimax_series
 from .errors import EstimateError, MapError
 from .polynomials import Monomial
 from .resultant import resultant_slog
 from .sets import SampledSet, build_mesh, graph_lift
 from .variety import GraphMap, basis_stream
 
-NEG_INF = float("-inf")
 TELESCOPING_SLACK = 1e-6  # relative slack on both telescoping inequalities
-_TIE = 1e-10  # a greedy candidate within this share of the largest |value| ties with it
 
 
 @dataclass
 class VandermondeLedger:
     monomials: list[Monomial]
     selected: list[int]
-    step_logs: np.ndarray
-    truncated: bool
+    step_logs: np.ndarray  # -inf at a step that is dependent on the sample
+
+    @property
+    def truncated(self) -> bool:
+        """Some step is dependent on the sample and took no point."""
+        return len(self.selected) < len(self.monomials)
 
     def logdet_prefix(self, count: int) -> float:
         return float(self.step_logs[:count].sum())
@@ -47,68 +49,19 @@ def greedy_fekete(
     basis: Sequence[Monomial],
     n: int,
 ) -> VandermondeLedger:
-    """Greedily select n points maximizing the Vandermonde determinant.
+    """Greedily select points for the first n monomials, maximizing the
+    Vandermonde determinant, by chebyshev.greedy_select on their basis.
 
-    Ties go to the earliest point in mesh order: a candidate within the
-    relative _TIE of the largest residual ties with it, so rounding does not
-    pick among the points of a symmetric mesh.  A vanishing pivot means no
-    remaining point enlarges the configuration (the set is too small or lies
-    on a zero set of the basis); the ledger is then truncated and the later
-    step logs are -inf.
+    Ties go to the earliest point in mesh order.  A monomial that is
+    dependent on the sample (the set lies on a zero set of the basis) takes
+    no point and has step log -inf, and the selection goes on.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     monomials = list(basis)[:n]
     if len(monomials) < n:
         raise ValueError("basis does not provide enough monomials")
-    return _greedy_select(points, monomials, evaluate_monomials(monomials, points))
-
-
-def _greedy_select(
-    points: SampledSet, monomials: list[Monomial], values: np.ndarray
-) -> VandermondeLedger:
-    """Greedy Fekete selection on values, the (points, monomials) matrix:
-    LU with row pivoting, the largest available |value| of each eliminated
-    column taken; points within the relative _TIE of that largest value tie
-    with it, and ties go to the earliest point.  values is left unchanged."""
-    n = len(monomials)
-    npts = len(points)
-    if npts < n:
-        raise EstimateError(f"set has {npts} points, fewer than n = {n}")
-    # blocked left-looking (Crout), _BLOCK columns at a time: column t of the
-    # Schur complement is e_t less the multiplier columns low of the steps
-    # taken times u, u from the triangular solve on their selected rows; rows
-    # already taken are zero in it.  A block takes the steps before it in one
-    # solve and one product, and each column then the block's own steps.
-    # low is column-major, so each of its prefixes is one block
-    low = np.zeros((n, npts), dtype=complex).T
-    selected: list[int] = []
-    step_logs = np.full(n, NEG_INF)
-    truncated = False
-    for t0 in range(0, n, _BLOCK):
-        block = np.array(values[:, t0 : t0 + _BLOCK], order="F")
-        block -= low[:, :t0] @ np.linalg.solve(low[selected, :t0], block[selected])
-        for t, col in enumerate(block.T, start=t0):
-            picked = selected[t0:]
-            col -= low[:, t0:t] @ np.linalg.solve(low[picked, t0:t], col[picked])
-            col[selected] = 0.0
-            size = np.abs(col)
-            idx = int(np.argmax(size >= (1.0 - _TIE) * size.max()))
-            pivot = col[idx]
-            if abs(pivot) <= 1e-300:
-                truncated = True
-                break
-            selected.append(idx)
-            step_logs[t] = math.log(abs(pivot))
-            np.divide(col, pivot, out=low[:, t])
-        if truncated:
-            break
-    return VandermondeLedger(
-        monomials=monomials,
-        selected=selected,
-        step_logs=step_logs,
-        truncated=truncated,
-    )
+    return VandermondeLedger(monomials, *greedy_select(Basis(evaluate_monomials(monomials, points))))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +107,9 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
     m_counts = [sum(lv <= n for lv in entry_levels) for n in range(1, n_max + 1)]
     l_counts = [sum(lv for lv in entry_levels if lv <= n) for n in range(1, n_max + 1)]
 
-    e = evaluate_monomials(monomials, points)
-    ledger = _greedy_select(points, monomials, e)
+    # the one read of the matrix; the greedy and the minimax read the basis
+    basis = Basis(evaluate_monomials(monomials, points))
+    ledger = VandermondeLedger(monomials, *greedy_select(basis))
     y = np.empty(len(monomials))
     # irls_converged counts the certified solves and irls_steps their solver
     # iterations; cheb_gap_max is the worst relative bracket width, and
@@ -166,8 +120,8 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
         "cheb_gap_max": 0.0,
         "cheb_uncertified": [],
     }
-    y[0] = float(np.abs(e[:, 0]).max())
-    for t, est in enumerate(minimax_series(e), start=1):
+    y[0] = basis.sup[0]
+    for t, est in enumerate(minimax_series(basis), start=1):
         y[t] = est.value
         estimates_meta["irls_converged"] += int(est.converged)
         estimates_meta["irls_steps"] += est.iterations
@@ -179,17 +133,15 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
 
     estimates = []
     van_roots = []
-    for level, m_n, l_n in zip(range(1, n_max + 1), m_counts, l_counts):
-        ys = y[:m_n]
-        if ys.min() <= 1e-300:
-            estimates.append(0.0)
-        else:
-            estimates.append(math.exp(float(np.log(ys).sum()) / l_n))
+    for m_n, l_n in zip(m_counts, l_counts):
         logdet = ledger.logdet_prefix(m_n)
-        if not math.isfinite(logdet):
-            van_roots.append(0.0)
-        else:
+        if math.isfinite(logdet):
+            estimates.append(math.exp(float(np.log(y[:m_n]).sum()) / l_n))
             van_roots.append(math.exp(logdet / l_n))
+        else:
+            # a dependent step: every level-n determinant on the sample is 0
+            estimates.append(0.0)
+            van_roots.append(0.0)
     return DiameterSeries(
         kind=kind,
         levels=list(range(1, n_max + 1)),
@@ -240,8 +192,8 @@ def telescoping_check(
 
     At step t the added monomial's Chebyshev value must sit below the greedy
     determinant ratio, and t + 1 times it must sit above, each up to the
-    relative TELESCOPING_SLACK.  A zero ratio (truncated configuration)
-    requires a zero Chebyshev value.
+    relative TELESCOPING_SLACK.  A step that is dependent on the sample has
+    ratio 0 and requires a zero Chebyshev value.
     """
     if series is None:
         series = transfinite_diameter(points, kind, n_max)

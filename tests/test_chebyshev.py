@@ -305,7 +305,7 @@ def test_series_lockstep_matches_single_solves(monkeypatch):
     for budget in (small, 1 << 40):
         monkeypatch.setattr(capax.chebyshev, "_WINDOW_BYTES", budget)
         windows.clear()
-        series = capax.chebyshev.minimax_series(e)
+        series = capax.chebyshev.minimax_series(capax.chebyshev.Basis(e))
         assert sum(windows) == solved
         if budget == small:
             assert len(windows) >= 3 and max(windows) > 1
@@ -322,7 +322,7 @@ def test_series_lockstep_matches_single_solves(monkeypatch):
 def test_cholesky_failure_stays_inside_its_solve(monkeypatch):
     e = _generic_series_matrix()
     npts = e.shape[0]
-    plain = capax.chebyshev.minimax_series(e)
+    plain = capax.chebyshev.minimax_series(capax.chebyshev.Basis(e))
     linalg = capax.chebyshev.np.linalg
     cholesky, qr = linalg.cholesky, linalg.qr
     calls, qr_shapes = [], []
@@ -342,7 +342,7 @@ def test_cholesky_failure_stays_inside_its_solve(monkeypatch):
     windows = _record_windows(monkeypatch)
     monkeypatch.setattr(linalg, "cholesky", second_fails)
     monkeypatch.setattr(linalg, "qr", counted_qr)
-    patched = capax.chebyshev.minimax_series(e)
+    patched = capax.chebyshev.minimax_series(capax.chebyshev.Basis(e))
     assert windows[0] >= 2
     size = calls[1]
     step = (size - 1) // 2  # a B prefix has full rank t, so its system is 2t + 1
@@ -374,7 +374,7 @@ def test_dependent_prefixes_match_least_squares():
 
 
 def basis_cgs2_columnwise(e):
-    """Oracle for chebyshev._Basis: unblocked CGS2, each column projected
+    """Oracle for chebyshev.Basis: unblocked CGS2, each column projected
     twice against every basis column kept before it.  Returns rank, sup and
     norm."""
     npts, m = e.shape
@@ -419,7 +419,7 @@ def _basis_case(case):
 def test_blocked_basis_matches_columnwise_oracle(case, dependent):
     e = _basis_case(case)
     rank, sup, norm = basis_cgs2_columnwise(e)
-    basis = capax.chebyshev._Basis(e)
+    basis = capax.chebyshev.Basis(e)
     assert np.array_equal(basis.rank, rank)
     kept = rank[1:] > rank[:-1]
     assert list(np.flatnonzero(~kept)) == dependent
@@ -434,7 +434,7 @@ def test_blocked_basis_stays_orthonormal_on_nearly_dependent_columns():
     # the span of the earlier ones, and their own block removes nearly all
     # that the earlier blocks left of them
     e = np.vander(np.linspace(0.1, 1.0, 300), 30, increasing=True).astype(complex)
-    basis = capax.chebyshev._Basis(e)
+    basis = capax.chebyshev.Basis(e)
     k = basis.rank[-1]
     qk = basis.qc[:, :k].conj()
     assert np.abs(qk.conj().T @ qk - np.eye(k)).max() <= 1e-13

@@ -368,6 +368,47 @@ def test_tdiam_json_log_vandermonde_is_the_csv_column(capsys):
     assert payload["log_vandermonde"] == column
 
 
+def strict_loads(text):
+    """json.loads that rejects NaN and +-Infinity, as strict parsers do."""
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "spec, mesh, nmax, log_van",
+    [
+        # w2 = 0 on the sample: both levels hold a dependent step
+        ("box:-2,2,0,0", "8,1", "2", [None, None]),
+        # w1^4 = w2^4 = 1 on the 4 x 4 torus: level 4 holds two dependent steps
+        ("torus:1,1", "4", "4", [1.3862943611198906, 4.1588830833596715, 9.70406052783923, None]),
+    ],
+)
+def test_tdiam_json_is_strict_and_csv_keeps_minus_inf(spec, mesh, nmax, log_van, capsys):
+    argv = ["tdiam", "--set", spec, "--mesh", mesh, "--basis", "w", "--nmax", nmax]
+    assert main(argv + ["--format", "json"]) == 0
+    payload = strict_loads(capsys.readouterr().out)
+    got = payload["log_vandermonde"]
+    assert [v is None for v in got] == [v is None for v in log_van]
+    for g, want in zip(got, log_van):
+        if want is not None:
+            assert math.isclose(g, want, rel_tol=1e-12, abs_tol=1e-12)
+    assert payload["estimates"][-1] == 0.0
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[3:]
+    assert [row.split(",")[3] == "-inf" for row in rows] == [v is None for v in log_van]
+
+
+def test_resultant_json_of_a_map_that_is_not_regular_is_strict(map_file, capsys):
+    path = map_file({"f1": "z1^2 + z2", "f2": "z1^2"})
+    assert main(["resultant", "--map", path]) == 0
+    payload = strict_loads(capsys.readouterr().out)
+    assert payload["log_abs"] is None
+    assert payload["res"] == {"re": 0, "im": 0}
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 

@@ -18,8 +18,7 @@ from capax import (
     telescoping_check,
     transfinite_diameter,
 )
-from capax.chebyshev import evaluate_monomials, minimax_from_matrix
-from capax.diameters import _TIE, _greedy_select
+from capax.chebyshev import _TIE, Basis, evaluate_monomials, minimax_from_matrix
 from conftest import random_generic_map
 
 
@@ -56,7 +55,7 @@ def test_series_evaluates_its_monomial_matrix_once(monkeypatch):
     mesh = build_mesh("torus:1,1", 8)
     series = transfinite_diameter(mesh, "w", 3)
     assert calls == [10]
-    # the shared matrix reaches the greedy selection unchanged
+    # the series' greedy reads the same basis greedy_fekete builds
     direct = greedy_fekete(mesh, series.ledger.monomials, 10)
     assert direct.selected == series.ledger.selected
     assert np.array_equal(direct.step_logs, series.ledger.step_logs)
@@ -83,19 +82,22 @@ def test_greedy_matches_brute_force():
 
 
 def test_greedy_truncates_when_basis_degenerates():
-    # z2^2 vanishes identically on the z2 = 0 section
+    # w2 vanishes identically on the w2 = 0 section: that step takes no
+    # point, and the selection goes on with w1
     mesh = build_mesh("box:-2,2,0,0", (9, 1))
     mons = [Monomial(0, 0, 0, 0), Monomial(0, 1, 0, 0), Monomial(1, 0, 0, 0)]
     ledger = greedy_fekete(mesh, mons, 3)
     assert ledger.truncated
-    assert len(ledger.selected) == 1
+    assert len(ledger.selected) == 2
     assert ledger.step_logs[1] == -math.inf
+    assert math.isfinite(ledger.step_logs[2])
 
 
 def greedy_select_right_looking(values):
-    """Oracle for diameters._greedy_select: the same greedy selection by
-    unblocked right-looking elimination, one rank-one update of every later
-    column per step, ties within _TIE to the earliest point.  Returns the
+    """Oracle for chebyshev.greedy_select: the same greedy selection by
+    unblocked right-looking elimination on the monomial matrix itself, one
+    rank-one update of every later column per step, ties within _TIE to the
+    earliest point; a step whose pivot vanishes takes no point.  Returns the
     selected rows, the step logs and each step's |column| (0 on taken rows)."""
     e = values.copy()
     npts, n = e.shape
@@ -107,7 +109,7 @@ def greedy_select_right_looking(values):
         idx = int(np.argmax(size >= (1.0 - _TIE) * size.max()))
         pivot = e[idx, t]
         if abs(pivot) <= 1e-300:
-            break
+            continue
         selected.append(idx)
         sizes.append(size)
         step_logs[t] = math.log(abs(pivot))
@@ -116,11 +118,12 @@ def greedy_select_right_looking(values):
 
 
 def assert_greedy_matches_oracle(points, monomials):
-    """_greedy_select against the oracle: the same points, step logs within
+    """greedy_fekete against the oracle: the same points, step logs within
     1e-12; returns the ledger and the oracle's step columns."""
-    values = evaluate_monomials(monomials, points)
-    ledger = _greedy_select(points, monomials, values)
-    selected, step_logs, sizes = greedy_select_right_looking(values)
+    ledger = greedy_fekete(points, monomials, len(monomials))
+    selected, step_logs, sizes = greedy_select_right_looking(
+        evaluate_monomials(monomials, points)
+    )
     assert ledger.selected == selected
     assert ledger.truncated == (len(selected) < len(monomials))
     finite = np.isfinite(step_logs)
@@ -136,7 +139,7 @@ def assert_greedy_matches_oracle(points, monomials):
         (11, None, None),
         (107, None, None),
         (None, 9, [(0, 0), (1, 0), (2, 0)]),
-        (None, 9, [(0, 0), (0, 1), (1, 0)]),  # truncates: w2 = 0 on the mesh
+        (None, 9, [(0, 0), (0, 1), (1, 0)]),  # w2 = 0 on the mesh: step 1 takes no point
         (None, 8, [(0, 0), (1, 0), (0, 1)]),
     ],
 )
@@ -169,6 +172,10 @@ def test_greedy_ties_go_to_the_earliest_point(case):
         assert not (size[:idx] >= (1.0 - _TIE) * size[idx]).any()
         ties += int((size[idx:] >= (1.0 - _TIE) * size[idx]).sum() > 1)
     assert ties > 0
+    # the greedy eliminates orthonormal basis columns, so each one keeps all
+    # of its own q and no pivot on the basis falls below 1 / sqrt(N)
+    pivots = np.exp(ledger.step_logs) / Basis(evaluate_monomials(monomials, points)).norm
+    assert pivots.min() >= (1.0 - 1e-12) / math.sqrt(len(points))
 
 
 def test_greedy_rejects_bad_n():
@@ -280,6 +287,33 @@ def test_telescoping_lower_bound_on_badly_scaled_lift():
     lift = graph_lift(f, build_mesh("torus:1,1", (8, 8)))
     report = telescoping_check(lift, "C", 3)
     assert all(row.lower_ok for row in report.rows)
+
+
+def test_dependent_steps_take_no_point():
+    # w1^4 = w2^4 = 1 on the 4 x 4 torus: its 15 level-4 monomials have rank
+    # 13 there, so steps 10 and 14 are dependent and level 4 is not measured
+    mesh = build_mesh("torus:1,1", (4, 4))
+    series = transfinite_diameter(mesh, "w", 4)
+    ledger = series.ledger
+    assert ledger.truncated and len(ledger.selected) == 13
+    assert list(np.flatnonzero(~np.isfinite(ledger.step_logs))) == [10, 14]
+    assert series.estimates == [1.0, 1.0, 1.0, 0.0]
+    assert series.van_root_estimates[3] == 0.0
+    report = telescoping_check(mesh, "w", 4, series=series)
+    assert report.ok
+    assert [row.step for row in report.rows if row.ratio == 0.0] == [10, 14]
+
+
+def test_telescoping_goes_on_after_a_dependent_step():
+    # w2 = 0 on the whole sample: steps 2, 4 and 5 (w2, w1 w2, w2^2) are
+    # dependent, and step 3 (w1^2) is measured after them
+    mesh = build_mesh("box:-2,2,0,0", (8, 1))
+    series = transfinite_diameter(mesh, "w", 2)
+    report = telescoping_check(mesh, "w", 2, series=series)
+    assert report.ok
+    assert [row.step for row in report.rows if row.ratio == 0.0] == [2, 4, 5]
+    row = report.rows[2]
+    assert row.step == 3 and row.ratio > 0.0 and row.lower_ok and row.upper_ok
 
 
 def test_telescoping_on_truncated_ledger():
