@@ -27,8 +27,8 @@ series share the points, so each round does the per-cone algebra once,
 closed form on (B, 3, N) arrays over the B solves still running, and a
 solve leaves the stack when it stops.  A series passes its uncertified
 steps, in order, in windows of consecutive steps whose stacked cone work
-stays under _WINDOW_BYTES; a single minimax_from_matrix call is a window of
-one.  Only the Newton systems are formed one solve at a time, on the view
+stays under _WINDOW_BYTES; a minimax_from_matrix or chebyshev_value call
+is a window of one.  Only the Newton systems are formed one solve at a time, on the view
 avc = conj(Q_k) of the one stored basis: each point's three cone rows act
 on avc_i through one 2 x 2 weight, so the d block of the Gram matrix is
 Y^T Y for the 2N x 2k real view Y of two complex N x k products of avc
@@ -112,11 +112,11 @@ def minimax_from_matrix(a: np.ndarray, b: np.ndarray) -> ChebyshevEstimate:
     """min_c max_i |b_i + (a c)_i| with a certified bracket [lower, value]:
     step t = a.shape[1] of [a | b], as minimax_series returns it; iterations
     counts the least-squares start and the interior-point steps after it."""
-    t = a.shape[1]
-    if t == 0:
-        value = float(np.abs(b).max())
-        return ChebyshevEstimate(value, value, 0, True, 0)
-    solve = _Solve(Basis(np.column_stack([a, b])), t)
+    return _solve_step(Basis(np.column_stack([a, b])), a.shape[1])
+
+
+def _solve_step(basis: Basis, t: int) -> ChebyshevEstimate:
+    solve = _Solve(basis, t)
     if not solve.converged:
         _interior_point([solve])
     return solve.estimate()
@@ -235,18 +235,21 @@ def greedy_select(basis: Basis) -> tuple[list[int], np.ndarray]:
 
 class _Solve:
     """Step t of a basis, min_d max |w_t + Q_k d|, from the least-squares
-    start d = 0; upper is the least max |w_t + Q_k d| met on the way.  While
-    _interior_point runs it, the solve also holds b = w_t, avc = conj(Q_k)
-    and the inverse R factor of its current Newton system.
+    start d = 0; upper is the least max |w_t + Q_k d| met on the way.  With
+    no basis column before it (k = 0), w_t is the only candidate: lower =
+    upper = max |w_t| and no iteration.  While _interior_point runs it, the
+    solve also holds the inverse R factor of its current Newton system.
     """
 
     def __init__(self, basis: Basis, t: int) -> None:
         self.basis, self.t = basis, t
-        self.dependent = bool(basis.rank[t + 1] == basis.rank[t])
-        self.d = np.zeros(basis.rank[t], dtype=complex)
+        k = basis.rank[t]
+        self.dependent = bool(basis.rank[t + 1] == k)
+        self.d = np.zeros(k, dtype=complex)
+        self.avc = basis.qc[:, :k]  # conj(Q_k), a view of the basis
         self.upper = float(basis.sup[t])
-        self.lower = min(float(basis.norm[t]) / math.sqrt(len(basis.qc)), self.upper)
-        self.iterations = 1
+        self.lower = min(float(basis.norm[t]) / math.sqrt(len(basis.qc)), self.upper) if k else self.upper
+        self.iterations = 1 if k else 0
 
     @property
     def converged(self) -> bool:
@@ -255,11 +258,10 @@ class _Solve:
     def estimate(self) -> ChebyshevEstimate:
         return ChebyshevEstimate(self.upper, self.lower, self.iterations, self.converged, self.t)
 
-    def begin(self) -> np.ndarray:
-        """Set up the interior-point state; returns the start's residual w_t."""
-        self.avc = self.basis.qc[:, : len(self.d)]
-        self.b = self.basis.qc[:, len(self.d)].conj() * self.basis.norm[self.t]
-        return self.b
+    @property
+    def b(self) -> np.ndarray:
+        """The start's residual w_t, from its basis column."""
+        return self.basis.qc[:, len(self.d)].conj() * self.basis.norm[self.t]
 
     def factor(
         self, gc: np.ndarray, g: np.ndarray, omega: np.ndarray, sg: np.ndarray, gss: float
@@ -309,14 +311,15 @@ class _Solve:
         """Step d by alpha dd, then tighten the bracket: upper from the new
         residual, lower from the dual y; returns the new residual."""
         self.d = self.d + alpha * dd
-        r = self.b + (self.avc @ self.d.conj()).conj()
+        b = self.b
+        r = b + (self.avc @ self.d.conj()).conj()
         value = float(np.abs(r).max())
         self.upper = min(self.upper, value)
         # project y onto null(Q_k^H)
         y = y - (self.avc @ (y @ self.avc).conj()).conj()
         norm = float(np.abs(y).sum())
         if norm > 0:
-            self.lower = max(self.lower, abs(complex(np.vdot(y, self.b))) / norm)
+            self.lower = max(self.lower, abs(complex(np.vdot(y, b))) / norm)
         self.iterations += 1
         return r
 
@@ -379,7 +382,7 @@ def _interior_point(solves: list[_Solve]) -> None:
     its iterate on a cone boundary, or when its step vanishes.
     """
     live = list(solves)
-    r = np.array([solve.begin() for solve in live])
+    r = np.array([solve.b for solve in live])
     npts = r.shape[1]
     s = np.array([2.0 * solve.upper for solve in live])
     z = np.empty((len(live), 3, npts))
@@ -480,7 +483,7 @@ def _interior_point(solves: list[_Solve]) -> None:
         y = z[:, 1] + 1j * z[:, 2]
         r = np.array([solve.advance(*step) for solve, *step in zip(live, alpha, dd, y)])
     for solve in solves:  # the bracket stays
-        solve.avc = solve.b = solve.rinv = None
+        solve.rinv = None
 
 
 def chebyshev_value(
@@ -488,8 +491,7 @@ def chebyshev_value(
 ) -> ChebyshevEstimate:
     """Discrete Chebyshev value of a stream monomial over its stream prefix."""
     prefix = stream.prefix_of(target)
-    matrix = evaluate_monomials(prefix + [target], points)
-    return minimax_from_matrix(matrix[:, : len(prefix)], matrix[:, len(prefix)])
+    return _solve_step(Basis(evaluate_monomials(prefix + [target], points)), len(prefix))
 
 
 def direction_exponent(theta: float, s: int) -> tuple[int, int]:

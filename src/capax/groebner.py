@@ -51,6 +51,11 @@ def reduce_full(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return remainder
 
 
+def _monic(p: Polynomial) -> Polynomial:
+    _, lc = p.leading_term(GREVLEX4)
+    return p.scale(GaussianRational(1) / lc)
+
+
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lmf, lcf = f.leading_term(GREVLEX4)
     lmg, lcg = g.leading_term(GREVLEX4)
@@ -67,8 +72,7 @@ def buchberger(gens: Iterable[Polynomial]) -> list[Polynomial]:
     for g in gens:
         _require_exact(g)
         if not g.is_zero():
-            _, lc = g.leading_term(GREVLEX4)
-            basis.append(g.scale(GaussianRational(1) / lc))
+            basis.append(_monic(g))
     if not basis:
         return []
 
@@ -91,9 +95,7 @@ def buchberger(gens: Iterable[Polynomial]) -> list[Polynomial]:
         r = reduce_full(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
-        _, lc = r.leading_term(GREVLEX4)
-        r = r.scale(GaussianRational(1) / lc)
-        basis.append(r)
+        basis.append(_monic(r))
         k = len(basis) - 1
         pairs.update((i2, k) for i2 in range(k))
 
@@ -110,8 +112,7 @@ def buchberger(gens: Iterable[Polynomial]) -> list[Polynomial]:
         others = keep[:i] + keep[i + 1 :]
         r = reduce_full(b, others) if others else b
         if not r.is_zero():
-            _, lc = r.leading_term(GREVLEX4)
-            reduced.append(r.scale(GaussianRational(1) / lc))
+            reduced.append(_monic(r))
     reduced.sort(key=lambda b: GREVLEX4(b.leading_monomial(GREVLEX4)))
     return reduced
 

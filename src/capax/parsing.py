@@ -18,6 +18,7 @@ variables, so equal polynomials print identically.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ParseError
@@ -175,7 +176,10 @@ class _Parser:
                 if text.isdigit():
                     return Polynomial.constant(int(text), "exact")
                 return Polynomial.constant(Fraction(text), "exact")
-            return Polynomial.constant(float(text), "float")
+            value = float(text)
+            if math.isinf(value):
+                raise ParseError("number overflows a float", offset)
+            return Polynomial.constant(value, "float")
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed number: {exc}", offset) from None
 

@@ -2,11 +2,12 @@
 
 The resultant of the two leading forms decides regularity and enters the
 pullback formula through |Res|^(-1/(2 d^2)); each map computes its
-Sylvester determinant once and keeps it.  Exact determinants put the
-matrix over one common denominator and run Bareiss elimination on Gaussian
-integers, with exact division by the previous pivot; float determinants go
-through numpy's slogdet, carried as (phase, log magnitude) so nothing
-overflows.
+Sylvester determinant once and keeps it.  sylvester_stack is the one
+Sylvester layout: the top forms' matrix here, at either precision, and the
+stacked z1-eliminant matrices of the graph lift in sets.py.  Exact
+determinants run Bareiss elimination on Gaussian integers over one common
+denominator, dividing exactly by the previous pivot; float determinants go
+through numpy's slogdet as (phase, log magnitude), so nothing overflows.
 
 block_factorization certifies the one structural fact the estimators lean on:
 at weight k >= 2d - 1 the change of basis between the substituted w-bearing
@@ -28,34 +29,33 @@ from .polynomials import ZERO, Polynomial, z_monomial
 from .variety import BlockShape, GraphMap, block_shape
 
 
-def _form_coeffs(p: Polynomial, degree: int):
-    """Coefficients [c_0 .. c_degree] of p's degree-`degree` form in z,
-    c_j on z1^j z2^(degree-j)."""
-    return [p.coefficient(z_monomial((j, degree - j))) for j in range(degree + 1)]
+def _top_coeffs(f: GraphMap) -> tuple[list, list]:
+    """Coefficients [c_0 .. c_d] of each top form, c_j on z1^j z2^(d-j)."""
+    return tuple(
+        [p.coefficient(z_monomial((j, d - j))) for j in range(d + 1)] for p, d in ((f.f1, f.d1), (f.f2, f.d2))
+    )
 
 
-def sylvester_matrix(f: GraphMap):
-    """The (d1 + d2) square Sylvester matrix of the top forms.
+def sylvester_stack(a: np.ndarray, b: np.ndarray, fill=0.0) -> np.ndarray:
+    """Sylvester matrices of stacked coefficient rows a and b of degrees n1
+    and n2 (lowest first), fill in the zeros: n2 shifted rows of a, then n1
+    of b, each with the degree descending."""
+    n1, n2 = a.shape[-1] - 1, b.shape[-1] - 1
+    mats = np.full(a.shape[:-1] + (n1 + n2, n1 + n2), fill, dtype=a.dtype)
+    for i in range(n2):
+        mats[..., i, i : i + n1 + 1] = a[..., ::-1]
+    for i in range(n1):
+        mats[..., n2 + i, i : i + n2 + 1] = b[..., ::-1]
+    return mats
 
-    Rows are z2-shifts of f1's coefficients (d2 of them) followed by z2-shifts
-    of f2's (d1 of them); coefficients appear with the z1-degree descending.
-    """
-    a = _form_coeffs(f.f1, f.d1)
-    b = _form_coeffs(f.f2, f.d2)
-    n = f.d1 + f.d2
-    zero = ZERO[f.precision]
-    rows = []
-    for i in range(f.d2):
-        row = [zero] * n
-        for j in range(f.d1 + 1):
-            row[i + j] = a[f.d1 - j]
-        rows.append(row)
-    for i in range(f.d1):
-        row = [zero] * n
-        for j in range(f.d2 + 1):
-            row[i + j] = b[f.d2 - j]
-        rows.append(row)
-    return rows
+
+def sylvester_matrix(f: GraphMap) -> np.ndarray:
+    """The (d1 + d2) square Sylvester matrix of the top forms, in z1 with z2
+    homogenizing: an object array of GaussianRationals on the exact path,
+    complex on the float path."""
+    dtype = object if f.precision == "exact" else complex
+    a, b = (np.array(c, dtype=dtype) for c in _top_coeffs(f))
+    return sylvester_stack(a, b, ZERO[f.precision])
 
 
 def bareiss_det(matrix) -> GaussianRational:
@@ -105,10 +105,9 @@ def bareiss_det(matrix) -> GaussianRational:
     )
 
 
-def slog_det(matrix) -> tuple[complex, float]:
-    """(phase, log|det|) of a float matrix; phase 0 means det 0."""
-    arr = np.asarray(matrix, dtype=complex)
-    phase, logmag = np.linalg.slogdet(arr)
+def slog_det(matrix: np.ndarray) -> tuple[complex, float]:
+    """(phase, log|det|) of a complex matrix; phase 0 means det 0."""
+    phase, logmag = np.linalg.slogdet(matrix)
     return complex(phase), float(logmag)
 
 
@@ -165,10 +164,8 @@ def resultant_root_oracle(f: GraphMap) -> complex:
     Requires nonvanishing leading coefficients (no roots at infinity).
     """
     g = f.to_float()
-    a = _form_coeffs(g.f1, g.d1)
-    b = _form_coeffs(g.f2, g.d2)
-    scale_a = max(abs(c) for c in a)
-    scale_b = max(abs(c) for c in b)
+    a, b = _top_coeffs(g)
+    scale_a, scale_b = (max(abs(c) for c in cs) for cs in (a, b))
     if abs(a[-1]) <= 1e-12 * scale_a or abs(b[-1]) <= 1e-12 * scale_b:
         raise EstimateError(
             "root oracle needs nonvanishing leading coefficients; "
@@ -192,8 +189,7 @@ def is_regular(f: GraphMap) -> bool:
     """
     if f.precision == "exact":
         return bool(resultant(f))
-    a = max(abs(c) for c in _form_coeffs(f.f1, f.d1))
-    b = max(abs(c) for c in _form_coeffs(f.f2, f.d2))
+    a, b = (max(abs(c) for c in cs) for cs in _top_coeffs(f))
     phase, logmag = resultant_slog(f)
     if phase == 0:
         return False
@@ -225,24 +221,19 @@ def block_factorization(f: GraphMap, k: int) -> BlockReport:
     d = f.d
     shape = block_shape(d, k)
     fh1, fh2 = f.top_forms()
-    rows = []
-    for s in range(shape.ell + 1):
-        p1 = fh1 ** (shape.ell - s)
-        p2 = fh2 ** s
-        base = p1 * p2
-        for j in range(d):
-            b1 = shape.r + d - 1 - j
-            rows.append(base * Polynomial({z_monomial((b1, j)): GaussianRational(1)}, "exact"))
     matrix = []
-    for p in rows:
-        row = [GaussianRational(0)] * shape.rows
-        for m, c in p.terms.items():
-            if m.b1 + m.b2 != k:
-                raise MapError("block row is not homogeneous of the block weight")
-            if m.b2 >= shape.rows:
-                raise MapError("block row leaves the consecutive-monomial window")
-            row[m.b2] = c
-        matrix.append(row)
+    for s in range(shape.ell + 1):
+        base = fh1 ** (shape.ell - s) * fh2 ** s
+        for j in range(d):
+            p = base * Polynomial({z_monomial((shape.r + d - 1 - j, j)): GaussianRational(1)}, "exact")
+            row = [GaussianRational(0)] * shape.rows
+            for m, c in p.terms.items():
+                if m.b1 + m.b2 != k:
+                    raise MapError("block row is not homogeneous of the block weight")
+                if m.b2 >= shape.rows:
+                    raise MapError("block row leaves the consecutive-monomial window")
+                row[m.b2] = c
+            matrix.append(row)
     det = bareiss_det(matrix)
     res = resultant(f)
     expected = res ** shape.copies

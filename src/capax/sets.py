@@ -1,20 +1,21 @@
 """Compact sets as point samples: meshes, fibers, and graph lifts.
 
-A SampledSet carries points in the w-coordinates and, when it came from a
-graph lift, the matching z-coordinates on {w = f(z)}.  Estimators downstream
-only ever see these arrays.
+A SampledSet carries finite points in the w-coordinates and, when it came
+from a graph lift, the matching z-coordinates on {w = f(z)}.  Estimators
+downstream only ever see these arrays.  A mesh pairs the samples of two
+coordinates; _KINDS gives each set kind its sampler of one coordinate.
 
-Fiber solving is numerical and batched over base points: one solver core
-per map eliminates z1 through Sylvester determinants sampled on a circle
-(stacked over points and samples, one FFT per point), reads eliminant and z1
-roots from stacked companion matrices, back-substitutes, runs Newton on every
-candidate at once, and then certifies each fiber on its own: residuals, root
-dedupe, and the near-discriminant flag.  fiber, graph_lift and
-fiber_average_poly all go through it, in one pass over all their base points.
-Only the two stacks that grow with points times work, the sampled Sylvester
-matrices and the Horner evaluation stack, are built in slices of at most
-_FIBER_BYTES; every step is elementwise or per matrix, so the slicing never
-changes a bit of the result.
+Fiber solving is numerical and batched over base points: one solver core per
+map eliminates z1 through Sylvester determinants (resultant.sylvester_stack)
+sampled on a circle and stacked over points and samples, one FFT per point,
+reads eliminant and z1 roots from stacked companion matrices,
+back-substitutes, runs Newton on every candidate at once, and then certifies
+each fiber on its own: residuals, root dedupe, and the near-discriminant
+flag.  fiber, graph_lift and fiber_average_poly all go through it, in one
+pass over all their base points.  Only the two stacks that grow with points
+times work, the sampled Sylvester matrices and the Horner evaluation stack,
+are built in slices of at most _FIBER_BYTES; every step is elementwise or
+per matrix, so the slicing never changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import FiberError, MeshError
 from .polynomials import Polynomial, monomial_values
+from .resultant import sylvester_stack
 from .variety import GraphMap, basis_stream
 
 DUPLICATE_TOL = 1e-12
@@ -35,6 +37,36 @@ FIBER_RESIDUAL_TOL = 1e-9
 NEAR_DISCRIMINANT_TOL = 1e-6
 ROOT_DEDUPE_TOL = 1e-8
 _FIBER_BYTES = 1 << 20  # one slice of the sampled Sylvester stack or of the Horner stack
+
+
+def _count(n: int) -> int:
+    if n < 4:
+        raise MeshError("meshes need at least 4 points per coordinate")
+    return n
+
+
+def _circle(r: float, n: int) -> np.ndarray:
+    return r * np.exp(2j * np.pi * np.arange(_count(n)) / n)
+
+
+def _disc(r: float, n: int) -> np.ndarray:
+    # sunflower layout, outermost point on the boundary circle
+    k = np.arange(_count(n))
+    rho = r * np.sqrt((k + 1) / n)
+    golden = math.pi * (3 - math.sqrt(5))
+    return rho * np.exp(1j * golden * k)
+
+
+def _segment(lo: float, hi: float, n: int) -> np.ndarray:
+    if lo == hi:
+        if n != 1:
+            raise MeshError("a collapsed interval takes exactly 1 point")
+        return np.array([lo])
+    return np.linspace(lo, hi, _count(n))
+
+
+# set kind -> (sampler of one coordinate, spec numbers the sampler reads)
+_KINDS = {"torus": (_circle, 1), "polydisc": (_disc, 1), "box": (_segment, 2)}
 
 
 @dataclass(frozen=True)
@@ -49,25 +81,21 @@ class SetSpec:
         if not sep:
             raise MeshError(f"set spec {text!r} has no parameters")
         kind = kind.strip().lower()
-        if kind in ("torus", "polydisc"):
-            parts = [p.strip() for p in rest.split(",")]
-            if len(parts) != 2:
-                raise MeshError(f"{kind} spec wants two radii")
-            radii = tuple(float(p) for p in parts)
-            if any(r <= 0 for r in radii):
-                raise MeshError("radii must be positive")
-            return SetSpec(kind, radii)
-        if kind == "box":
-            parts = [p.strip() for p in rest.split(",")]
-            if len(parts) != 4:
-                raise MeshError("box spec wants four reals a,b,c,d")
-            a, b, c, d = (float(p) for p in parts)
-            if b < a or d < c:
-                raise MeshError("box intervals must be ordered")
-            return SetSpec(kind, (a, b, c, d))
         if kind == "points":
             return SetSpec(kind, (rest.strip(),))
-        raise MeshError(f"unknown set kind {kind!r}")
+        if kind not in _KINDS:
+            raise MeshError(f"unknown set kind {kind!r}")
+        parts = rest.split(",")
+        if len(parts) != 2 * _KINDS[kind][1]:
+            raise MeshError(f"{kind} spec wants {2 * _KINDS[kind][1]} numbers")
+        params = tuple(float(p) for p in parts)
+        if not all(map(math.isfinite, params)):
+            raise MeshError(f"{kind} spec numbers must be finite")
+        if kind == "box" and (params[1] < params[0] or params[3] < params[2]):
+            raise MeshError("box intervals must be ordered")
+        if kind != "box" and min(params) <= 0:
+            raise MeshError("radii must be positive")
+        return SetSpec(kind, params)
 
 
 @dataclass
@@ -88,6 +116,8 @@ class SampledSet:
             self.z = np.asarray(self.z, dtype=complex)
             if self.z.shape != self.w.shape:
                 raise MeshError("z points must align with w points")
+        if not (np.isfinite(self.w).all() and (self.z is None or np.isfinite(self.z).all())):
+            raise MeshError("sample coordinates must be finite")
         coords = self.z if self.z is not None else self.w
         scale = max(1.0, float(np.abs(coords).max()))
         rounded = np.round(coords / (DUPLICATE_TOL * scale)) + 0.0  # + 0.0 folds -0.0 into 0.0
@@ -97,22 +127,6 @@ class SampledSet:
 
     def __len__(self) -> int:
         return len(self.w)
-
-
-def _mesh_counts(counts) -> tuple[int, int]:
-    if isinstance(counts, int):
-        return counts, counts
-    c = tuple(int(x) for x in counts)
-    if len(c) != 2:
-        raise MeshError("mesh counts: one integer or a pair")
-    return c
-
-
-def _grid(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """All pairs (a, b), a from first and b from second, the second index fastest."""
-    return np.column_stack(
-        [np.repeat(first, len(second)), np.tile(second, len(first))]
-    ).astype(complex)
 
 
 def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
@@ -139,44 +153,14 @@ def build_mesh(spec: SetSpec | str, counts) -> SampledSet:
             raise MeshError(f"no points in {path}")
         return SampledSet(w=np.array(rows), provenance="points")
 
-    n1, n2 = _mesh_counts(counts)
-    if spec.kind == "torus":
-        r1, r2 = spec.params
-        if n1 < 4 or n2 < 4:
-            raise MeshError("torus meshes need at least 4 points per circle")
-        t1 = r1 * np.exp(2j * np.pi * np.arange(n1) / n1)
-        t2 = r2 * np.exp(2j * np.pi * np.arange(n2) / n2)
-        return SampledSet(w=_grid(t1, t2), provenance="mesh")
-
-    if spec.kind == "polydisc":
-        r1, r2 = spec.params
-        if n1 < 4 or n2 < 4:
-            raise MeshError("polydisc meshes need at least 4 points per disc")
-
-        def disc(r: float, n: int) -> np.ndarray:
-            # sunflower layout, outermost point on the boundary circle
-            k = np.arange(n)
-            rho = r * np.sqrt((k + 1) / n)
-            golden = math.pi * (3 - math.sqrt(5))
-            return rho * np.exp(1j * golden * k)
-
-        return SampledSet(w=_grid(disc(r1, n1), disc(r2, n2)), provenance="mesh")
-
-    if spec.kind == "box":
-        a, b, c, d = spec.params
-
-        def seg(lo: float, hi: float, n: int) -> np.ndarray:
-            if lo == hi:
-                if n != 1:
-                    raise MeshError("a collapsed interval takes exactly 1 point")
-                return np.array([lo])
-            if n < 4:
-                raise MeshError("box meshes need at least 4 points per interval")
-            return np.linspace(lo, hi, n)
-
-        return SampledSet(w=_grid(seg(a, b, n1), seg(c, d, n2)), provenance="mesh")
-
-    raise MeshError(f"unknown set kind {spec.kind!r}")
+    sampler, per = _KINDS[spec.kind]
+    counts = (counts, counts) if isinstance(counts, int) else tuple(int(x) for x in counts)
+    if len(counts) != 2:
+        raise MeshError("mesh counts: one integer or a pair")
+    first, second = (sampler(*spec.params[i * per : (i + 1) * per], n) for i, n in enumerate(counts))
+    # all pairs, the second coordinate fastest
+    w = np.column_stack([np.repeat(first, len(second)), np.tile(second, len(first))])
+    return SampledSet(w=w.astype(complex), provenance="mesh")
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +271,6 @@ def _z1_coefficients(grids: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return np.matmul(grids, powers[..., None])[..., 0]
 
 
-def _sylvester_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """z1-Sylvester matrices of stacked coefficient rows (lowest first)."""
-    n1, n2 = a.shape[-1] - 1, b.shape[-1] - 1
-    mats = np.zeros(a.shape[:-1] + (n1 + n2, n1 + n2), dtype=complex)
-    for i in range(n2):
-        mats[..., i, i : i + n1 + 1] = a[..., ::-1]
-    for i in range(n1):
-        mats[..., n2 + i, i : i + n2 + 1] = b[..., ::-1]
-    return mats
-
-
 class _FiberSolver:
     """Batched solver for f(z) = w over many base points w of one map.
 
@@ -355,7 +328,7 @@ class _FiberSolver:
             for s in range(0, len(w), step):
                 ws = w[s : s + step]
                 a, b = (_z1_coefficients(self._shifted(k, ws[:, k])[:, None], self.samples[None]) for k in (0, 1))
-                dets[s : s + step] = np.linalg.det(_sylvester_stack(a, b))
+                dets[s : s + step] = np.linalg.det(sylvester_stack(a, b))
             # samples run counterclockwise, so the forward transform reads off
             # the coefficients; ifft would hand them back reversed
             elim = np.fft.fft(dets, axis=1) / len(self.samples)
@@ -452,8 +425,11 @@ def fiber(f: GraphMap, w: Sequence[complex]) -> FiberResult:
     root pairs than 1e-6 or a count below d1*d2 raise the near-discriminant
     flag (not an error).
     """
+    point = np.array([[complex(w[0]), complex(w[1])]])
+    if not np.isfinite(point).all():
+        raise FiberError("fiber base point must be finite")
     solver = _FiberSolver(f)
-    batch = solver.solve(np.array([[complex(w[0]), complex(w[1])]]))
+    batch = solver.solve(point)
     if batch.errors:
         raise FiberError(batch.errors[0])
     return FiberResult(

@@ -104,13 +104,16 @@ def test_evaluate_monomials_columns_match_polynomial_evaluate():
 # discrete minimax
 
 
-def test_minimax_empty_prefix_is_sup_norm():
-    b = np.array([1.0, -3.0, 2.0], dtype=complex)
-    est = minimax_from_matrix(np.empty((3, 0)), b)
+@pytest.mark.parametrize("a", [np.empty((4, 0)), np.zeros((4, 2))], ids=["no-columns", "zero-columns"])
+def test_minimax_empty_prefix_is_sup_norm(a):
+    # a prefix of zero columns keeps no basis column, so b is its own answer
+    b = np.array([1.0, -3.0, 2.0, 0.5], dtype=complex)
+    est = minimax_from_matrix(a, b)
     assert est.value == 3.0
     assert est.lower == 3.0
+    assert est.iterations == 0
     assert est.converged
-    assert est.prefix_size == 0
+    assert est.prefix_size == a.shape[1]
 
 
 def test_minimax_constant_shift():

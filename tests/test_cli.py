@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -534,6 +535,35 @@ def test_directory_in_place_of_a_file_is_domain_error(argv, tmp_path, capsys):
     code = main([a.format(dir=tmp_path) for a in argv])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tdiam", "--set", "torus:nan,1", "--mesh", "8", "--basis", "w", "--nmax", "2"],
+        ["tdiam", "--set", "box:0,nan,0,1", "--mesh", "8", "--basis", "w", "--nmax", "2"],
+        ["tdiam", "--set", "polydisc:1,nan", "--mesh", "8", "--basis", "w", "--nmax", "2"],
+        ["tdiam", "--set", "torus:inf,1", "--mesh", "8", "--basis", "w", "--nmax", "2"],
+        ["tdiam", "--set", "points:{points}", "--basis", "w", "--nmax", "1"],
+        ["fiber", "--map", "{map}", "--w", "nan,0,1,0"],
+        ["resultant", "--map", "{float_map}"],
+    ],
+)
+def test_input_that_is_not_finite_is_domain_error(argv, map_file, tmp_path, capsys):
+    points = tmp_path / "pts.csv"
+    points.write_text("1,0,0,1\nnan,0,0,-1\n-1,0,0,-1\n")
+    paths = {
+        "points": points,
+        "map": map_file({"f1": "z1^2 + z1*z2 + z2^2", "f2": "z1*z2 + 1"}),
+        "float_map": map_file({"f1": "1.0e400*z1^2", "f2": "z2^2", "precision": "float"}, "big.json"),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 @pytest.fixture

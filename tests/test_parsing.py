@@ -74,6 +74,13 @@ def test_error_offsets():
         parse_poly("(z1")
 
 
+def test_float_literal_that_overflows_is_rejected():
+    for text in ("1.0e400*z1^2", "1" + "0" * 400):
+        with pytest.raises(ParseError):
+            parse_poly(text, "float")
+    assert parse_poly("1.0e400*z1^2") == parse_poly(f"1{'0' * 400}*z1^2")
+
+
 def test_division_only_by_integers():
     assert parse_poly("3/2") == Polynomial.constant(GaussianRational(Fraction(3, 2)))
     with pytest.raises(ParseError):

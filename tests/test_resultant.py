@@ -34,9 +34,38 @@ def M(f1, f2):
 # sylvester matrices and resultants
 
 
-def test_sylvester_layout_linear():
-    m = sylvester_matrix(M("z1 + z2", "z1 - z2"))
-    assert [[complex(c) for c in row] for row in m] == [[1, 1], [1, -1]]
+HALF_I = GaussianRational(0, Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "f1, f2, rows",
+    [
+        ("z1 + z2", "z1 - z2", [[1, 1], [1, -1]]),
+        # degrees 3 and 2: two shifted rows of f1's top form, then three of
+        # f2's, z1-degree descending; the lower-order terms do not enter
+        (
+            "2*z1^3 + 3*z1^2*z2 - 5*z1*z2^2 + 1/2*i*z2^3 + z1^2 - 4",
+            "11*z1^2 - 13*z1*z2 + 17*z2^2 + z2",
+            [
+                [2, 3, -5, HALF_I, 0],
+                [0, 2, 3, -5, HALF_I],
+                [11, -13, 17, 0, 0],
+                [0, 11, -13, 17, 0],
+                [0, 0, 11, -13, 17],
+            ],
+        ),
+    ],
+    ids=["linear", "degrees-3-2"],
+)
+def test_sylvester_layout_linear(f1, f2, rows):
+    m = sylvester_matrix(M(f1, f2))
+    assert m.dtype == object and m.shape == (len(rows), len(rows))
+    for row, expected in zip(m, rows):
+        for c, e in zip(row, expected):
+            assert isinstance(c, GaussianRational) and c == GaussianRational.coerce(e)
+    mf = sylvester_matrix(GraphMap(parse_poly(f1, "float"), parse_poly(f2, "float")))
+    assert mf.dtype == complex
+    assert np.array_equal(mf, [[complex(c) for c in row] for row in m])
 
 
 def test_resultant_frozen_values():

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ def test_spec_parse_forms():
 
 
 def test_spec_parse_rejects_malformed():
-    for bad in ("torus", "torus:1", "torus:0,1", "box:2,-2,0,0", "blob:1,2"):
+    for bad in ("torus", "torus:1", "torus:0,1", "box:2,-2,0,0", "blob:1,2",
+                "torus:nan,1", "box:0,nan,0,1", "polydisc:1,nan", "torus:inf,1"):
         with pytest.raises(MeshError):
             SetSpec.parse(bad)
 
@@ -76,6 +78,17 @@ def test_polydisc_outermost_point_on_boundary():
 def test_duplicate_points_rejected():
     with pytest.raises(MeshError):
         SampledSet(w=np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+
+def test_non_finite_points_rejected(tmp_path):
+    with pytest.raises(MeshError):
+        SampledSet(w=np.array([[np.nan, 0.0], [np.nan, 0.0]]))
+    with pytest.raises(MeshError):
+        SampledSet(w=np.array([[1.0, 2.0]]), z=np.array([[np.inf, 0.0]]))
+    path = tmp_path / "pts.csv"
+    path.write_text("1,0,0,1\nnan,0,0,-1\n")
+    with pytest.raises(MeshError):
+        build_mesh(f"points:{path}", None)
 
 
 def test_near_duplicates_rejected_distinct_points_kept():
@@ -125,6 +138,14 @@ def test_fiber_of_squares_map():
     assert sorted(np.round(result.z[:, 0].real)) == [-2, -2, 2, 2]
     assert sorted(np.round(result.z[:, 1].real)) == [-3, -3, 3, 3]
     assert result.residuals.max() < 1e-9
+
+
+@pytest.mark.parametrize("w", [(np.nan, 0), (1, np.inf)])
+def test_fiber_rejects_a_base_point_that_is_not_finite(w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FiberError):
+            fiber(M("z1^2 + z1*z2 + z2^2", "z1*z2 + 1"), w)
 
 
 def test_fiber_frozen_triangular_map():
