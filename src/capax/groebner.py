@@ -2,15 +2,31 @@
 
 One order serves both ideals downstream: the top-form ideal in C[z1, z2], on
 which GREVLEX4 is graded reverse lexicographic, and the graph ideal in
-C[w1, w2, z1, z2].  Buchberger with the coprime-leading-monomial criterion
-and full reduction; bases come back reduced and monic.  Everything here
+C[w1, w2, z1, z2].  Buchberger with full reduction and two criteria that
+drop S-pairs known to reduce to zero: coprime leading monomials, and the
+chain criterion (Buchberger's second; Cox, Little & O'Shea, "Ideals,
+Varieties, and Algorithms", ch. 2 sec. 10), which skips (i, j) when some
+lm_k divides lcm(lm_i, lm_j) and the pairs (i, k) and (j, k) are already
+treated.  Bases come back reduced and monic; a reduced basis is unique, so
+the criteria change the work and never the result.  Everything here
 requires exact coefficients: float Groebner walks are numerically meaningless
 and nothing downstream wants one.
+
+Division is heap-ordered (Monagan & Pearce, CASC 2007).  reduce_full keeps
+the dividend as a dict of terms and a max-heap of their GREVLEX4 keys, packed
+into one int each; a term that cancels stays in the heap and is skipped when
+it surfaces (lazy deletion).  Each step pops the leading term and adds the
+quotient times the divisor's tail into the dict, so nothing rescans or
+rebuilds the dividend.  The tails come from Divisors, which stores every
+member's leading monomial and its tail as (monomial, key, -c/lc) triples:
+they are built once per basis member, by Buchberger as the basis grows and
+once per map for the graph basis, and read by every division after that.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import heapq
+from collections.abc import Iterable, Sequence
 
 from .errors import PrecisionError
 from .exact import GaussianRational
@@ -27,28 +43,82 @@ def _mono_shift(p: Polynomial, m: Monomial, c: GaussianRational) -> Polynomial:
     return Polynomial._of({t.mul(m): c * cc for t, cc in p.terms.items()}, "exact")
 
 
-def reduce_full(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of p on division by basis: no term divisible by any leading monomial."""
-    _require_exact(p)
-    data = []
-    for b in basis:
+def _heap_key(m: Monomial) -> int:
+    """Minus GREVLEX4(m) packed into one int.  Exponents are at most
+    MAX_EXPONENT < 2^9, so fields 9 bits apart compare as the tuple does, and
+    the key of a product is the sum of its factors' keys."""
+    a1, a2, b1, b2 = m
+    return -((a1 + a2 + b1 + b2) << 36 | b2 << 27 | b1 << 18 | a2 << 9 | a1)
+
+
+class Divisors(Sequence):
+    """A basis prepared for division: the members in order and, for each
+    nonzero one, its leading monomial lm with its tail as (monomial, heap key,
+    -c/lc) triples.  Grow it only by append, which prepares the new member
+    once."""
+
+    def __init__(self, basis: Iterable[Polynomial] = ()) -> None:
+        self._members: list[Polynomial] = []
+        self.steps: list[tuple[Monomial, list[tuple[Monomial, int, GaussianRational]]]] = []
+        for b in basis:
+            self.append(b)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __getitem__(self, i):
+        return self._members[i]
+
+    def append(self, b: Polynomial) -> None:
+        _require_exact(b)
+        self._members.append(b)
         if b.is_zero():
-            continue
+            return
         lm, lc = b.leading_term(GREVLEX4)
-        data.append((lm, lc, b))
-    remainder = Polynomial.zero("exact")
-    work = p
-    while not work.is_zero():
-        m, c = work.leading_term(GREVLEX4)
-        for lm, lc, b in data:
-            if lm.divides(m):
-                work = work - _mono_shift(b, m.quotient(lm), c / lc)
+        tail = [(m, _heap_key(m), -c / lc) for m, c in b.terms.items() if m != lm]
+        self.steps.append((lm, tail))
+
+
+def reduce_full(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    """Remainder of p on division by basis: no term divisible by any leading monomial.
+
+    The leading term is divided by the first member whose leading monomial
+    divides it, or else moves to the remainder.  Pass a Divisors to reuse
+    its prepared tails; any other sequence is prepared for this call.
+    """
+    _require_exact(p)
+    steps = (basis if isinstance(basis, Divisors) else Divisors(basis)).steps
+    work = dict(p.terms)
+    heap = [(_heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        key, m = heapq.heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled, or a second entry of a term already taken
+        a1, a2, b1, b2 = m
+        for lm, tail in steps:
+            l1, l2, l3, l4 = lm
+            if l1 <= a1 and l2 <= a2 and l3 <= b1 and l4 <= b2:
+                q = Monomial(a1 - l1, a2 - l2, b1 - l3, b2 - l4)
+                kq = key - _heap_key(lm)
+                for t, kt, ct in tail:
+                    mt = t.mul(q)
+                    old = work.get(mt)
+                    if old is None:
+                        work[mt] = c * ct
+                        heapq.heappush(heap, (kt + kq, mt))
+                    else:
+                        s = old + c * ct
+                        if s:
+                            work[mt] = s
+                        else:
+                            del work[mt]
                 break
         else:
-            t = Polynomial({m: c}, "exact")
-            remainder = remainder + t
-            work = work - t
-    return remainder
+            remainder[m] = c
+    return Polynomial._of(remainder, "exact")
 
 
 def _monic(p: Polynomial) -> Polynomial:
@@ -68,7 +138,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def buchberger(gens: Iterable[Polynomial]) -> list[Polynomial]:
     """Reduced monic Groebner basis of the ideal generated by gens."""
-    basis = []
+    basis = Divisors()
     for g in gens:
         _require_exact(g)
         if not g.is_zero():
@@ -76,31 +146,30 @@ def buchberger(gens: Iterable[Polynomial]) -> list[Polynomial]:
     if not basis:
         return []
 
+    lms = [lm for lm, _ in basis.steps]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     while pairs:
         # normal selection: smallest lcm of the leading monomials first
-        i, j = min(
-            pairs,
-            key=lambda ij: GREVLEX4(
-                basis[ij[0]].leading_monomial(GREVLEX4).lcm(
-                    basis[ij[1]].leading_monomial(GREVLEX4)
-                )
-            ),
-        )
+        i, j = min(pairs, key=lambda ij: GREVLEX4(lms[ij[0]].lcm(lms[ij[1]])))
         pairs.discard((i, j))
-        lmi = basis[i].leading_monomial(GREVLEX4)
-        lmj = basis[j].leading_monomial(GREVLEX4)
-        if lmi.lcm(lmj) == lmi.mul(lmj):
+        lcm = lms[i].lcm(lms[j])
+        if lcm == lms[i].mul(lms[j]):
             continue  # coprime leading monomials reduce to zero
+        if any(
+            lms[k].divides(lcm) and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k in range(len(basis)) if k != i and k != j
+        ):
+            continue  # chain criterion: (i, k) and (j, k) are treated
         r = reduce_full(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
         basis.append(_monic(r))
+        lms.append(basis.steps[-1][0])
         k = len(basis) - 1
         pairs.update((i2, k) for i2 in range(k))
 
     # minimalize: drop members whose leading monomial another one divides
-    lms = [b.leading_monomial(GREVLEX4) for b in basis]
     keep = []
     for i, lm in enumerate(lms):
         if any(j != i and lms[j].divides(lm) and (lms[j] != lm or j < i) for j in range(len(basis))):

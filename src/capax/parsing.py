@@ -18,7 +18,6 @@ variables, so equal polynomials print identically.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ParseError
@@ -148,8 +147,8 @@ class _Parser:
                 if int(v3) == 0:
                     raise ParseError("zero denominator", o3)
                 self.advance()
-                num = Polynomial.constant(Fraction(int(value), int(v3)), self.precision)
-            return num
+                num = Fraction(int(value), int(v3))
+            return self._constant(num, offset)
         if kind == "name":
             self.advance()
             if value == "i":
@@ -170,18 +169,27 @@ class _Parser:
             return var
         raise ParseError("expected a factor", offset)
 
-    def _number(self, text: str, offset: int) -> Polynomial:
+    @staticmethod
+    def _number(text: str, offset: int) -> int | Fraction:
         try:
-            if self.precision == "exact":
-                if text.isdigit():
-                    return Polynomial.constant(int(text), "exact")
-                return Polynomial.constant(Fraction(text), "exact")
-            value = float(text)
-            if math.isinf(value):
-                raise ParseError("number overflows a float", offset)
-            return Polynomial.constant(value, "float")
+            return int(text) if text.isdigit() else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed number: {exc}", offset) from None
+
+    def _constant(self, exact: int | Fraction, offset: int) -> Polynomial:
+        """The constant polynomial of an exact number (a rational is read
+        whole), at the parse precision.  A float reading must keep the number
+        finite and, when it is nonzero, nonzero; the conversion rounds
+        correctly, as float(text) does."""
+        if self.precision == "exact":
+            return Polynomial.constant(exact, "exact")
+        try:
+            value = float(exact)
+        except OverflowError:
+            raise ParseError("number overflows a float", offset) from None
+        if exact and not value:
+            raise ParseError("number underflows a float", offset)
+        return Polynomial.constant(value, "float")
 
 
 def parse_poly(text: str, precision: str = "exact") -> Polynomial:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EstimateError, MapError, PrecisionError
+from .errors import EstimateError, PrecisionError
 from .exact import GaussianRational
 from .polynomials import ZERO, Polynomial, z_monomial
 from .variety import BlockShape, GraphMap, block_shape
@@ -209,30 +209,39 @@ class BlockReport:
     matches: bool
 
 
+def _top_product(f: GraphMap, a: int, b: int) -> Polynomial:
+    """fhat1^a fhat2^b from the map's table: each entry is filled once, as
+    one earlier entry times one top form."""
+    table = f._top_products
+    if (a, b) not in table:
+        if a == b == 0:
+            table[0, 0] = Polynomial.constant(1, "exact")
+        else:
+            fh1, fh2 = f.top_forms()
+            table[a, b] = _top_product(f, a - 1, b) * fh1 if a else _top_product(f, 0, b - 1) * fh2
+    return table[a, b]
+
+
 def block_factorization(f: GraphMap, k: int) -> BlockReport:
     """Certify det(M_k) = +-Res^copies for the weight-k block of f.
 
     M_k expresses the substituted products fhat1^(ell-s) fhat2^s z1^(r+d-1-j) z2^j
-    on the consecutive monomials z1^(k-i) z2^i, i < d*(ell+1).  Exact maps only;
-    the identity is checked by exact determinant, not assumed.
+    on the consecutive monomials z1^(k-i) z2^i, i < d*(ell+1).  A row is its
+    product fhat1^(ell-s) fhat2^s, read from the map's table, shifted j
+    places along z2: no coefficient arithmetic.  Exact maps only; the
+    identity is checked by exact determinant, not assumed.
     """
     if f.precision != "exact":
         raise PrecisionError("block_factorization needs an exact map")
     d = f.d
     shape = block_shape(d, k)
-    fh1, fh2 = f.top_forms()
     matrix = []
     for s in range(shape.ell + 1):
-        base = fh1 ** (shape.ell - s) * fh2 ** s
+        terms = _top_product(f, shape.ell - s, s).terms
         for j in range(d):
-            p = base * Polynomial({z_monomial((shape.r + d - 1 - j, j)): GaussianRational(1)}, "exact")
             row = [GaussianRational(0)] * shape.rows
-            for m, c in p.terms.items():
-                if m.b1 + m.b2 != k:
-                    raise MapError("block row is not homogeneous of the block weight")
-                if m.b2 >= shape.rows:
-                    raise MapError("block row leaves the consecutive-monomial window")
-                row[m.b2] = c
+            for m, c in terms.items():
+                row[m.b2 + j] = c
             matrix.append(row)
     det = bareiss_det(matrix)
     res = resultant(f)

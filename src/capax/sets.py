@@ -74,6 +74,10 @@ class SetSpec:
     kind: str
     params: tuple
 
+    def __post_init__(self) -> None:
+        if self.kind != "points" and self.kind not in _KINDS:
+            raise MeshError(f"unknown set kind {self.kind!r}")
+
     @staticmethod
     def parse(text: str) -> "SetSpec":
         """Forms: torus:r1,r2  polydisc:r1,r2  box:a,b,c,d  points:path.csv"""

@@ -23,7 +23,7 @@ from .errors import (
     StarSearchError,
 )
 from .exact import GaussianRational
-from .groebner import buchberger, reduce_full, staircase_of
+from .groebner import Divisors, buchberger, reduce_full, staircase_of
 from .polynomials import (
     GREVLEX4,
     GraphWeighted,
@@ -59,8 +59,10 @@ class GraphMap:
         self.d2 = f2.degree()
         self._float: Optional["GraphMap"] = None
         self._staircase: Optional[list[Monomial]] = None
-        self._graph_gb: Optional[list[Polynomial]] = None
+        self._graph_gb: Optional[Divisors] = None
+        self._z_normal_forms: dict[tuple[int, int], Polynomial] = {}  # NF(z^beta) by beta
         self._sylvester_det = None  # top forms' Sylvester determinant, kept by resultant.py
+        self._top_products: dict[tuple[int, int], Polynomial] = {}  # fhat1^a fhat2^b, kept by resultant.py
 
     @property
     def precision(self) -> str:
@@ -168,26 +170,52 @@ def is_generic(f: GraphMap) -> bool:
 # graph normal forms
 
 
-def graph_basis(f: GraphMap) -> list[Polynomial]:
-    """Groebner basis of <f1 - w1, f2 - w2> for the graded order on all four variables."""
+def _graph_divisors(f: GraphMap) -> Divisors:
+    """The graph basis prepared for division, computed once per map."""
     if f.precision != "exact":
         raise PrecisionError("graph normal forms need an exact map")
     if f._graph_gb is None:
         w1 = Polynomial.variable("w1", "exact")
         w2 = Polynomial.variable("w2", "exact")
-        f._graph_gb = buchberger([f.f1 - w1, f.f2 - w2])
+        f._graph_gb = Divisors(buchberger([f.f1 - w1, f.f2 - w2]))
     return f._graph_gb
+
+
+def graph_basis(f: GraphMap) -> list[Polynomial]:
+    """Groebner basis of <f1 - w1, f2 - w2> for the graded order on all four variables."""
+    return list(_graph_divisors(f))
 
 
 def normal_form(p: Polynomial, f: GraphMap) -> Polynomial:
     """Canonical representative of p modulo the graph ideal.
 
     The result is supported on monomials w^a z^b with b in the staircase, and
-    agrees with p on the graph variety.
+    agrees with p on the graph variety.  The leading monomials of the graph
+    basis are pure powers of z, so these normal forms make up a free
+    C[w]-module on the staircase, and since the remainder modulo a Groebner
+    basis is unique, NF(z_i * m) = NF(z_i * NF(m)) for every m.  check_star
+    rests on that chain: it gets each NF(z^beta) as one multiplication by a
+    variable and one reduction of the memoized NF of a smaller z-monomial.
     """
     if p.precision != "exact":
         raise PrecisionError("normal_form needs an exact polynomial")
-    return reduce_full(p, graph_basis(f))
+    return reduce_full(p, _graph_divisors(f))
+
+
+def _z_normal_form(f: GraphMap, beta: tuple[int, int]) -> Polynomial:
+    """NF(z^beta), memoized on f: z2 (or z1, with no z2 left) times the
+    memoized NF(z^(beta - e_i)), reduced once (see normal_form)."""
+    nf = f._z_normal_forms.get(beta)
+    if nf is None:
+        b1, b2 = beta
+        if b1 == b2 == 0:
+            p = Polynomial.constant(1, "exact")
+        else:
+            prev, step = ((b1, b2 - 1), (0, 1)) if b2 else ((b1 - 1, 0), (1, 0))
+            shift = z_monomial(step)
+            p = Polynomial._of({m.mul(shift): c for m, c in _z_normal_form(f, prev).terms.items()}, "exact")
+        nf = f._z_normal_forms[beta] = reduce_full(p, _graph_divisors(f))
+    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +400,7 @@ class StarCertificate:
 
 
 def _star_try(f: GraphMap, beta: tuple[int, int], bt: tuple[int, int]):
-    m = z_monomial((beta[0] + bt[0], beta[1] + bt[1]))
-    nf = normal_form(Polynomial({m: GaussianRational(1)}, "exact"), f)
+    nf = _z_normal_form(f, (beta[0] + bt[0], beta[1] + bt[1]))
     if nf.is_zero():
         return None
     lm, lc = nf.leading_term(GraphWeighted(f.d))
@@ -431,6 +458,11 @@ def check_star(f: GraphMap) -> StarReport:
 
     A missing certificate is recorded per exponent rather than raised; it
     signals a map outside the generic regime, not a failure of the search.
+    Each try reads NF(z^(beta + bt)) from a memo on f, filled by the chain
+    NF(z_i * m) = NF(z_i * NF(m)) that holds because the normal forms are a
+    free C[w]-module on the staircase (see normal_form): the next power of
+    z2 costs one multiplication by z2 and one reduction, and no monomial is
+    reduced twice across the exponents of one map.
     """
     if f.precision != "exact":
         raise PrecisionError("check_star needs an exact map")

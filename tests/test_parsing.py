@@ -81,6 +81,19 @@ def test_float_literal_that_overflows_is_rejected():
     assert parse_poly("1.0e400*z1^2") == parse_poly(f"1{'0' * 400}*z1^2")
 
 
+def test_float_literal_that_underflows_is_rejected():
+    for text in ("1/1" + "0" * 400 + "*z1^2", "0." + "0" * 400 + "1*z1", "1.0e-400*z1", "2.0e-324"):
+        with pytest.raises(ParseError, match="underflows a float"):
+            parse_poly(text, "float")
+        assert not parse_poly(text).is_zero()  # the exact reading keeps the number
+    # zero is not an underflow, and the smallest subnormal still reads
+    for text in ("0.0*z1", "0/5*z1", "0.0e-400*z1"):
+        assert parse_poly(text, "float").is_zero()
+    assert parse_poly("4.9e-324*z1", "float").coefficient(Monomial(0, 0, 1, 0)) == 5e-324
+    # a rational is converted whole, so neither of its parts needs to fit a float
+    assert parse_poly("1" + "0" * 400 + "/2" + "0" * 400 + "*z1", "float") == parse_poly("0.5*z1", "float")
+
+
 def test_division_only_by_integers():
     assert parse_poly("3/2") == Polynomial.constant(GaussianRational(Fraction(3, 2)))
     with pytest.raises(ParseError):

@@ -7,6 +7,7 @@ import pytest
 from capax import (
     GaussianRational,
     GraphMap,
+    Polynomial,
     block_factorization,
     block_shape,
     is_regular,
@@ -19,7 +20,7 @@ from capax import (
 )
 from capax.polynomials import z_monomial
 from capax.resultant import bareiss_det
-from conftest import random_regular_map
+from conftest import random_generic_map, random_regular_map
 
 
 def P(text):
@@ -233,3 +234,37 @@ def test_block_factorization_random_pairs():
         f = random_regular_map(rng, 2)
         for k in (3, 5):
             assert block_factorization(f, k).matches
+
+
+def _direct_block_det(f, k):
+    """det(M_k) from rows built by direct powers of the top forms."""
+    d = f.d
+    shape = block_shape(d, k)
+    fh1, fh2 = f.top_forms()
+    matrix = []
+    for s in range(shape.ell + 1):
+        base = fh1 ** (shape.ell - s) * fh2 ** s
+        for j in range(d):
+            p = base * Polynomial({z_monomial((shape.r + d - 1 - j, j)): GaussianRational(1)}, "exact")
+            row = [GaussianRational(0)] * shape.rows
+            for m, c in p.terms.items():
+                assert m.b1 + m.b2 == k
+                row[m.b2] = c
+            matrix.append(row)
+    return bareiss_det(matrix)
+
+
+def test_block_factorization_reads_its_own_product_table():
+    f = random_generic_map(random.Random(4), 3)
+    g = random_generic_map(random.Random(9), 3)
+    ks = list(range(5, 16))
+    want = {k: _direct_block_det(f, k) for k in ks}
+    for k in ks + ks[::-1]:  # ascending fills the table, descending reads it
+        report = block_factorization(f, k)
+        assert report.det == want[k] and report.matches
+    # a second map fills a table of its own, and a fresh copy starts empty
+    for k in ks[::-1]:
+        assert block_factorization(g, k).det == _direct_block_det(g, k)
+    assert f._top_products is not g._top_products
+    assert f._top_products[1, 0] != g._top_products[1, 0]
+    assert GraphMap(f.f1, f.f2)._top_products == {}

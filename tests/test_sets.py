@@ -47,6 +47,13 @@ def test_spec_parse_rejects_malformed():
             SetSpec.parse(bad)
 
 
+def test_hand_built_spec_of_unknown_kind_fails_as_a_parsed_one():
+    for make in (lambda: SetSpec("blob", (1.0, 2.0)), lambda: SetSpec.parse("blob:1,2")):
+        with pytest.raises(MeshError, match="unknown set kind 'blob'"):
+            make()
+    assert SetSpec("points", ("pts.csv",)).kind == "points"
+
+
 def test_torus_mesh_points_lie_on_circles():
     mesh = build_mesh("torus:1,2", (8, 4))
     assert len(mesh) == 32

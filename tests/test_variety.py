@@ -335,9 +335,11 @@ def test_star_certificate_tries_each_multiplier_once(monkeypatch):
     )
     assert is_regular(f) and is_generic(f)
     staircase(f)
-    calls = []
-    real = capax.variety.normal_form
-    monkeypatch.setattr(capax.variety, "normal_form", lambda *a: calls.append(1) or real(*a))
+    tried = []
+    real = capax.variety._star_try
+    monkeypatch.setattr(
+        capax.variety, "_star_try", lambda f, beta, bt: tried.append((beta, bt)) or real(f, beta, bt)
+    )
     report = check_star(f)
     assert {beta: c.beta_tilde for beta, c in report.certificates.items()} == {
         (0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (0, 1), (2, 0): (2, 0)
@@ -345,7 +347,21 @@ def test_star_certificate_tries_each_multiplier_once(monkeypatch):
     cert = report.certificates[(2, 0)]
     assert cert.gamma == (0, 2)
     assert cert.constant == GaussianRational(Fraction(-1, 36))
-    assert len(calls) == 16  # 1 + 2 + 2 + (9 powers of z2, then z1, then z1^2)
+    # 1 + 2 + 2 + (9 powers of z2, then z1, then z1^2), in staircase order
+    # and, per exponent, in the order the docstring gives, each once
+    expected = (
+        [((0, 0), (0, 0))]
+        + [((1, 0), (0, j)) for j in range(2)]
+        + [((0, 1), (0, j)) for j in range(2)]
+        + [((2, 0), (0, j)) for j in range(9)]
+        + [((2, 0), (1, 0)), ((2, 0), (2, 0))]
+    )
+    assert tried == expected
+    assert len(tried) == 16 == len(set(tried))
+    # every certificate carries the normal form of its own z-monomial
+    for beta, c in report.certificates.items():
+        z = z_monomial((beta[0] + c.beta_tilde[0], beta[1] + c.beta_tilde[1]))
+        assert c.reduction == normal_form(Polynomial({z: GaussianRational(1)}, "exact"), f)
 
 
 def test_star_certificate_requires_staircase_membership():
