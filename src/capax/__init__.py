@@ -1,6 +1,8 @@
 """Transfinite diameters, directional Chebyshev constants, and resultants
 for polynomial self-maps of C^2, along the graph variety {w = f(z)}."""
 
+from types import ModuleType as _ModuleType
+
 from .chebyshev import (
     ChebyshevEstimate,
     chebyshev_transform,
@@ -76,64 +78,5 @@ from .variety import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapaxError",
-    "ChebyshevEstimate",
-    "DegreeOverflowError",
-    "DiameterSeries",
-    "EstimateError",
-    "FiberError",
-    "FiberResult",
-    "GaussianRational",
-    "GraphMap",
-    "GraphWeighted",
-    "GREVLEX4",
-    "MapError",
-    "MeshError",
-    "Monomial",
-    "MonomialBasisStream",
-    "ParseError",
-    "Polynomial",
-    "PrecisionError",
-    "PullbackReport",
-    "SampledSet",
-    "SetSpec",
-    "StaircaseError",
-    "StarCertificate",
-    "StarSearchError",
-    "TelescopingReport",
-    "VandermondeLedger",
-    "basis_stream",
-    "block_factorization",
-    "block_shape",
-    "BlockReport",
-    "BlockShape",
-    "build_mesh",
-    "check_star",
-    "star_certificate",
-    "StarReport",
-    "chebyshev_transform",
-    "chebyshev_value",
-    "evaluate_monomials",
-    "fiber",
-    "fiber_average_poly",
-    "filtration_counts",
-    "format_poly",
-    "generic_staircase",
-    "graph_basis",
-    "graph_lift",
-    "greedy_fekete",
-    "is_generic",
-    "is_regular",
-    "normal_form",
-    "parse_poly",
-    "precondition",
-    "pullback_check",
-    "resultant",
-    "resultant_root_oracle",
-    "resultant_slog",
-    "staircase",
-    "sylvester_matrix",
-    "telescoping_check",
-    "transfinite_diameter",
-]
+# every public name imported above; the submodules are attributes, not exports
+__all__ = [n for n, v in list(globals().items()) if not n.startswith("_") and not isinstance(v, _ModuleType)]

@@ -21,6 +21,9 @@ rebuilds the dividend.  The tails come from Divisors, which stores every
 member's leading monomial and its tail as (monomial, key, -c/lc) triples:
 they are built once per basis member, by Buchberger as the basis grows and
 once per map for the graph basis, and read by every division after that.
+The final inter-reduction prepares the minimal basis once and reduces each
+member's tail over all of it: no tail term is divisible by its own, larger,
+leading monomial, so the member's presence changes no division step.
 """
 
 from __future__ import annotations
@@ -146,42 +149,39 @@ def buchberger(gens: Iterable[Polynomial]) -> list[Polynomial]:
     if not basis:
         return []
 
-    lms = [lm for lm, _ in basis.steps]
+    steps = basis.steps  # (leading monomial, tail) per member, grown by basis.append
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     while pairs:
         # normal selection: smallest lcm of the leading monomials first
-        i, j = min(pairs, key=lambda ij: GREVLEX4(lms[ij[0]].lcm(lms[ij[1]])))
+        i, j = min(pairs, key=lambda ij: GREVLEX4(steps[ij[0]][0].lcm(steps[ij[1]][0])))
         pairs.discard((i, j))
-        lcm = lms[i].lcm(lms[j])
-        if lcm == lms[i].mul(lms[j]):
+        (lmi, _), (lmj, _) = steps[i], steps[j]
+        lcm = lmi.lcm(lmj)
+        if lcm == lmi.mul(lmj):
             continue  # coprime leading monomials reduce to zero
         if any(
-            lms[k].divides(lcm) and (min(i, k), max(i, k)) not in pairs
+            lmk.divides(lcm) and (min(i, k), max(i, k)) not in pairs
             and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(basis)) if k != i and k != j
+            for k, (lmk, _) in enumerate(steps) if k != i and k != j
         ):
             continue  # chain criterion: (i, k) and (j, k) are treated
         r = reduce_full(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
         basis.append(_monic(r))
-        lms.append(basis.steps[-1][0])
         k = len(basis) - 1
         pairs.update((i2, k) for i2 in range(k))
 
     # minimalize: drop members whose leading monomial another one divides
-    keep = []
-    for i, lm in enumerate(lms):
-        if any(j != i and lms[j].divides(lm) and (lms[j] != lm or j < i) for j in range(len(basis))):
-            continue
-        keep.append(basis[i])
-    # inter-reduce the survivors
+    keep = Divisors(
+        basis[i] for i, (lm, _) in enumerate(steps)
+        if not any(j != i and lmj.divides(lm) and (lmj != lm or j < i) for j, (lmj, _) in enumerate(steps))
+    )
+    # inter-reduce: each tail over all the survivors at once (module docstring)
     reduced = []
-    for i, b in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = reduce_full(b, others) if others else b
-        if not r.is_zero():
-            reduced.append(_monic(r))
+    for b, (lm, _) in zip(keep, keep.steps):
+        tail = reduce_full(Polynomial._of({m: c for m, c in b.terms.items() if m != lm}, "exact"), keep)
+        reduced.append(Polynomial._of({lm: b.terms[lm], **tail.terms}, "exact"))
     reduced.sort(key=lambda b: GREVLEX4(b.leading_monomial(GREVLEX4)))
     return reduced
 

@@ -114,10 +114,8 @@ def slog_det(matrix: np.ndarray) -> tuple[complex, float]:
 def _sylvester_det(f: GraphMap):
     """The Sylvester determinant of f, computed once per map: the Bareiss value
     on the exact path, slog_det's (phase, log|det|) pair on the float path."""
-    if f._sylvester_det is None:
-        m = sylvester_matrix(f)
-        f._sylvester_det = bareiss_det(m) if f.precision == "exact" else slog_det(m)
-    return f._sylvester_det
+    det = bareiss_det if f.precision == "exact" else slog_det
+    return f.memo("sylvester_det", lambda: det(sylvester_matrix(f)))
 
 
 def resultant(f: GraphMap):
@@ -210,16 +208,13 @@ class BlockReport:
 
 
 def _top_product(f: GraphMap, a: int, b: int) -> Polynomial:
-    """fhat1^a fhat2^b from the map's table: each entry is filled once, as
-    one earlier entry times one top form."""
-    table = f._top_products
-    if (a, b) not in table:
-        if a == b == 0:
-            table[0, 0] = Polynomial.constant(1, "exact")
-        else:
-            fh1, fh2 = f.top_forms()
-            table[a, b] = _top_product(f, a - 1, b) * fh1 if a else _top_product(f, 0, b - 1) * fh2
-    return table[a, b]
+    """fhat1^a fhat2^b, kept by the map: each product is computed once, as
+    one earlier product times one top form."""
+    if a == b == 0:
+        return Polynomial.constant(1, "exact")
+    if a:
+        return f.memo(("top_product", a, b), lambda: _top_product(f, a - 1, b) * f.f1.top_form())
+    return f.memo(("top_product", 0, b), lambda: _top_product(f, 0, b - 1) * f.f2.top_form())
 
 
 def block_factorization(f: GraphMap, k: int) -> BlockReport:
@@ -227,7 +222,7 @@ def block_factorization(f: GraphMap, k: int) -> BlockReport:
 
     M_k expresses the substituted products fhat1^(ell-s) fhat2^s z1^(r+d-1-j) z2^j
     on the consecutive monomials z1^(k-i) z2^i, i < d*(ell+1).  A row is its
-    product fhat1^(ell-s) fhat2^s, read from the map's table, shifted j
+    product fhat1^(ell-s) fhat2^s, kept by the map, shifted j
     places along z2: no coefficient arithmetic.  Exact maps only; the
     identity is checked by exact determinant, not assumed.
     """

@@ -432,7 +432,7 @@ def fiber(f: GraphMap, w: Sequence[complex]) -> FiberResult:
     point = np.array([[complex(w[0]), complex(w[1])]])
     if not np.isfinite(point).all():
         raise FiberError("fiber base point must be finite")
-    solver = _FiberSolver(f)
+    solver = f.memo("fiber_solver", lambda: _FiberSolver(f))
     batch = solver.solve(point)
     if batch.errors:
         raise FiberError(batch.errors[0])
@@ -450,7 +450,7 @@ def graph_lift(f: GraphMap, base: SampledSet) -> SampledSet:
     meta records the flagged fibers, the roots missing against d1*d2 per
     fiber, and the worst certified residual.
     """
-    solver = _FiberSolver(f)
+    solver = f.memo("fiber_solver", lambda: _FiberSolver(f))
     batch = solver.solve(base.w)
     if batch.errors:
         raise FiberError(batch.errors[min(batch.errors)])
@@ -505,7 +505,7 @@ def fiber_average_poly(
     # The grid is drawn in the order of a point-by-point loop and lifted in
     # one batch; rejected points are redrawn in index order and lifted again,
     # for at most five rounds in all.
-    solver = _FiberSolver(f)
+    solver = f.memo("fiber_solver", lambda: _FiberSolver(f))
     points = [draw() for _ in range(count)]
     values = np.empty(count, dtype=complex)
     pending = np.arange(count)

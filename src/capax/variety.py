@@ -9,6 +9,12 @@ with b restricted to the staircase.
 This module owns the map type, staircases, graph normal forms, the four basis
 streams used by the diameter estimators, the shape of the weight-k window
 block, and the pure-w reduction certificates.
+
+Each map owns one memo, GraphMap.memo, which computes on first use what is
+derived from the map alone: here its float copy, staircase, graph basis
+prepared for division and normal forms NF(z^beta); in resultant.py the top
+forms' Sylvester determinant and products fhat1^a fhat2^b; in sets.py the
+fiber-solver core.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ BASIS_KINDS = ("z", "w", "B", "C")
 
 
 class GraphMap:
-    """A polynomial self-map of C^2, validated once, with cached eliminations."""
+    """A polynomial self-map of C^2, validated once, with one memo of what it derives."""
 
     def __init__(self, f1: Polynomial, f2: Polynomial) -> None:
         if f1.precision != f2.precision:
@@ -57,12 +63,15 @@ class GraphMap:
         self.f2 = f2
         self.d1 = f1.degree()
         self.d2 = f2.degree()
-        self._float: Optional["GraphMap"] = None
-        self._staircase: Optional[list[Monomial]] = None
-        self._graph_gb: Optional[Divisors] = None
-        self._z_normal_forms: dict[tuple[int, int], Polynomial] = {}  # NF(z^beta) by beta
-        self._sylvester_det = None  # top forms' Sylvester determinant, kept by resultant.py
-        self._top_products: dict[tuple[int, int], Polynomial] = {}  # fhat1^a fhat2^b, kept by resultant.py
+        self._memo: dict = {}
+
+    def memo(self, key, compute):
+        """The value this map keeps under key: compute() on the first call,
+        the kept value after.  A compute that raises keeps nothing, so the
+        next call raises again."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def precision(self) -> str:
@@ -81,9 +90,7 @@ class GraphMap:
     def to_float(self) -> "GraphMap":
         if self.precision == "float":
             return self
-        if self._float is None:
-            self._float = GraphMap(self.f1.to_float(), self.f2.to_float())
-        return self._float
+        return self.memo("float", lambda: GraphMap(self.f1.to_float(), self.f2.to_float()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphMap):
@@ -124,22 +131,21 @@ def staircase(f: GraphMap) -> list[Monomial]:
     """
     if f.precision != "exact":
         raise PrecisionError("staircase needs an exact map")
-    if f._staircase is not None:
-        return list(f._staircase)
-    fh1, fh2 = f.top_forms()
-    gb = buchberger([fh1, fh2])
-    try:
-        stairs = staircase_of(gb)
-    except ValueError as exc:
-        raise StaircaseError(str(exc)) from None
-    if len(stairs) != f.d1 * f.d2:
-        # zero-dimensional leading ideal with the wrong colength cannot happen
-        # for coprime forms; surface it rather than continue on bad data
-        raise StaircaseError(
-            f"staircase has {len(stairs)} elements, expected {f.d1 * f.d2}"
-        )
-    f._staircase = stairs
-    return list(stairs)
+
+    def compute() -> list[Monomial]:
+        try:
+            stairs = staircase_of(buchberger(f.top_forms()))
+        except ValueError as exc:
+            raise StaircaseError(str(exc)) from None
+        if len(stairs) != f.d1 * f.d2:
+            # zero-dimensional leading ideal with the wrong colength cannot happen
+            # for coprime forms; surface it rather than continue on bad data
+            raise StaircaseError(
+                f"staircase has {len(stairs)} elements, expected {f.d1 * f.d2}"
+            )
+        return stairs
+
+    return list(f.memo("staircase", compute))
 
 
 def generic_staircase(d: int) -> list[Monomial]:
@@ -174,11 +180,9 @@ def _graph_divisors(f: GraphMap) -> Divisors:
     """The graph basis prepared for division, computed once per map."""
     if f.precision != "exact":
         raise PrecisionError("graph normal forms need an exact map")
-    if f._graph_gb is None:
-        w1 = Polynomial.variable("w1", "exact")
-        w2 = Polynomial.variable("w2", "exact")
-        f._graph_gb = Divisors(buchberger([f.f1 - w1, f.f2 - w2]))
-    return f._graph_gb
+    return f.memo("graph_gb", lambda: Divisors(buchberger(
+        [f.f1 - Polynomial.variable("w1", "exact"), f.f2 - Polynomial.variable("w2", "exact")]
+    )))
 
 
 def graph_basis(f: GraphMap) -> list[Polynomial]:
@@ -205,8 +209,7 @@ def normal_form(p: Polynomial, f: GraphMap) -> Polynomial:
 def _z_normal_form(f: GraphMap, beta: tuple[int, int]) -> Polynomial:
     """NF(z^beta), memoized on f: z2 (or z1, with no z2 left) times the
     memoized NF(z^(beta - e_i)), reduced once (see normal_form)."""
-    nf = f._z_normal_forms.get(beta)
-    if nf is None:
+    def compute() -> Polynomial:
         b1, b2 = beta
         if b1 == b2 == 0:
             p = Polynomial.constant(1, "exact")
@@ -214,8 +217,9 @@ def _z_normal_form(f: GraphMap, beta: tuple[int, int]) -> Polynomial:
             prev, step = ((b1, b2 - 1), (0, 1)) if b2 else ((b1 - 1, 0), (1, 0))
             shift = z_monomial(step)
             p = Polynomial._of({m.mul(shift): c for m, c in _z_normal_form(f, prev).terms.items()}, "exact")
-        nf = f._z_normal_forms[beta] = reduce_full(p, _graph_divisors(f))
-    return nf
+        return reduce_full(p, _graph_divisors(f))
+
+    return f.memo(("z_nf", beta), compute)
 
 
 # ---------------------------------------------------------------------------

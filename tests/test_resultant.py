@@ -259,12 +259,13 @@ def test_block_factorization_reads_its_own_product_table():
     g = random_generic_map(random.Random(9), 3)
     ks = list(range(5, 16))
     want = {k: _direct_block_det(f, k) for k in ks}
-    for k in ks + ks[::-1]:  # ascending fills the table, descending reads it
+    for k in ks + ks[::-1]:  # ascending fills the map's memo, descending reads it
         report = block_factorization(f, k)
         assert report.det == want[k] and report.matches
-    # a second map fills a table of its own, and a fresh copy starts empty
+    # a second map keeps products of its own, and a fresh copy starts empty
     for k in ks[::-1]:
         assert block_factorization(g, k).det == _direct_block_det(g, k)
-    assert f._top_products is not g._top_products
-    assert f._top_products[1, 0] != g._top_products[1, 0]
-    assert GraphMap(f.f1, f.f2)._top_products == {}
+    assert f._memo is not g._memo
+    fh1 = ("top_product", 1, 0)
+    assert f._memo[fh1] != g._memo[fh1]
+    assert GraphMap(f.f1, f.f2)._memo == {}

@@ -401,6 +401,48 @@ def test_fiber_average_redraws_a_flagged_point(monkeypatch):
     _assert_z1_squared_averages_to_w1(avg, residual)
 
 
+def test_one_fiber_solver_per_map(monkeypatch):
+    init = _FiberSolver.__init__
+    built = []
+
+    def counted(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(_FiberSolver, "__init__", counted)
+    f = M("z1^2 + z1*z2 + z2^2 + 1/3*z1", "z1*z2 + 1/2*z2 + 1/5")
+    base = build_mesh("torus:1,1", 6)
+    p = parse_poly("w1*z1*z2 + z2", "float")
+
+    def lift(g):
+        out = graph_lift(g, base)
+        return out.w.tobytes(), out.z.tobytes(), out.meta
+
+    def one_fiber(g):
+        out = fiber(g, (2.0 + 0.5j, -1.0))
+        return out.z.tobytes(), out.residuals.tobytes(), out.near_discriminant, out.defect
+
+    def average(g):
+        avg, residual = fiber_average_poly(p, g, 2, seed=3)
+        return avg.terms, residual
+
+    calls = (lift, one_fiber, average)
+    shared = [call(f) for call in calls]
+    assert built == [f]
+    # each call again on a map of its own: one more solver each, same bits
+    assert [call(GraphMap(f.f1, f.f2)) for call in calls] == shared
+    assert len(built) == 4
+
+
+def test_a_solver_that_raises_is_not_kept():
+    # neither component involves z1: every call raises, and none keeps a solver
+    f = M("z2^2", "z2")
+    for _ in range(2):
+        with pytest.raises(FiberError, match="fiber is not finite"):
+            fiber(f, (1, 1))
+    assert "fiber_solver" not in f._memo
+
+
 def test_fiber_average_mixed_monomial():
     f = M("z1^2 + z2", "z2^2 + 1")
     avg, residual = fiber_average_poly(parse_poly("w1*z2 + w2", "float"), f, 2)

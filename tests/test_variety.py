@@ -136,6 +136,14 @@ def test_staircase_rejects_shared_top_factor():
         staircase(f)
 
 
+def test_is_generic_keeps_nothing_when_the_staircase_raises():
+    # the top forms share the factor z1, so every staircase call raises
+    f = GraphMap(P("z1^2 + z2"), P("z1*z2 + 1"))
+    assert is_generic(f) is False
+    assert is_generic(f) is False
+    assert f._memo == {}
+
+
 def test_generic_staircase_counts():
     for d in (1, 2, 3, 4):
         stairs = generic_staircase(d)
