@@ -352,20 +352,19 @@ def _cmd_tdiam(cfg: RunConfig) -> None:
     f = _load_map(cfg) if cfg.map else None
     points = _lifted_set(cfg, f)
     series = transfinite_diameter(points, cfg.basis, cfg.nmax)
-    rows = [
-        [n, m, l, series.ledger.logdet_prefix(m), est]
-        for n, m, l, est in zip(series.levels, series.m_counts, series.l_counts, series.estimates)
-    ]
     payload = {
         "levels": series.levels,
         "m": series.m_counts,
         "l": series.l_counts,
-        "log_vandermonde": [r[3] for r in rows],
+        "log_vandermonde": series.log_vandermonde,
         "estimates": series.estimates,
         "van_root_estimates": series.van_root_estimates,
         "points": len(points),
         "meta": series.meta,
     }
+    rows = list(
+        zip(series.levels, series.m_counts, series.l_counts, series.log_vandermonde, series.estimates)
+    )
     _emit(cfg, payload, csv_rows=(["n", "m_n", "l_n", "logVan", "estimate"], rows))
 
 

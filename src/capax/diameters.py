@@ -3,12 +3,20 @@
 greedy_fekete grows a point configuration one basis monomial at a time,
 always taking the point where the current interpolation residual is largest;
 that is exactly greedy determinant maximization, and the residual magnitudes
-are the successive determinant ratios.  The ledger keeps their logs, and the
-series the per-step discrete Chebyshev values (step_cheb); the reported
-diameter estimate exponentiates the Chebyshev sum against the graded weight
-l_n, which is the normalization that converges at desk-scale levels (the raw
-determinant root carries the m_n! combinatorial factor and is reported
-alongside, unnormalized).
+are the successive determinant ratios.
+
+A series reads two tables.  The level table comes from the basis stream:
+the monomials through level n_max, and per level n the prefix count m_n and
+the level sum l_n.  The per-step table holds, per monomial, the discrete
+Chebyshev value (step_cheb) and the greedy log ratio (ledger.step_logs, -inf
+at a step that is dependent on the sample).  Every per-level number is a
+reduction of a per-step column over the level's m_n-step prefix under one
+dependency rule: a level whose prefix holds a dependent step reads -inf as
+a log and 0.0 as an estimate.  The reported diameter estimate exponentiates
+the Chebyshev sum against the graded weight l_n, which is the normalization
+that converges at desk-scale levels (the raw determinant root carries the
+m_n! combinatorial factor and is reported alongside, unnormalized).
+telescoping_check reads the per-step table row by row.
 """
 
 from __future__ import annotations
@@ -39,9 +47,6 @@ class VandermondeLedger:
     def truncated(self) -> bool:
         """Some step is dependent on the sample and took no point."""
         return len(self.selected) < len(self.monomials)
-
-    def logdet_prefix(self, count: int) -> float:
-        return float(self.step_logs[:count].sum())
 
 
 def greedy_fekete(
@@ -74,6 +79,7 @@ class DiameterSeries:
     levels: list[int]
     m_counts: list[int]
     l_counts: list[int]
+    log_vandermonde: list[float]
     estimates: list[float]
     van_root_estimates: list[float]
     step_cheb: np.ndarray
@@ -88,74 +94,56 @@ class DiameterSeries:
 def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterSeries:
     """Diameter estimates at levels 1..n_max for one basis kind.
 
-    For kinds B and C the level-n prefix runs through weight n*d; for z and w
-    it is the usual degree filtration.  Estimates multiply the per-step
-    discrete Chebyshev values and normalize by the graded weight l_n.  The
-    raw determinant roots (same data, no combinatorial correction) ride along
-    in van_root_estimates.
+    Level n runs through weight n*d for B and C and through degree n for z
+    and w; stream.levels gives each level's m_n and l_n.  The per-step table
+    is step_cheb and ledger.step_logs.  Per level, log_vandermonde sums the
+    step logs over the m_n-step prefix; estimates divide the prefix's sum of
+    log Chebyshev values by l_n and exponentiate, and van_root_estimates do
+    the same with the step logs (the raw determinant root).  A level whose
+    prefix holds a dependent step reads -inf and 0.0 in all three.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if kind in ("B", "C") and (points.provenance != "graph_lift" or points.map is None):
         raise MapError(f"basis kind {kind!r} needs a graph-lifted set with its map attached")
     stream = basis_stream(points.map, kind)
-    d = stream.d
-    monomials = stream.upto(n_max * d)
-    # a monomial of weight w enters at level ceil(w / d); m_n counts the
-    # monomials at level <= n and l_n sums their levels
-    entry_levels = [-(-m.weight(d) // d) for m in monomials]
-    m_counts = [sum(lv <= n for lv in entry_levels) for n in range(1, n_max + 1)]
-    l_counts = [sum(lv for lv in entry_levels if lv <= n) for n in range(1, n_max + 1)]
+    monomials, m_counts, l_counts = stream.levels(n_max)
 
     # the one read of the matrix; the greedy and the minimax read the basis
     basis = Basis(evaluate_monomials(monomials, points))
     ledger = VandermondeLedger(monomials, *greedy_select(basis))
-    y = np.empty(len(monomials))
-    # irls_converged counts the certified solves and irls_steps their solver
-    # iterations; cheb_gap_max is the worst relative bracket width, and
-    # cheb_uncertified lists the steps whose solve stopped uncertified
-    estimates_meta = {
-        "irls_converged": 0,
-        "irls_steps": 0,
-        "cheb_gap_max": 0.0,
-        "cheb_uncertified": [],
-    }
-    y[0] = basis.sup[0]
-    for t, est in enumerate(minimax_series(basis), start=1):
-        y[t] = est.value
-        estimates_meta["irls_converged"] += int(est.converged)
-        estimates_meta["irls_steps"] += est.iterations
-        if not est.converged:
-            estimates_meta["cheb_uncertified"].append(t)
-        if est.value > 0:
-            gap = est.residual / est.value
-            estimates_meta["cheb_gap_max"] = max(estimates_meta["cheb_gap_max"], gap)
+    steps = minimax_series(basis)
+    step_cheb = np.array([basis.sup[0], *(est.value for est in steps)])
+    log_vandermonde = [float(ledger.step_logs[:m].sum()) for m in m_counts]
 
-    estimates = []
-    van_roots = []
-    for m_n, l_n in zip(m_counts, l_counts):
-        logdet = ledger.logdet_prefix(m_n)
-        if math.isfinite(logdet):
-            estimates.append(math.exp(float(np.log(y[:m_n]).sum()) / l_n))
-            van_roots.append(math.exp(logdet / l_n))
-        else:
-            # a dependent step: every level-n determinant on the sample is 0
-            estimates.append(0.0)
-            van_roots.append(0.0)
+    def per_level(prefix_log) -> list[float]:
+        # the one dependency rule: log_vandermonde is -inf at a level whose
+        # prefix holds a dependent step, and the level reads 0.0
+        return [
+            math.exp(prefix_log(m) / l) if math.isfinite(v) else 0.0
+            for m, l, v in zip(m_counts, l_counts, log_vandermonde)
+        ]
+
     return DiameterSeries(
         kind=kind,
         levels=list(range(1, n_max + 1)),
         m_counts=m_counts,
         l_counts=l_counts,
-        estimates=estimates,
-        van_root_estimates=van_roots,
-        step_cheb=y,
+        log_vandermonde=log_vandermonde,
+        estimates=per_level(lambda m: float(np.log(step_cheb[:m]).sum())),
+        van_root_estimates=per_level(lambda m: float(ledger.step_logs[:m].sum())),
+        step_cheb=step_cheb,
         ledger=ledger,
         meta={
             "points": len(points),
             "provenance": points.provenance,
-            "d": d,
-            **estimates_meta,
+            "d": stream.d,
+            # the certified solves and their solver iterations, the worst
+            # relative bracket width, and the steps that stopped uncertified
+            "irls_converged": sum(1 for est in steps if est.converged),
+            "irls_steps": sum(est.iterations for est in steps),
+            "cheb_gap_max": max([0.0, *(est.residual / est.value for est in steps if est.value > 0)]),
+            "cheb_uncertified": [t for t, est in enumerate(steps, start=1) if not est.converged],
         },
     )
 
@@ -198,23 +186,16 @@ def telescoping_check(
     if series is None:
         series = transfinite_diameter(points, kind, n_max)
     rows = []
-    ok = True
-    for t in range(1, len(series.step_cheb)):
-        log_ratio = series.ledger.step_logs[t]
+    steps = zip(series.ledger.step_logs[1:], series.step_cheb[1:].tolist())
+    for t, (log_ratio, cheb) in enumerate(steps, start=1):
         ratio = math.exp(log_ratio) if math.isfinite(log_ratio) else 0.0
-        cheb = float(series.step_cheb[t])
         if ratio == 0.0:
-            lower_ok = cheb <= TELESCOPING_SLACK
-            upper_ok = True
+            lower_ok, upper_ok = cheb <= TELESCOPING_SLACK, True
         else:
             lower_ok = cheb <= ratio * (1 + TELESCOPING_SLACK)
             upper_ok = cheb > 0 and ratio <= (t + 1) * cheb * (1 + TELESCOPING_SLACK)
-        ok = ok and lower_ok and upper_ok
-        rows.append(
-            TelescopingRow(
-                step=t, ratio=ratio, cheb=cheb, lower_ok=lower_ok, upper_ok=upper_ok
-            )
-        )
+        rows.append(TelescopingRow(t, ratio, cheb, lower_ok, upper_ok))
+    ok = all(row.lower_ok and row.upper_ok for row in rows)
     return TelescopingReport(rows=rows, ok=ok, kind=kind, slack=TELESCOPING_SLACK)
 
 

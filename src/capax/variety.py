@@ -19,6 +19,7 @@ fiber-solver core.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -324,6 +325,8 @@ class MonomialBasisStream:
     variables; "B" follows the map's own staircase; "C" requires a generic
     staircase and switches to the window construction at weight 2d - 1, which
     keeps every level's change of basis to the z-monomials block triangular.
+    A monomial of weight w enters the diameter filtration at level
+    ceil(w / d) (d = 1 for "z" and "w"); levels() tabulates it.
     """
 
     kind: str
@@ -369,6 +372,16 @@ class MonomialBasisStream:
         for k in range(nu + 1):
             out.extend(self.level(k))
         return out
+
+    def levels(self, n_max: int) -> tuple[list[Monomial], list[int], list[int]]:
+        """The level table: the stream through level n_max, and for
+        n = 1..n_max the count m_n of its monomials at level <= n and the sum
+        l_n of their levels."""
+        d = self.d
+        monomials = self.upto(n_max * d)
+        entry = [-(-m.weight(d) // d) for m in monomials]  # nondecreasing
+        m_counts = [bisect_right(entry, n) for n in range(1, n_max + 1)]
+        return monomials, m_counts, [sum(entry[:m]) for m in m_counts]
 
     def prefix_of(self, target: Monomial) -> list[Monomial]:
         """Stream monomials emitted strictly before target.

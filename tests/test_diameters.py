@@ -289,6 +289,18 @@ def test_telescoping_lower_bound_on_badly_scaled_lift():
     assert all(row.lower_ok for row in report.rows)
 
 
+def assert_one_dependency_rule(series, dependent):
+    # log_vandermonde is -inf at exactly the dependent levels, where both
+    # estimates read 0.0, and the step logs' prefix sum at every other level
+    for n, m in enumerate(series.m_counts):
+        log_van = series.log_vandermonde[n]
+        assert (log_van == -math.inf) == dependent[n]
+        assert (series.estimates[n] == 0.0) == dependent[n]
+        assert (series.van_root_estimates[n] == 0.0) == dependent[n]
+        if not dependent[n]:
+            assert log_van == float(series.ledger.step_logs[:m].sum())
+
+
 def test_dependent_steps_take_no_point():
     # w1^4 = w2^4 = 1 on the 4 x 4 torus: its 15 level-4 monomials have rank
     # 13 there, so steps 10 and 14 are dependent and level 4 is not measured
@@ -299,6 +311,7 @@ def test_dependent_steps_take_no_point():
     assert list(np.flatnonzero(~np.isfinite(ledger.step_logs))) == [10, 14]
     assert series.estimates == [1.0, 1.0, 1.0, 0.0]
     assert series.van_root_estimates[3] == 0.0
+    assert_one_dependency_rule(series, [False, False, False, True])
     report = telescoping_check(mesh, "w", 4, series=series)
     assert report.ok
     assert [row.step for row in report.rows if row.ratio == 0.0] == [10, 14]
@@ -309,6 +322,7 @@ def test_telescoping_goes_on_after_a_dependent_step():
     # dependent, and step 3 (w1^2) is measured after them
     mesh = build_mesh("box:-2,2,0,0", (8, 1))
     series = transfinite_diameter(mesh, "w", 2)
+    assert_one_dependency_rule(series, [True, True])
     report = telescoping_check(mesh, "w", 2, series=series)
     assert report.ok
     assert [row.step for row in report.rows if row.ratio == 0.0] == [2, 4, 5]

@@ -304,6 +304,22 @@ def test_enumeration_matches_filtration_counts():
     for n in range(1, 5):
         m_n, _ = filtration_counts(2, n)
         assert len(s.upto(2 * n)) == m_n
+    # the level table against the closed forms: filtration_counts for B and C
+    # at d = 2 and 3; m_n = (n+1)(n+2)/2 and l_n = sum_{k<=n} k(k+1) for z, w
+    cubic = GraphMap(P("z1^3 + 2*z2^3 + z1^2 + 1/2"), P("z1*z2^2 + z1^2*z2 + z2"))
+    for g in (f, cubic):
+        for kind in ("B", "C"):
+            stream = basis_stream(g, kind)
+            _, m_counts, l_counts = stream.levels(8)
+            assert list(zip(m_counts, l_counts)) == [filtration_counts(g.d, n) for n in range(1, 9)]
+            for n in range(1, 9):
+                assert stream.levels(n) == (stream.upto(n * g.d), m_counts[:n], l_counts[:n])
+    for kind in ("z", "w"):
+        stream = basis_stream(None, kind)
+        monomials, m_counts, l_counts = stream.levels(8)
+        assert monomials == stream.upto(8)
+        assert m_counts == [(n + 1) * (n + 2) // 2 for n in range(1, 9)]
+        assert l_counts == [sum(k * (k + 1) for k in range(n + 1)) for n in range(1, 9)]
 
 
 # ---------------------------------------------------------------------------
