@@ -28,16 +28,26 @@ closed form on (B, 3, N) arrays over the B solves still running, and a
 solve leaves the stack when it stops.  A series passes its uncertified
 steps, in order, in windows of consecutive steps whose stacked cone work
 stays under _WINDOW_BYTES; a minimax_from_matrix or chebyshev_value call
-is a window of one.  Only the Newton systems are formed one solve at a time, on the view
-avc = conj(Q_k) of the one stored basis: each point's three cone rows act
-on avc_i through one 2 x 2 weight, so the d block of the Gram matrix is
-Y^T Y for the 2N x 2k real view Y of two complex N x k products of avc
-with per-point weights, and Cholesky factors it.  Only when Cholesky fails
-is that solve's scaled constraint matrix built and factored by QR.  No
-solve's arithmetic depends on which others share its window.
+is a window of one.  Each point's three cone rows act on the view
+avc = conj(Q_k) of the one stored basis through one 2 x 2 weight, so the
+d block of a solve's Newton system is Y^T Y for the 2N x 2k real view Y of
+two complex N x k products of avc with per-point weights; only these d
+blocks are formed one solve at a time.  A round's systems form one stack,
+each padded with the identity to the largest size among them; one stacked
+Cholesky checks that all are numerically positive definite, and one
+stacked solve each gives the predictor and the corrector.  When that
+Cholesky raises, the round checks each system alone, and a solve whose own
+Cholesky raises builds its scaled constraint matrix and factors it by QR.
+The window owns the iterates and brackets, so each round's residuals and
+dual projections are one product each.  Padding and stacking change only
+rounding, but that rounding depends on which solves share a window: a
+step's last bits may move with its window mates, and so may the iteration
+count of a solve whose Newton systems are near singular at the end.  The
+tests hold a series to its single solves' iteration counts, with values
+within 1e-9 and overlapping brackets.
 
-Every estimate is a bracket, the same for a step whether a series or a
-single call solves it.  value is the basis value, the least
+Every estimate is a bracket, whether a series or a single call solves the
+step.  value is the basis value, the least
 max |w_t + Q_k d| over the solver's iterates d, an upper bound since each
 w_t + Q_k d is some b + a c.  lower is |y^H w_t| / ||y||_1 for the solver's
 dual vector y projected onto null(Q_k^H) = null(a^H): any such y gives
@@ -237,16 +247,15 @@ class _Solve:
     """Step t of a basis, min_d max |w_t + Q_k d|, from the least-squares
     start d = 0; upper is the least max |w_t + Q_k d| met on the way.  With
     no basis column before it (k = 0), w_t is the only candidate: lower =
-    upper = max |w_t| and no iteration.  While _interior_point runs it, the
-    solve also holds the inverse R factor of its current Newton system.
+    upper = max |w_t| and no iteration.  _interior_point runs the solve on
+    arrays its window owns and writes the bracket and the iteration count
+    back when the window ends.
     """
 
     def __init__(self, basis: Basis, t: int) -> None:
         self.basis, self.t = basis, t
-        k = basis.rank[t]
+        self.k = k = int(basis.rank[t])
         self.dependent = bool(basis.rank[t + 1] == k)
-        self.d = np.zeros(k, dtype=complex)
-        self.avc = basis.qc[:, :k]  # conj(Q_k), a view of the basis
         self.upper = float(basis.sup[t])
         self.lower = min(float(basis.norm[t]) / math.sqrt(len(basis.qc)), self.upper) if k else self.upper
         self.iterations = 1 if k else 0
@@ -261,67 +270,21 @@ class _Solve:
     @property
     def b(self) -> np.ndarray:
         """The start's residual w_t, from its basis column."""
-        return self.basis.qc[:, len(self.d)].conj() * self.basis.norm[self.t]
+        return self.basis.qc[:, self.k].conj() * self.basis.norm[self.t]
 
-    def factor(
-        self, gc: np.ndarray, g: np.ndarray, omega: np.ndarray, sg: np.ndarray, gss: float
-    ) -> None:
-        """Keep R^-1 for the Newton system R^T R = G^T W^-2 G, from the
-        basis view avc and per-point weights instead of W^-1 G itself.
 
-        Row (k, i) of W^-1 G is the (re, im) pairs of gc_ki avc_i followed by
-        g_ki, so the d block of the Gram matrix sums, per point, the 2 x 2
-        weight M_i = sum_k (Re gc_ki, Im gc_ki)^T (Re gc_ki, Im gc_ki) on the
-        pairs of avc_i and i avc_i.  omega holds the rows (S11 + i S12,
-        S12 + i S22) of the square root S of each M_i, so the (re, im) pairs
-        of the two complex N x t products omega_k avc form a 2N x 2t matrix
-        Y with Y^T Y that d block.  The s column is sg avc with
-        sg = sum_k g_k gc_k, and gss = sum g^2.  Cholesky factors the Gram
-        matrix; only when rounding leaves it not numerically positive
-        definite is this solve's W^-1 G built (gc is conj(gamma) and g its s
-        column) and R taken from the R factors of its three row blocks.
-        """
-        avc = self.avc
-        npts, t = avc.shape
-        y = np.multiply(omega[:, :, None], avc, order="C").view(float).reshape(2 * npts, 2 * t)
-        gram = np.empty((2 * t + 1, 2 * t + 1))
-        gram[:-1, :-1] = y.T @ y
-        gram[:-1, -1] = gram[-1, :-1] = (sg @ avc).view(float)
-        gram[-1, -1] = gss
-        try:
-            rfac = np.linalg.cholesky(gram).T
-        except np.linalg.LinAlgError:
-            gh = np.empty((3, npts, 2 * t + 1))
-            gh[:, :, :-1].view(complex)[:] = gc[:, :, None] * avc
-            gh[:, :, -1] = g
-            # each QR copies its input, so one row block at a time keeps the
-            # copies small
-            r3 = np.concatenate([np.linalg.qr(block, mode="r") for block in gh])
-            rfac = np.linalg.qr(r3, mode="r")
-        self.rinv = np.linalg.inv(rfac)
-
-    def newton(self, q: np.ndarray, hs: float) -> tuple[np.ndarray, float, np.ndarray]:
-        """dx = -(R^T R)^-1 h for h = ((q avc as (re, im) pairs), hs); returns
-        its d part, its s part and avc conj(d part)."""
-        dx = -self.rinv @ (self.rinv.T @ np.append((q @ self.avc).view(float), hs))
-        dd = dx[:-1].view(complex)
-        return dd, dx[-1], self.avc @ dd.conj()
-
-    def advance(self, alpha: float, dd: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Step d by alpha dd, then tighten the bracket: upper from the new
-        residual, lower from the dual y; returns the new residual."""
-        self.d = self.d + alpha * dd
-        b = self.b
-        r = b + (self.avc @ self.d.conj()).conj()
-        value = float(np.abs(r).max())
-        self.upper = min(self.upper, value)
-        # project y onto null(Q_k^H)
-        y = y - (self.avc @ (y @ self.avc).conj()).conj()
-        norm = float(np.abs(y).sum())
-        if norm > 0:
-            self.lower = max(self.lower, abs(complex(np.vdot(y, b))) / norm)
-        self.iterations += 1
-        return r
+def _block_r(gc: np.ndarray, g: np.ndarray, avc: np.ndarray) -> np.ndarray:
+    """R with R^T R = G^T W^-2 G for one solve, from the R factors of the
+    three row blocks of W^-1 G: row (k, i) is the (re, im) pairs of
+    gc_ki avc_i followed by g_ki."""
+    npts, k = avc.shape
+    gh = np.empty((3, npts, 2 * k + 1))
+    gh[:, :, :-1].view(complex)[:] = gc[:, :, None] * avc
+    gh[:, :, -1] = g
+    # each QR copies its input, so one row block at a time keeps the copies
+    # small
+    r3 = np.concatenate([np.linalg.qr(block, mode="r") for block in gh])
+    return np.linalg.qr(r3, mode="r")
 
 
 # Per-cone algebra of the cone {(u0, u1, u2): u0 >= |(u1, u2)|}.  A (B, 3, N)
@@ -376,20 +339,38 @@ def _interior_point(solves: list[_Solve]) -> None:
     Each solve keeps the best of its upper and lower bounds.
 
     All solves share the points, so each round runs the per-cone algebra
-    once on (B, 3, N) stacks over the solves still running; only the Newton
-    systems, of each solve's own size, are formed and solved one solve at a
-    time.  A solve leaves the stack when it certifies, when rounding puts
-    its iterate on a cone boundary, or when its step vanishes.
+    once on (B, 3, N) stacks over the B solves still running, and their
+    Newton systems form one (B, 2K + 1, 2K + 1) stack, K the largest prefix
+    rank among them: a solve's system keeps its d block in its leading 2k
+    rows and columns and its s row and column last, with the identity
+    between.  Only the d blocks are formed one solve at a time.  One stacked
+    Cholesky checks that every system is numerically positive definite, and
+    two stacked solves give the predictor and corrector steps.  When that
+    Cholesky raises, the round factors each system on its own, and a solve
+    whose own Cholesky raises takes its R factor from _block_r for that
+    round.  The window owns the start residuals b, the iterates d (zero
+    beyond each solve's k), the bounds and the iteration counts, so the
+    residuals and the dual projections are one product each per round
+    against conj(Q_K); the bounds and counts go back into the solves at its
+    end.  A solve leaves the stack when it certifies, when rounding puts its
+    iterate on a cone boundary, or when its step vanishes.
     """
-    live = list(solves)
-    r = np.array([solve.b for solve in live])
-    npts = r.shape[1]
-    s = np.array([2.0 * solve.upper for solve in live])
+    qc = solves[0].basis.qc
+    npts = len(qc)
+    rank = np.array([solve.k for solve in solves])
+    b = np.array([solve.b for solve in solves])
+    d = np.zeros((len(solves), rank.max()), dtype=complex)
+    upper = np.array([solve.upper for solve in solves])
+    lower = np.array([solve.lower for solve in solves])
+    iterations = np.array([solve.iterations for solve in solves])
+    live = np.arange(len(solves))
+    r = b
+    s = 2.0 * upper
     z = np.empty((len(live), 3, npts))
     z[:, 0] = 1.0 / npts
     z[:, 1] = -r.real / (npts * s[:, None])
     z[:, 2] = -r.imag / (npts * s[:, None])
-    while live and live[0].iterations < MINIMAX_MAX_ITER:
+    while live.size and iterations[live[0]] < MINIMAX_MAX_ITER:
         sl = np.empty_like(z)
         sl[:, 0] = s[:, None]
         sl[:, 1] = r.real
@@ -399,12 +380,16 @@ def _interior_point(solves: list[_Solve]) -> None:
         # a certified solve stops, and so does one whose iterate rounding put
         # on a cone boundary
         keep = (sdet.min(axis=1) > 0) & (zdet.min(axis=1) > 0)
-        keep &= [not solve.converged for solve in live]
+        keep &= upper[live] - lower[live] > MINIMAX_TOL * upper[live]
         if not keep.all():
-            live = [solve for solve, k in zip(live, keep) if k]
+            live = live[keep]
             sl, sdet, zdet, z, s = sl[keep], sdet[keep], zdet[keep], z[keep], s[keep]
-            if not live:
+            if not live.size:
                 break
+        k = rank[live]
+        kmax = k.max()
+        avc = qc[:, :kmax]  # conj(Q_K), a view of the basis
+        mask = np.arange(kmax) < k[:, None]  # the columns of each Q_k
         # Nesterov-Todd scaling W = beta (2 v v^T - J): W z = W^-1 sl = lam
         sn = np.sqrt(sdet)
         zn = np.sqrt(zdet)
@@ -427,9 +412,16 @@ def _interior_point(solves: list[_Solve]) -> None:
         ib = ibeta[:, None] * _J
         gc = ib * (2.0 * (v[:, 1] + 1j * v[:, 2])[:, None] * v + _SHIFT)
         g = ib * (_E - 2.0 * v[:, :1] * v)
-        # each point's 2 x 2 weight M of the d block and its square root
-        # S = (M + sqrt(det M) I) / sqrt(trace M + 2 sqrt(det M)); M is
-        # positive definite because W^-1 is nonsingular
+        # the Newton system G^T W^-2 G.  Row (k, i) of W^-1 G is the (re, im)
+        # pairs of gc_ki avc_i followed by g_ki, so the d block sums, per
+        # point, the 2 x 2 weight M_i = sum_k (Re gc_ki, Im gc_ki)^T
+        # (Re gc_ki, Im gc_ki) on the pairs of avc_i and i avc_i.  omega holds
+        # the rows (S11 + i S12, S12 + i S22) of its square root
+        # S = (M + sqrt(det M) I) / sqrt(trace M + 2 sqrt(det M)), so the
+        # (re, im) pairs of the two complex N x k products omega_k avc form a
+        # 2N x 2k matrix Y with Y^T Y that d block; M is positive definite
+        # because W^-1 is nonsingular.  The s column is sg avc with
+        # sg = sum_k g_k gc_k, and gss = sum g^2.
         m11 = (gc.real * gc.real).sum(axis=1)
         m12 = (gc.real * gc.imag).sum(axis=1)
         m22 = (gc.imag * gc.imag).sum(axis=1)
@@ -439,23 +431,48 @@ def _interior_point(solves: list[_Solve]) -> None:
         omega = np.stack([s11 + 1j * s12, s12 + 1j * s22], axis=1)
         sg = (g * gc).sum(axis=1)
         gss = (g * g).sum(axis=1).sum(axis=1)
-        for solve, *weights in zip(live, gc, g, omega, sg, gss):
-            solve.factor(*weights)
+        size = 2 * kmax + 1
+        gram = np.zeros((live.size, size, size))
+        pad = np.arange(2 * kmax)
+        gram[:, pad, pad] = ~mask.repeat(2, axis=1)
+        for j, (kj, w) in enumerate(zip(k, omega)):
+            yk = np.multiply(w[:, :, None], avc[:, :kj], order="C").view(float)
+            yk = yk.reshape(2 * npts, 2 * kj)
+            gram[j, : 2 * kj, : 2 * kj] = yk.T @ yk
+        gram[:, :-1, -1] = gram[:, -1, :-1] = ((sg @ avc) * mask).view(float)
+        gram[:, -1, -1] = gss
+        rfac = {}
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            for j, kj in enumerate(k):
+                try:
+                    np.linalg.cholesky(gram[j])
+                except np.linalg.LinAlgError:
+                    rfac[j] = _block_r(gc[j], g[j], avc[:, :kj])
+                    gram[j] = np.eye(size)
         # the dual residual G^T z + e_s is (-y avc, 1 - sum z0)
         y = z[:, 1] + 1j * z[:, 2]
         rxs = 1.0 - z[:, 0].sum(axis=1)
 
-        def newton(rhs: np.ndarray) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        def newton(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             """Steps (d, s, W^-1 ds, W dz) of every live solve for the
             linearized complementarity lam o (W^-1 ds + W dz) = lam o rhs:
-            G^T W^-1 rhs is ((sum_k gc_k rhs_k) avc, sum g rhs), and W dz =
-            W^-1 G dx + rhs is Re(gc (avc conj(dd))) + g ds + rhs."""
-            q = (gc * rhs).sum(axis=1) - y
-            hs = rxs + (g * rhs).sum(axis=1).sum(axis=1)
-            dd, dsv, u = zip(*(solve.newton(*h) for solve, *h in zip(live, q, hs)))
-            dsv = np.array(dsv)
-            dz = (gc * np.array(u)[:, None]).real + g * dsv[:, None, None] + rhs
-            return list(dd), dsv, rhs - dz, dz
+            dx = -(G^T W^-2 G)^-1 h for h = G^T W^-1 rhs, which is
+            ((sum_k gc_k rhs_k) avc, sum g rhs) less the dual residual, and
+            W dz = W^-1 G dx + rhs is Re(gc (avc conj(dd))) + g ds + rhs."""
+            h = np.empty((live.size, size))
+            h[:, :-1] = (((gc * rhs).sum(axis=1) - y) @ avc * mask).view(float)
+            h[:, -1] = rxs + (g * rhs).sum(axis=1).sum(axis=1)
+            dx = np.linalg.solve(gram, -h[:, :, None])[:, :, 0]
+            for j, rj in rfac.items():
+                hj = np.append(h[j, : 2 * k[j]], h[j, -1])
+                xj = np.linalg.solve(rj, np.linalg.solve(rj.T, hj))
+                dx[j, : 2 * k[j]], dx[j, -1] = -xj[:-1], -xj[-1]
+            dd = dx[:, :-1].view(complex)
+            dsv = dx[:, -1]
+            dz = (gc * (dd.conj() @ avc.T)[:, None]).real + g * dsv[:, None, None] + rhs
+            return dd, dsv, rhs - dz, dz
 
         gap = (lam * lam).sum(axis=1).sum(axis=1)
         # predictor: the affine direction, lam o rhs = -lam o lam
@@ -472,18 +489,30 @@ def _interior_point(solves: list[_Solve]) -> None:
         alpha = np.minimum(1.0, 0.99 * _step_to_boundary(lam, det, ds, dz))
         keep = alpha > 0
         if not keep.all():
-            live = [solve for solve, k in zip(live, keep) if k]
-            dd = [step for step, k in zip(dd, keep) if k]
-            alpha, dsv, dz, ibeta, v, z, s = (x[keep] for x in (alpha, dsv, dz, ibeta, v, z, s))
-            if not live:
+            live, mask = live[keep], mask[keep]
+            dd, alpha, dsv, dz, ibeta, v, z, s = (
+                x[keep] for x in (dd, alpha, dsv, dz, ibeta, v, z, s)
+            )
+            if not live.size:
                 break
         s = s + alpha * dsv
         # z + alpha W^-1 dz
         z = z + (alpha[:, None] * ibeta)[:, None] * _J * (2.0 * v * _jdot(v, dz)[:, None] - dz)
+        # step d, then tighten the bracket: upper from the new residual, lower
+        # from the dual y projected onto null(Q_k^H)
+        dl = d[live, :kmax] + alpha[:, None] * dd
+        d[live, :kmax] = dl
+        bl = b[live]
+        r = bl + (dl.conj() @ avc.T).conj()
+        upper[live] = np.minimum(upper[live], np.abs(r).max(axis=1))
         y = z[:, 1] + 1j * z[:, 2]
-        r = np.array([solve.advance(*step) for solve, *step in zip(live, alpha, dd, y)])
-    for solve in solves:  # the bracket stays
-        solve.rinv = None
+        y -= ((y @ avc * mask).conj() @ avc.T).conj()
+        norm = np.abs(y).sum(axis=1)
+        dual = np.abs((y.conj() * bl).sum(axis=1))
+        lower[live] = np.maximum(lower[live], dual / np.where(norm > 0, norm, np.inf))
+        iterations[live] += 1
+    for solve, up, lo, its in zip(solves, upper, lower, iterations):
+        solve.upper, solve.lower, solve.iterations = float(up), float(lo), int(its)
 
 
 def chebyshev_value(

@@ -296,45 +296,65 @@ def _record_windows(monkeypatch):
     return windows
 
 
+def _box_series_matrix():
+    """The monomial matrix of the w series at n = 3 on the 16 x 1 box, where
+    w2 = 0, so most of its columns are dependent."""
+    monomials = w_stream().levels(3)[0]
+    return evaluate_monomials(monomials, build_mesh("box:-2,2,0,0", (16, 1)))
+
+
 def test_series_lockstep_matches_single_solves(monkeypatch):
-    e = _generic_series_matrix()
-    npts, m = e.shape
-    singles = [minimax_from_matrix(e[:, :t], e[:, t]) for t in range(1, m)]
-    solved = sum(est.iterations > 1 for est in singles)
-    assert solved >= 6
-    windows = _record_windows(monkeypatch)
-    # about three of the largest solves per window, then one window for all
-    small = 3 * 16 * npts * (m + capax.chebyshev._CONE_WORK)
-    for budget in (small, 1 << 40):
-        monkeypatch.setattr(capax.chebyshev, "_WINDOW_BYTES", budget)
-        windows.clear()
-        series = capax.chebyshev.minimax_series(capax.chebyshev.Basis(e))
-        assert sum(windows) == solved
-        if budget == small:
-            assert len(windows) >= 3 and max(windows) > 1
+    generic, box = _generic_series_matrix(), _box_series_matrix()
+    for e in (generic, box):
+        npts, m = e.shape
+        singles = [minimax_from_matrix(e[:, :t], e[:, t]) for t in range(1, m)]
+        solved = [t for t, est in enumerate(singles, start=1) if est.iterations > 1]
+        if e is generic:
+            assert len(solved) >= 6
         else:
-            assert windows == [solved]
-        for t, (lock, single) in enumerate(zip(series, singles), start=1):
-            assert lock.iterations == single.iterations, t
-            assert lock.converged == single.converged, t
-            assert lock.prefix_size == single.prefix_size == t, t
-            assert math.isclose(lock.value, single.value, rel_tol=1e-9), t
-            assert lock.lower <= single.value and single.lower <= lock.value, t
+            # steps 3 and 6 skip dependent columns: prefix ranks 1, 2 and 3
+            # below steps 1, 3 and 6, so one window stacks Newton systems of
+            # sizes 3, 5 and 7
+            assert solved == [1, 3, 6]
+            assert list(capax.chebyshev.Basis(e).rank[solved]) == [1, 2, 3]
+        windows = _record_windows(monkeypatch)
+        # about three of the largest solves per window, then one window for all
+        small = 3 * 16 * npts * (m + capax.chebyshev._CONE_WORK)
+        for budget in (small, 1 << 40):
+            monkeypatch.setattr(capax.chebyshev, "_WINDOW_BYTES", budget)
+            windows.clear()
+            series = capax.chebyshev.minimax_series(capax.chebyshev.Basis(e))
+            assert sum(windows) == len(solved)
+            if budget == small and e is generic:
+                assert len(windows) >= 3 and max(windows) > 1
+            else:
+                assert windows == [len(solved)]
+            for t, (lock, single) in enumerate(zip(series, singles), start=1):
+                assert lock.iterations == single.iterations, t
+                assert lock.converged == single.converged, t
+                assert lock.prefix_size == single.prefix_size == t, t
+                assert math.isclose(lock.value, single.value, rel_tol=1e-9), t
+                assert lock.lower <= single.value and single.lower <= lock.value, t
 
 
 def test_cholesky_failure_stays_inside_its_solve(monkeypatch):
     e = _generic_series_matrix()
     npts = e.shape[0]
     plain = capax.chebyshev.minimax_series(capax.chebyshev.Basis(e))
+    # the steps the interior point runs, in order; a B prefix has full rank
+    # t, so step t's Newton system is 2t + 1
+    pending = [t for t, est in enumerate(plain, start=1) if est.iterations > 1]
     linalg = capax.chebyshev.np.linalg
     cholesky, qr = linalg.cholesky, linalg.qr
     calls, qr_shapes = [], []
 
-    def second_fails(m):
-        # call 2 factors the second solve of the first window, in its first
-        # round; every other call factors as usual
-        calls.append(m.shape[0])
-        if len(calls) == 2:
+    def forced(m):
+        # call 1 checks the first window's stack in its first round and
+        # raises, so that round checks each solve's system on its own; call
+        # 3, the second solve's, raises too.  Every other call factors as
+        # usual
+        calls.append(m.shape)
+        if len(calls) in (1, 3):
             raise np.linalg.LinAlgError("forced")
         return cholesky(m)
 
@@ -343,18 +363,29 @@ def test_cholesky_failure_stays_inside_its_solve(monkeypatch):
         return qr(m, *args, **kwargs)
 
     windows = _record_windows(monkeypatch)
-    monkeypatch.setattr(linalg, "cholesky", second_fails)
+    monkeypatch.setattr(linalg, "cholesky", forced)
     monkeypatch.setattr(linalg, "qr", counted_qr)
     patched = capax.chebyshev.minimax_series(capax.chebyshev.Basis(e))
-    assert windows[0] >= 2
-    size = calls[1]
-    step = (size - 1) // 2  # a B prefix has full rank t, so its system is 2t + 1
+    first = windows[0]
+    assert first >= 2
+    # the stack is padded to the window's largest system; the round that
+    # raised checks each padded system once, and the next round is stacked
+    padded = 2 * pending[first - 1] + 1
+    assert calls[0] == (first, padded, padded)
+    assert calls[1 : first + 1] == [(padded, padded)] * first
+    assert len(calls[first + 1]) == 3
+    step = pending[1]
+    size = 2 * step + 1
     # the block QR ran once, on that solve's three row blocks
     assert qr_shapes == [(npts, size)] * 3 + [(3 * size, size)]
     assert all(est.converged for est in patched)
     for t, (p, q) in enumerate(zip(plain, patched), start=1):
         if t != step:
             assert abs(p.value - q.value) <= 1e-12, t
+    # the block QR gives that solve the same Newton step up to rounding
+    p, q = plain[step - 1], patched[step - 1]
+    assert q.iterations == p.iterations
+    assert math.isclose(q.value, p.value, rel_tol=1e-9)
 
 
 def test_dependent_prefixes_match_least_squares():
