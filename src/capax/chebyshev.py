@@ -17,37 +17,30 @@ residual is at most _DEPENDENT of its norm is dependent and adds no basis
 column; the series' greedy Fekete selection, greedy_select, runs on the
 basis too and so shares this test.  Step t then minimizes over the k
 orthonormal columns Q_k kept before it, which span its prefix, so the
-prefix's scaling stops mattering.  Its least-squares residual is the w_t that BCGS2 formed: the
-sup norm of w_t bounds the minimax from above and its root mean square
-from below, with no solve at all; a dependent step's w_t is rounding, and
-it certifies at once.  A start that does not certify goes
-to a primal-dual interior-point method (Mehrotra predictor-corrector,
-Nesterov-Todd scaling), which runs solves in lockstep: all steps of a
-series share the points, so each round does the per-cone algebra once,
-closed form on (B, 3, N) arrays over the B solves still running, and a
-solve leaves the stack when it stops.  A series passes its uncertified
-steps, in order, in windows of consecutive steps whose stacked cone work
-stays under _WINDOW_BYTES; a minimax_from_matrix or chebyshev_value call
-is a window of one.  Each point's three cone rows act on the view
-avc = conj(Q_k) of the one stored basis through one 2 x 2 weight, so the
-d block of a solve's Newton system is Y^T Y for the 2N x 2k real view Y of
-two complex N x k products of avc with per-point weights; only these d
-blocks are formed one solve at a time.  A round's systems form one stack,
-each padded with the identity to the largest size among them; one stacked
-Cholesky checks that all are numerically positive definite, and one
-stacked solve each gives the predictor and the corrector.  When that
-Cholesky raises, the round checks each system alone, and a solve whose own
-Cholesky raises builds its scaled constraint matrix and factors it by QR.
-The window owns the iterates and brackets, so each round's residuals and
-dual projections are one product each.  Padding and stacking change only
-rounding, but that rounding depends on which solves share a window: a
-step's last bits may move with its window mates, and so may the iteration
-count of a solve whose Newton systems are near singular at the end.  The
-tests hold a series to its single solves' iteration counts, with values
-within 1e-9 and overlapping brackets.
+prefix's scaling stops mattering.
 
-Every estimate is a bracket, whether a series or a single call solves the
-step.  value is the basis value, the least
+One function, _minimax(basis, steps), solves every step: minimax_series
+passes all steps of a basis, and minimax_from_matrix and chebyshev_value
+pass one.  A step is an index into that call's arrays of brackets and
+iteration counts, and the estimates are built from them at the end.  The
+start is the least-squares residual w_t that BCGS2 formed: the sup norm of
+w_t bounds the minimax from above and its root mean square from below,
+with no solve at all; a dependent step's w_t is rounding, and it
+certifies at once.  The steps whose start does not certify go, in order,
+to a primal-dual interior-point method (Mehrotra predictor-corrector,
+Nesterov-Todd scaling) in windows of consecutive steps whose stacked cone
+work stays under _WINDOW_BYTES.  A window's solves run in lockstep: all
+steps share the points, so each round does the per-cone algebra once on
+stacked arrays, and the round's Newton systems form one stack, each
+padded with the identity to the largest size among them; _interior_point
+gives the details.  Padding and stacking change only rounding, but that
+rounding depends on which solves share a window: a step's last bits may
+move with its window mates, and so may the iteration count of a solve
+whose Newton systems are near singular at the end.  The tests hold a
+series to its single solves' iteration counts, with values within 1e-9
+and overlapping brackets.
+
+Every estimate is a bracket [lower, value].  value is the least
 max |w_t + Q_k d| over the solver's iterates d, an upper bound since each
 w_t + Q_k d is some b + a c.  lower is |y^H w_t| / ||y||_1 for the solver's
 dual vector y projected onto null(Q_k^H) = null(a^H): any such y gives
@@ -66,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimateError
-from .polynomials import Monomial, monomial_values, w_monomial, z_monomial
+from .polynomials import Monomial, monomial_matrix, w_monomial, z_monomial
 from .sets import SampledSet
 from .variety import MonomialBasisStream
 
@@ -82,12 +75,10 @@ _CONE_WORK = 48  # stacked cone work per point and solve, in complex numbers
 
 
 def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.ndarray:
-    """(N, t) matrix of monomial values on the set's points.
-
-    Column j is filled straight from polynomials.monomial_values, so the
-    matrix is held once, column-major so that each block of columns the
-    basis reads is contiguous.  Monomials touching z require
-    a lifted set (one that carries z coordinates).
+    """(N, t) matrix of monomial values on the set's points, column-major
+    from polynomials.monomial_matrix, so that each block of columns the
+    basis reads is contiguous.  Monomials touching z require a lifted set
+    (one that carries z coordinates).
     """
     if points.z is None and any(not m.is_pure_w() for m in monomials):
         raise EstimateError(
@@ -95,11 +86,7 @@ def evaluate_monomials(monomials: Sequence[Monomial], points: SampledSet) -> np.
             "lift it through the map first"
         )
     z = (None, None) if points.z is None else (points.z[:, 0], points.z[:, 1])
-    values = monomial_values(monomials, (points.w[:, 0], points.w[:, 1]) + z)
-    out = np.empty((len(points), len(monomials)), dtype=complex, order="F")
-    for j, v in enumerate(values):
-        out[:, j] = v
-    return out
+    return monomial_matrix(monomials, (points.w[:, 0], points.w[:, 1]) + z)
 
 
 @dataclass
@@ -122,31 +109,39 @@ def minimax_from_matrix(a: np.ndarray, b: np.ndarray) -> ChebyshevEstimate:
     """min_c max_i |b_i + (a c)_i| with a certified bracket [lower, value]:
     step t = a.shape[1] of [a | b], as minimax_series returns it; iterations
     counts the least-squares start and the interior-point steps after it."""
-    return _solve_step(Basis(np.column_stack([a, b])), a.shape[1])
-
-
-def _solve_step(basis: Basis, t: int) -> ChebyshevEstimate:
-    solve = _Solve(basis, t)
-    if not solve.converged:
-        _interior_point([solve])
-    return solve.estimate()
+    return _minimax(Basis(np.column_stack([a, b])), [a.shape[1]])[0]
 
 
 def minimax_series(basis: Basis) -> list[ChebyshevEstimate]:
     """The minimax of each column e[:, t], t >= 1, of the basis' matrix e
-    over the columns before it.
+    over the columns before it."""
+    return _minimax(basis, range(1, len(basis.norm)))
 
-    The steps whose least-squares start does not certify go, in order,
-    through the interior point in windows of as many consecutive steps as
-    keep the stacked cone work under _WINDOW_BYTES, and at least one.
-    """
+
+def _minimax(basis: Basis, steps: Sequence[int]) -> list[ChebyshevEstimate]:
+    """The estimates of the given steps of a basis, in their order, from
+    the least-squares start d = 0: upper = sup[t] and lower = norm[t] /
+    sqrt(N), or lower = upper with no iteration when no basis column comes
+    before step t.  The uncertified steps go through _interior_point in
+    windows of at least one step and at most _WINDOW_BYTES of cone work."""
+    t = np.asarray(steps, dtype=int)
     npts = len(basis.qc)
-    solves = [_Solve(basis, t) for t in range(1, len(basis.norm))]
-    pending = [solve for solve in solves if not solve.converged]
+    k = basis.rank[t]
+    dependent = basis.rank[t + 1] == k
+    upper = basis.sup[t]
+    lower = np.where(k > 0, np.minimum(basis.norm[t] / math.sqrt(npts), upper), upper)
+    iterations = (k > 0).astype(int)
+    converged = dependent | (upper - lower <= MINIMAX_TOL * upper)
+    pending = np.flatnonzero(~converged)
     per_window = max(1, _WINDOW_BYTES // (16 * npts * _CONE_WORK))
     for i in range(0, len(pending), per_window):
-        _interior_point(pending[i : i + per_window])
-    return [solve.estimate() for solve in solves]
+        win = pending[i : i + per_window]
+        upper[win], lower[win], iterations[win] = _interior_point(
+            basis, t[win], upper[win], lower[win], iterations[win]
+        )
+        converged[win] = upper[win] - lower[win] <= MINIMAX_TOL * upper[win]
+    rows = zip(upper.tolist(), lower.tolist(), iterations.tolist(), converged.tolist(), t.tolist())
+    return [ChebyshevEstimate(*row) for row in rows]
 
 
 class Basis:
@@ -243,36 +238,6 @@ def greedy_select(basis: Basis) -> tuple[list[int], np.ndarray]:
     return selected, step_logs
 
 
-class _Solve:
-    """Step t of a basis, min_d max |w_t + Q_k d|, from the least-squares
-    start d = 0; upper is the least max |w_t + Q_k d| met on the way.  With
-    no basis column before it (k = 0), w_t is the only candidate: lower =
-    upper = max |w_t| and no iteration.  _interior_point runs the solve on
-    arrays its window owns and writes the bracket and the iteration count
-    back when the window ends.
-    """
-
-    def __init__(self, basis: Basis, t: int) -> None:
-        self.basis, self.t = basis, t
-        self.k = k = int(basis.rank[t])
-        self.dependent = bool(basis.rank[t + 1] == k)
-        self.upper = float(basis.sup[t])
-        self.lower = min(float(basis.norm[t]) / math.sqrt(len(basis.qc)), self.upper) if k else self.upper
-        self.iterations = 1 if k else 0
-
-    @property
-    def converged(self) -> bool:
-        return self.dependent or self.upper - self.lower <= MINIMAX_TOL * self.upper
-
-    def estimate(self) -> ChebyshevEstimate:
-        return ChebyshevEstimate(self.upper, self.lower, self.iterations, self.converged, self.t)
-
-    @property
-    def b(self) -> np.ndarray:
-        """The start's residual w_t, from its basis column."""
-        return self.basis.qc[:, self.k].conj() * self.basis.norm[self.t]
-
-
 def _block_r(gc: np.ndarray, g: np.ndarray, avc: np.ndarray) -> np.ndarray:
     """R with R^T R = G^T W^-2 G for one solve, from the R factors of the
     three row blocks of W^-1 G: row (k, i) is the (re, im) pairs of
@@ -326,9 +291,13 @@ def _step_to_boundary(
     return alpha
 
 
-def _interior_point(solves: list[_Solve]) -> None:
-    """Primal-dual interior-point solves in lockstep, each started from its
-    least-squares fit d = 0 on its orthonormal basis columns Q_k.
+def _interior_point(
+    basis: Basis, steps: np.ndarray, upper: np.ndarray, lower: np.ndarray, iterations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Primal-dual interior-point solves of a window of steps in lockstep,
+    each started from its least-squares fit d = 0 on its orthonormal basis
+    columns Q_k, with the window's slices of the brackets and iteration
+    counts; returns them updated.
 
     Primal: x = (Re d_1, Im d_1, ..., Re d_k, Im d_k, s), minimize s with
     the cone slacks (s, Re r_i, Im r_i), r = b + Q_k d; so
@@ -348,22 +317,18 @@ def _interior_point(solves: list[_Solve]) -> None:
     two stacked solves give the predictor and corrector steps.  When that
     Cholesky raises, the round factors each system on its own, and a solve
     whose own Cholesky raises takes its R factor from _block_r for that
-    round.  The window owns the start residuals b, the iterates d (zero
-    beyond each solve's k), the bounds and the iteration counts, so the
+    round.  The start residuals b = w_t, the iterates d (zero beyond each
+    solve's k) and the brackets are arrays over the window, so the
     residuals and the dual projections are one product each per round
-    against conj(Q_K); the bounds and counts go back into the solves at its
-    end.  A solve leaves the stack when it certifies, when rounding puts its
-    iterate on a cone boundary, or when its step vanishes.
+    against conj(Q_K).  A solve leaves the stack when it certifies, when
+    rounding puts its iterate on a cone boundary, or when its step vanishes.
     """
-    qc = solves[0].basis.qc
+    qc = basis.qc
     npts = len(qc)
-    rank = np.array([solve.k for solve in solves])
-    b = np.array([solve.b for solve in solves])
-    d = np.zeros((len(solves), rank.max()), dtype=complex)
-    upper = np.array([solve.upper for solve in solves])
-    lower = np.array([solve.lower for solve in solves])
-    iterations = np.array([solve.iterations for solve in solves])
-    live = np.arange(len(solves))
+    rank = basis.rank[steps]
+    b = qc[:, rank].T.conj() * basis.norm[steps][:, None]  # the start residuals w_t
+    d = np.zeros((len(steps), rank.max()), dtype=complex)
+    live = np.arange(len(steps))
     r = b
     s = 2.0 * upper
     z = np.empty((len(live), 3, npts))
@@ -511,8 +476,7 @@ def _interior_point(solves: list[_Solve]) -> None:
         dual = np.abs((y.conj() * bl).sum(axis=1))
         lower[live] = np.maximum(lower[live], dual / np.where(norm > 0, norm, np.inf))
         iterations[live] += 1
-    for solve, up, lo, its in zip(solves, upper, lower, iterations):
-        solve.upper, solve.lower, solve.iterations = float(up), float(lo), int(its)
+    return upper, lower, iterations
 
 
 def chebyshev_value(
@@ -520,7 +484,7 @@ def chebyshev_value(
 ) -> ChebyshevEstimate:
     """Discrete Chebyshev value of a stream monomial over its stream prefix."""
     prefix = stream.prefix_of(target)
-    return _solve_step(Basis(evaluate_monomials(prefix + [target], points)), len(prefix))
+    return _minimax(Basis(evaluate_monomials(prefix + [target], points)), [len(prefix)])[0]
 
 
 def direction_exponent(theta: float, s: int) -> tuple[int, int]:

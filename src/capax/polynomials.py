@@ -6,9 +6,11 @@ precisions: "exact" (GaussianRational) or "float" (python complex).  This
 module defines each precision's coefficient field once: ZERO and ONE hold its
 zero and one, _coerce_scalar brings a scalar into it, and `not c` is the one
 zero test (it means the same for both types, NaN and -0.0 included).  The two
-precisions never mix silently; convert with .to_float().  monomial_values is
-the one evaluator of monomials, used by evaluation, substitution, monomial
-matrices and fiber-average fits alike.
+precisions never mix silently; convert with .to_float(), which refuses a
+coefficient that no finite float keeps.  monomial_values is the one
+evaluator of monomials, used by evaluation, substitution and monomial_matrix,
+the one builder of the monomial matrices of sampled sets and fiber-average
+fits.
 
 An order is a key function on monomials; a larger key is a larger monomial.
 There are two, both graded.  GREVLEX4 grades by total degree and runs all
@@ -24,6 +26,8 @@ import operator
 from fractions import Fraction
 from functools import reduce
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .errors import DegreeOverflowError, PrecisionError
 from .exact import GaussianRational
@@ -314,9 +318,19 @@ class Polynomial:
     # -- conversions ------------------------------------------------------
 
     def to_float(self) -> "Polynomial":
+        """PrecisionError when a nonzero part of an exact coefficient does not
+        become a finite nonzero float."""
         if self.precision == "float":
             return self
-        return Polynomial({m: complex(c) for m, c in self.terms.items()}, "float")
+        terms = {}
+        for m, c in self.terms.items():
+            try:
+                terms[m] = v = complex(c)
+            except OverflowError:
+                v = 0j
+            if (c.a and not v.real) or (c.b and not v.imag):
+                raise PrecisionError("an exact coefficient is beyond the float range")
+        return Polynomial._of(terms, "float")
 
     # -- evaluation and substitution --------------------------------------
 
@@ -367,3 +381,12 @@ def monomial_values(monomials: Iterable[Monomial], values: Sequence[Any]) -> Ite
                     table.append(table[-1] * x)
                 factors.append(table[e])
         yield reduce(operator.mul, factors) if factors else 1
+
+
+def monomial_matrix(monomials: Sequence[Monomial], values: Sequence[Any]) -> np.ndarray:
+    """The column-major (N, len(monomials)) matrix of monomial_values at
+    values = (w1, w2, z1, z2), with w1 an array over N points."""
+    out = np.empty((len(values[0]), len(monomials)), dtype=complex, order="F")
+    for j, v in enumerate(monomial_values(monomials, values)):
+        out[:, j] = v
+    return out

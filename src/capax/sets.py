@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FiberError, MeshError
-from .polynomials import Polynomial, monomial_values
+from .polynomials import Polynomial, monomial_matrix
 from .resultant import sylvester_stack
 from .variety import GraphMap, basis_stream
 
@@ -309,6 +309,11 @@ class _FiberSolver:
             m_samples = 1 << max(4, math.ceil(math.log2(2 * degree_cap)))
             self.samples = np.exp(2j * np.pi * np.arange(m_samples) / m_samples)
 
+    @staticmethod
+    def of(f: GraphMap) -> "_FiberSolver":
+        """The map's one solver, built on first use."""
+        return f.memo("fiber_solver", lambda: _FiberSolver(f))
+
     def _shifted(self, k: int, w: np.ndarray) -> np.ndarray:
         """Grids of f_k - w_k, one per value in w, stacked."""
         grids = np.repeat((self.g1, self.g2)[k][None], len(w), axis=0)
@@ -432,7 +437,7 @@ def fiber(f: GraphMap, w: Sequence[complex]) -> FiberResult:
     point = np.array([[complex(w[0]), complex(w[1])]])
     if not np.isfinite(point).all():
         raise FiberError("fiber base point must be finite")
-    solver = f.memo("fiber_solver", lambda: _FiberSolver(f))
+    solver = _FiberSolver.of(f)
     batch = solver.solve(point)
     if batch.errors:
         raise FiberError(batch.errors[0])
@@ -450,7 +455,7 @@ def graph_lift(f: GraphMap, base: SampledSet) -> SampledSet:
     meta records the flagged fibers, the roots missing against d1*d2 per
     fiber, and the worst certified residual.
     """
-    solver = f.memo("fiber_solver", lambda: _FiberSolver(f))
+    solver = _FiberSolver.of(f)
     batch = solver.solve(base.w)
     if batch.errors:
         raise FiberError(batch.errors[min(batch.errors)])
@@ -485,7 +490,7 @@ def fiber_average_poly(
     grid is lifted in one batch; points whose fibers fail or sit near the
     discriminant are redrawn together, and no point gets more than five draws.
     The model's monomials are the w stream up to deg_bound, and its design
-    matrix comes from polynomials.monomial_values, one column at a time.
+    matrix comes from polynomials.monomial_matrix.
     """
     if deg_bound < 0:
         raise ValueError("deg_bound must be >= 0")
@@ -505,7 +510,7 @@ def fiber_average_poly(
     # The grid is drawn in the order of a point-by-point loop and lifted in
     # one batch; rejected points are redrawn in index order and lifted again,
     # for at most five rounds in all.
-    solver = f.memo("fiber_solver", lambda: _FiberSolver(f))
+    solver = _FiberSolver.of(f)
     points = [draw() for _ in range(count)]
     values = np.empty(count, dtype=complex)
     pending = np.arange(count)
@@ -529,11 +534,9 @@ def fiber_average_poly(
         raise FiberError("could not draw a clean fiber grid in five attempts")
 
     w = np.array(points)
-    columns = monomial_values(monomials, (w[:, 0], w[:, 1], None, None))
-    a_mat = np.empty((count, len(monomials)), dtype=complex)
-    for j, v in enumerate(columns):
-        a_mat[:, j] = v
+    a_mat = monomial_matrix(monomials, (w[:, 0], w[:, 1], None, None))
     coeffs, *_ = np.linalg.lstsq(a_mat, values, rcond=None)
-    residual = float(np.abs(a_mat @ coeffs - values).max())
+    # row by row: each residual is one dot product over its row
+    residual = float(np.abs(np.ascontiguousarray(a_mat) @ coeffs - values).max())
     terms = {m: complex(c) for m, c in zip(monomials, coeffs) if abs(c) > 0}
     return Polynomial(terms, "float"), residual

@@ -288,9 +288,9 @@ def _record_windows(monkeypatch):
     windows = []
     interior_point = capax.chebyshev._interior_point
 
-    def recorded(solves):
-        windows.append(len(solves))
-        return interior_point(solves)
+    def recorded(basis, steps, *brackets):
+        windows.append(len(steps))
+        return interior_point(basis, steps, *brackets)
 
     monkeypatch.setattr(capax.chebyshev, "_interior_point", recorded)
     return windows

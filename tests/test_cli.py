@@ -65,6 +65,16 @@ def test_resultant_beyond_float_range(map_file, capsys):
     assert code == 0
     assert payload["res"] == {"re": 10 ** 800, "im": 0}
     assert abs(payload["log_abs"] / (800 * math.log(10)) - 1.0) < 1e-12
+    # a coefficient of 10^400 is no float: the exact resultant still runs,
+    # and the float paths stop with one error line
+    huge = map_file({"f1": "1" + "0" * 400 + "*z1^2", "f2": "z2^2"}, "huge.json")
+    code, payload = run_json(capsys, ["resultant", "--map", huge])
+    assert code == 0
+    assert payload["res"] == {"re": 10 ** 800, "im": 0}
+    for argv in (["resultant", "--oracle"], ["pullback", "--set", "torus:1,1", "--mesh", "8", "--nmax", "2"]):
+        assert main([*argv, "--map", huge]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_float_resultant_beyond_float_range(map_file, capsys):

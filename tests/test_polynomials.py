@@ -112,6 +112,17 @@ def test_scale_and_precision_guard():
         p + q
 
 
+@pytest.mark.parametrize(
+    "text", ["10^400*z1 + 1", "z1 + 10^400*i", "1/10^400*z2^2 + z1", "z2 + 1/10^400*i"]
+)
+def test_to_float_rejects_coefficients_beyond_the_float_range(text):
+    # 10^400 overflows a float, and 1/10^400 would drop a term, here the
+    # z2^2 that sets the degree of the map (z1^2 + z2, 1/10^400 z2^2 + z1)
+    p = P(text.replace("10^400", "1" + "0" * 400))
+    with pytest.raises(PrecisionError):
+        p.to_float()
+
+
 def test_constructor_rejects_scalars_of_the_other_precision():
     z1 = z_monomial((1, 0))
     with pytest.raises(PrecisionError):
