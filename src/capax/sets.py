@@ -11,8 +11,15 @@ sampled on a circle and stacked over points and samples, one FFT per point,
 reads eliminant and z1 roots from stacked companion matrices,
 back-substitutes, runs Newton on every candidate at once, and then certifies
 each fiber on its own: residuals, root dedupe, and the near-discriminant
-flag.  fiber, graph_lift and fiber_average_poly all go through it, in one
-pass over all their base points.  Only the two stacks that grow with points
+flag.  The samples number the least power of two, and at least 16, that
+is at least twice the eliminant's degree bound n2*d1 + n1*d2 - n1*n2
+(z1-degrees n_k, degrees d_k).  A candidate
+leaves Newton after a step below 1e-15 relative, on a Jacobian determinant
+below 1e-14, or at a step no smaller than its previous one, which it does
+not take; so a root at its rounding floor keeps its better iterate, and a
+spurious candidate stops where the residual test rejects it.  fiber,
+graph_lift and fiber_average_poly all go through the core, in one pass over
+all their base points.  Only the two stacks that grow with points
 times work, the sampled Sylvester matrices and the Horner evaluation stack,
 are built in slices of at most _FIBER_BYTES; every step is elementwise or
 per matrix, so the slicing never changes a bit of the result.
@@ -125,8 +132,10 @@ class SampledSet:
         coords = self.z if self.z is not None else self.w
         scale = max(1.0, float(np.abs(coords).max()))
         rounded = np.round(coords / (DUPLICATE_TOL * scale)) + 0.0  # + 0.0 folds -0.0 into 0.0
-        keys = np.column_stack([rounded.real, rounded.imag])
-        if len(np.unique(keys, axis=0)) != len(coords):
+        # one opaque key per point: its bytes are equal exactly when its
+        # finite coordinates are, so a 1-D unique serves for a row unique
+        keys = np.ascontiguousarray(rounded).view(np.dtype((np.void, 2 * rounded.itemsize)))[:, 0]
+        if len(np.unique(keys)) != len(coords):
             raise MeshError("duplicate points in the sample (closer than 1e-12)")
 
     def __len__(self) -> int:
@@ -305,7 +314,11 @@ class _FiberSolver:
             stack[3 + 2 * k, :r, : c - 1] = grid[:, 1:] * np.arange(1, c)
         self.stack = stack
         if self.n1 and self.n2:
-            degree_cap = self.n2 * g.d1 + self.n1 * g.d2 + 2  # det degree bound over z2
+            # the det's degree in z2: the z1^j coefficient of f_k has degree at
+            # most d_k - j, so a term of the det has degree at most
+            # n2*(d1 - n1) + n1*(d2 - n2) plus its column indices less its row
+            # indices, n1*n2; that is n2*d1 + n1*d2 - n1*n2 <= d1*d2
+            degree_cap = self.n2 * g.d1 + self.n1 * g.d2 - self.n1 * self.n2
             m_samples = 1 << max(4, math.ceil(math.log2(2 * degree_cap)))
             self.samples = np.exp(2j * np.pi * np.arange(m_samples) / m_samples)
 
@@ -375,8 +388,15 @@ class _FiberSolver:
         return out
 
     def _newton(self, w: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> None:
-        """Polish in place; a root stops on a near-singular Jacobian or a tiny step."""
+        """Polish in place, for at most 50 rounds.
+
+        A root leaves the loop on a near-singular Jacobian (|det| < 1e-14),
+        after a step below 1e-15 relative, or on a step no smaller than its
+        previous one: that step is not taken, so a root at its rounding floor
+        keeps its better iterate.
+        """
         active = np.arange(len(z1))
+        last = np.full(len(z1), np.inf)  # each root's previous step size
         for _ in range(50):
             if not active.size:
                 break
@@ -390,9 +410,13 @@ class _FiberSolver:
             j11, j12, j21, j22 = j11[moving], j12[moving], j21[moving], j22[moving]
             dz1 = (v1 * j22 - v2 * j12) / det
             dz2 = (v2 * j11 - v1 * j21) / det
-            z1[active] -= dz1
-            z2[active] -= dz2
-            small = np.abs(dz1) + np.abs(dz2) < 1e-15 * (1 + np.abs(z1[active]) + np.abs(z2[active]))
+            step = np.abs(dz1) + np.abs(dz2)
+            shrinks = step < last[active]
+            active, step = active[shrinks], step[shrinks]
+            z1[active] -= dz1[shrinks]
+            z2[active] -= dz2[shrinks]
+            last[active] = step
+            small = step < 1e-15 * (1 + np.abs(z1[active]) + np.abs(z2[active]))
             active = active[~small]
 
     def solve(self, w: np.ndarray) -> _FiberBatch:

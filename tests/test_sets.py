@@ -20,6 +20,7 @@ from capax import (
     graph_lift,
     parse_poly,
 )
+from capax.resultant import sylvester_stack
 from capax.sets import ROOT_DEDUPE_TOL, _FiberSolver, _greedy_distinct
 
 from conftest import random_generic_map
@@ -104,6 +105,14 @@ def test_near_duplicates_rejected_distinct_points_kept():
     with pytest.raises(MeshError):
         SampledSet(w=np.array([[0.0, 1.0], [-0.0, 1.0]]))
     assert len(SampledSet(w=np.array([[1.0, 2.0], [1.0 + 1e-9, 2.0], [2.0, 1.0]]))) == 3
+
+
+def test_duplicate_check_reads_any_memory_layout():
+    w = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0j]])
+    for layout in (w, np.asfortranarray(w), np.repeat(w, 2, axis=0)[::2]):
+        assert len(SampledSet(w=layout)) == 3
+        with pytest.raises(MeshError):
+            SampledSet(w=np.asfortranarray(np.concatenate([layout, layout[:1]])))
 
 
 def _pairs(first, second):
@@ -270,6 +279,56 @@ def test_graph_lift_error_names_the_first_failed_point():
     assert len(w) == 44
     with pytest.raises(FiberError, match=re.escape("no certified roots for w = ((1+0j), 0j)")):
         graph_lift(M("z1*z2", "z2"), SampledSet(w=w))
+
+
+# ---------------------------------------------------------------------------
+# Newton's stop and the sampled eliminant
+
+
+def test_newton_stops_once_a_step_no_longer_shrinks(monkeypatch):
+    values = _FiberSolver._values
+    rounds = []
+
+    def counted(self, z1, z2, parts=6):
+        # _newton asks for all six parts, the closing residual for two
+        rounds[-1] += parts == 6
+        return values(self, z1, z2, parts)
+
+    monkeypatch.setattr(_FiberSolver, "_values", counted)
+    # the first two draws of the lift-generic benchmark workload at seed 13:
+    # steps that stall at the rounding floor kept 3 of these 4 lifts going
+    # for all 50 rounds before a step had to shrink to be taken
+    rng = random.Random("lift-generic:13")
+    for _ in range(2):
+        for d, mesh in ((2, 16), (3, 8)):
+            f = random_generic_map(rng, d)
+            rounds.append(0)
+            lifted = graph_lift(f, build_mesh("torus:1,1", mesh))
+            assert 0 < rounds[-1] < 50
+            assert lifted.meta["roots_missing"] == 0
+            assert lifted.meta["near_discriminant_fibers"] == 0
+            assert lifted.meta["residual_max"] <= 1e-12
+
+
+@pytest.mark.parametrize("make_map", [
+    lambda: random_generic_map(random.Random(7), 2),
+    lambda: random_generic_map(random.Random(8), 3),
+    lambda: M("z1*z2 + z2^2 + 1", "z1^2 + z2"),  # z1-degrees 1 and 2
+], ids=["generic d=2", "generic d=3", "uneven z1-degrees"])
+def test_eliminant_samples_exceed_its_weighted_degree(make_map):
+    f = make_map()
+    solver = _FiberSolver(f)
+    n1, n2 = solver.n1, solver.n2
+    degree = n2 * f.d1 + n1 * f.d2 - n1 * n2
+    assert degree <= f.d1 * f.d2
+    assert len(solver.samples) > degree
+    # the eliminant over 4x the samples has nothing above that degree
+    m = 4 * len(solver.samples)
+    samples = np.exp(2j * np.pi * np.arange(m) / m)
+    w = build_mesh("torus:0.8,1.2", 4).w
+    a, b = (capax.sets._z1_coefficients(solver._shifted(k, w[:, k])[:, None], samples[None]) for k in (0, 1))
+    elim = np.abs(np.fft.fft(np.linalg.det(sylvester_stack(a, b)), axis=1))
+    assert (elim[:, degree + 1 :] <= 1e-13 * elim.max(axis=1, keepdims=True)).all()
 
 
 def test_fiber_average_redraws_points_without_a_fiber(monkeypatch):
