@@ -30,7 +30,7 @@ import numpy as np
 from .chebyshev import Basis, evaluate_monomials, greedy_select, minimax_series
 from .errors import EstimateError, MapError
 from .polynomials import Monomial
-from .resultant import resultant_slog
+from .resultant import is_regular, resultant_slog
 from .sets import SampledSet, build_mesh, graph_lift
 from .variety import GraphMap, basis_stream
 
@@ -181,10 +181,15 @@ def telescoping_check(
     At step t the added monomial's Chebyshev value must sit below the greedy
     determinant ratio, and t + 1 times it must sit above, each up to the
     relative TELESCOPING_SLACK.  A step that is dependent on the sample has
-    ratio 0 and requires a zero Chebyshev value.
+    ratio 0 and requires a zero Chebyshev value.  A series passed in is read
+    in place of a new one, and must be the kind-n_max series of points.
     """
     if series is None:
         series = transfinite_diameter(points, kind, n_max)
+    elif (kind, n_max) != (series.kind, series.levels[-1]):
+        raise ValueError(
+            f"series is {series.kind!r} through level {series.levels[-1]}, not {kind!r} through {n_max}"
+        )
     rows = []
     steps = zip(series.ledger.step_logs[1:], series.step_cheb[1:].tolist())
     for t, (log_ratio, cheb) in enumerate(steps, start=1):
@@ -196,7 +201,7 @@ def telescoping_check(
             upper_ok = cheb > 0 and ratio <= (t + 1) * cheb * (1 + TELESCOPING_SLACK)
         rows.append(TelescopingRow(t, ratio, cheb, lower_ok, upper_ok))
     ok = all(row.lower_ok and row.upper_ok for row in rows)
-    return TelescopingReport(rows=rows, ok=ok, kind=kind, slack=TELESCOPING_SLACK)
+    return TelescopingReport(rows=rows, ok=ok, kind=series.kind, slack=TELESCOPING_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +224,16 @@ def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
 
     The left side is the z-basis diameter d1 of the lifted set; the right side
     uses the w-basis diameter d3 of the base mesh and |Res| of the top forms.
-    Regularity is checked before any point is sampled.  Nothing here needs
-    the staircase, so float maps work.  mesh gives the counts build_mesh
-    takes; a points: set takes none, and its meta has no mesh.
+    Regularity is resultant.is_regular, asked before any point is sampled,
+    so a float map whose |Res| is lost in its coefficients' rounding is
+    refused too.  Nothing here needs the staircase, so float maps work.  mesh
+    gives the counts build_mesh takes; a points: set takes none, and its meta
+    has no mesh.
     """
+    if not is_regular(f):
+        raise EstimateError("the map is not regular; the pullback formula needs Res != 0")
     d = f.d
     _, log_res = resultant_slog(f)
-    if not math.isfinite(log_res):
-        raise EstimateError("the map is not regular; the pullback formula needs Res != 0")
     base = build_mesh(spec, mesh)
     lifted = graph_lift(f, base)
     d3 = transfinite_diameter(base, "w", n_max)

@@ -1,13 +1,13 @@
 """Resultants of the top forms and the block structure of graph eliminations.
 
 The resultant of the two leading forms decides regularity and enters the
-pullback formula through |Res|^(-1/(2 d^2)); each map computes its
-Sylvester determinant once and keeps it.  sylvester_stack is the one
-Sylvester layout: the top forms' matrix here, at either precision, and the
-stacked z1-eliminant matrices of the graph lift in sets.py.  Exact
-determinants run Bareiss elimination on Gaussian integers over one common
-denominator, dividing exactly by the previous pivot; float determinants go
-through numpy's slogdet as (phase, log magnitude), so nothing overflows.
+pullback formula through |Res|^(-1/(2 d^2)).  Each map keeps one record,
+(Res, phase, log|Res|), from one Sylvester determinant: Bareiss on Gaussian
+integers over one common denominator on the exact path, numpy's slogdet on
+float, so no size of |Res| overflows its log.  resultant, resultant_slog and
+is_regular only read it; is_regular is the one regularity rule, which
+pullback_check asks too.  sylvester_stack is the one Sylvester layout: the
+top forms' matrix here, and the stacked z1-eliminants of sets.graph_lift.
 
 block_factorization certifies the one structural fact the estimators lean on:
 at weight k >= 2d - 1 the change of basis between the substituted w-bearing
@@ -17,7 +17,6 @@ block and consecutive z-monomials has determinant +-Res^(ell (ell+1) / 2).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,53 +104,45 @@ def bareiss_det(matrix) -> GaussianRational:
     )
 
 
-def slog_det(matrix: np.ndarray) -> tuple[complex, float]:
-    """(phase, log|det|) of a complex matrix; phase 0 means det 0."""
-    phase, logmag = np.linalg.slogdet(matrix)
-    return complex(phase), float(logmag)
+def _record(f: GraphMap) -> tuple:
+    """(Res, phase, log|Res|) from the map's one Sylvester determinant; phase
+    0 means Res = 0.  An exact Res = (a + b i)/c reads as 2^e (x + y i), x and
+    y correctly rounded, e its binary exponent if that passes +-1000, else 0.
+    A float Res is None when phase * exp(log) is not a finite float."""
 
+    def compute():
+        matrix = sylvester_matrix(f)
+        if f.precision != "exact":
+            sign, logdet = np.linalg.slogdet(matrix)
+            phase, logmag = complex(sign), float(logdet)
+            try:
+                return phase * math.exp(logmag), phase, logmag
+            except OverflowError:
+                return None, phase, logmag
+        res = bareiss_det(matrix)
+        if not res:
+            return res, 0.0j, -math.inf
+        e = max(res.a.bit_length(), res.b.bit_length()) - res.d.bit_length()
+        e = e if abs(e) > 1000 else 0
+        x, y = float(res.re / Fraction(2) ** e), float(res.im / Fraction(2) ** e)
+        mag = math.hypot(x, y)
+        return res, complex(x, y) / mag, math.log(mag) + e * math.log(2)
 
-def _sylvester_det(f: GraphMap):
-    """The Sylvester determinant of f, computed once per map: the Bareiss value
-    on the exact path, slog_det's (phase, log|det|) pair on the float path."""
-    det = bareiss_det if f.precision == "exact" else slog_det
-    return f.memo("sylvester_det", lambda: det(sylvester_matrix(f)))
+    return f.memo("resultant", compute)
 
 
 def resultant(f: GraphMap):
     """Res of the top forms: GaussianRational on the exact path, complex on float."""
-    if f.precision == "exact":
-        return _sylvester_det(f)
-    phase, logmag = _sylvester_det(f)
-    if phase == 0:
-        return 0.0j
-    if logmag > 700.0:
+    res = _record(f)[0]
+    if res is None:
         raise EstimateError("resultant magnitude overflows a float; use the exact path")
-    return phase * math.exp(logmag)
+    return res
 
 
 def resultant_slog(f: GraphMap) -> tuple[complex, float]:
     """(phase, log|Res|) at either precision, whatever the size of |Res|.
-
-    Phase 0 means Res = 0.  An exact Res whose modulus is not a normal float
-    is measured on its exact parts, so it neither overflows nor rounds to 0.
-    """
-    if f.precision != "exact":
-        return _sylvester_det(f)
-    r = resultant(f)
-    if not r:
-        return 0.0j, float("-inf")
-    try:
-        rc = complex(r)
-        mag = abs(rc)
-    except OverflowError:
-        mag = math.inf
-    if sys.float_info.min <= mag < math.inf:
-        return rc / mag, math.log(mag)
-    abs2 = r.abs2()
-    scale = max(abs(r.re), abs(r.im))
-    unit = complex(r.re / scale, r.im / scale)
-    return unit / abs(unit), (math.log(abs2.numerator) - math.log(abs2.denominator)) / 2
+    Phase 0 means Res = 0."""
+    return _record(f)[1:]
 
 
 def resultant_root_oracle(f: GraphMap) -> complex:
@@ -179,18 +170,17 @@ def resultant_root_oracle(f: GraphMap) -> complex:
 
 
 def is_regular(f: GraphMap) -> bool:
-    """Whether the top forms have no common projective root.
+    """Whether the top forms have no common projective root: the one
+    regularity rule, which pullback_check asks before it samples.
 
-    A float map is regular when |Res| > 1e-10 max|a|^d2 max|b|^d1, over the
-    top-form coefficients a and b; the test is made on logs, so it neither
-    overflows nor underflows.
+    An exact map is regular when Res != 0.  A float map is regular when
+    |Res| > 1e-10 max|a|^d2 max|b|^d1, over the top-form coefficients a and
+    b; the test is made on logs, so it neither overflows nor underflows.
     """
-    if f.precision == "exact":
-        return bool(resultant(f))
-    a, b = (max(abs(c) for c in cs) for cs in _top_coeffs(f))
     phase, logmag = resultant_slog(f)
-    if phase == 0:
-        return False
+    if f.precision == "exact" or phase == 0:
+        return phase != 0
+    a, b = (max(abs(c) for c in cs) for cs in _top_coeffs(f))
     return logmag > math.log(1e-10) + f.d2 * math.log(a) + f.d1 * math.log(b)
 
 

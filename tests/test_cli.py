@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from capax import (
@@ -87,10 +88,11 @@ def test_float_resultant_beyond_float_range(map_file, capsys):
     assert main(["resultant", "--map", path, "--oracle"]) == 1
 
 
-@pytest.mark.parametrize("precision, det", [("exact", "bareiss_det"), ("float", "slog_det")])
+@pytest.mark.parametrize("precision, det", [("exact", "bareiss_det"), ("float", "slogdet")])
 def test_resultant_computes_one_determinant(precision, det, map_file, capsys, monkeypatch):
     path = map_file({"f1": "z1^2 + 3*z2^2", "f2": "z1*z2 + 2*z2^2", "precision": precision})
-    module = importlib.import_module("capax.resultant")  # the package's `resultant` is the function
+    # the package's `resultant` is the function, so the module is imported by name
+    module = importlib.import_module("capax.resultant") if precision == "exact" else np.linalg
     calls = []
     real = getattr(module, det)
     monkeypatch.setattr(module, det, lambda m: calls.append(1) or real(m))
@@ -256,6 +258,16 @@ def test_pullback_rejects_a_map_that_is_not_regular(map_file, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not regular" in err
+
+
+def test_pullback_refuses_a_float_map_that_is_not_regular(map_file, capsys):
+    # Res is finite but below is_regular's floor: the top forms nearly share
+    # a root, and every fiber of the 8 x 8 lift once came back short
+    path = map_file({"f1": "z1^2 + z2^2 + 0.3*z1", "f2": "z1^2 + 1.0000000000001*z2^2 + 0.2*z2",
+                     "precision": "float"})
+    assert main(["pullback", "--map", path, "--set", "torus:1,1", "--mesh", "8", "--nmax", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "not regular" in err
 
 
 def test_tdiam_json_carries_series_meta(capsys):

@@ -13,8 +13,10 @@ from capax import (
     build_mesh,
     graph_lift,
     greedy_fekete,
+    is_regular,
     parse_poly,
     pullback_check,
+    resultant_slog,
     telescoping_check,
     transfinite_diameter,
 )
@@ -330,6 +332,15 @@ def test_telescoping_goes_on_after_a_dependent_step():
     assert row.step == 3 and row.ratio > 0.0 and row.lower_ok and row.upper_ok
 
 
+def test_telescoping_reads_only_the_series_it_names():
+    mesh = build_mesh("torus:1,1", 8)
+    series = transfinite_diameter(mesh, "w", 2)
+    assert telescoping_check(mesh, "w", 2, series=series).kind == "w"
+    for kind, n_max in (("z", 2), ("w", 3), ("w", 1)):
+        with pytest.raises(ValueError, match="series is 'w' through level 2"):
+            telescoping_check(mesh, kind, n_max, series=series)
+
+
 def test_telescoping_on_truncated_ledger():
     # w2 = 0 on the whole sample, so the third monomial w2 vanishes there
     mesh = build_mesh("box:-2,2,0,0", (8, 1))
@@ -375,15 +386,30 @@ def test_pullback_float_map_matches_exact():
     assert floating.res_log_abs == pytest.approx(exact.res_log_abs, rel=1e-12)
 
 
-def test_pullback_rejects_a_map_that_is_not_regular(monkeypatch):
+@pytest.fixture
+def no_sampling(monkeypatch):
     import capax.diameters as diameters
 
-    def no_sampling(*args):
+    def refuse(*args):
         raise AssertionError("sampled a map that is not regular")
 
-    monkeypatch.setattr(diameters, "build_mesh", no_sampling)
+    monkeypatch.setattr(diameters, "build_mesh", refuse)
+
+
+def test_pullback_rejects_a_map_that_is_not_regular(no_sampling):
     with pytest.raises(EstimateError, match="not regular"):
         pullback_check(M("z1^2 + z2", "z1^2"), "torus:1,1", 2, (8, 8))
+
+
+def test_pullback_refuses_a_float_map_that_is_not_regular(no_sampling):
+    # log|Res| is finite, but lost in the coefficients' rounding: is_regular
+    # rejects the map, and so does the pullback, before it samples; it once
+    # reported a ratio of 0.0020 with all 128 roots of its lift missing
+    f = GraphMap(parse_poly("z1^2 + z2^2 + 0.3*z1", "float"),
+                 parse_poly("z1^2 + 1.0000000000001*z2^2 + 0.2*z2", "float"))
+    assert math.isfinite(resultant_slog(f)[1]) and not is_regular(f)
+    with pytest.raises(EstimateError, match="not regular"):
+        pullback_check(f, "torus:1,1", 2, (8, 8))
 
 
 def test_pullback_cubic_trajectory():

@@ -1,3 +1,6 @@
+import decimal
+import importlib
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from capax import (
     is_regular,
     parse_poly,
     precondition,
+    pullback_check,
     resultant,
     resultant_root_oracle,
     resultant_slog,
@@ -113,6 +117,47 @@ def test_resultant_slog_consistency():
         phase, logmag = resultant_slog(f)
         assert abs(logmag / (sign * 800 * np.log(10.0)) - 1.0) <= 1e-12
         assert np.isclose(complex(phase), 1.0)
+
+
+@pytest.mark.parametrize("precision", ["exact", "float"])
+def test_every_reader_shares_one_determinant(precision, monkeypatch):
+    # resultant, resultant_slog, is_regular and pullback_check all read the
+    # map's one record: one Bareiss run on the exact path, one slogdet on float
+    calls = []
+    for module, name in ((importlib.import_module("capax.resultant"), "bareiss_det"), (np.linalg, "slogdet")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda m, real=real, name=name: calls.append(name) or real(m))
+    f = GraphMap(parse_poly("z1^2 + 3*z2^2", precision), parse_poly("z1*z2 + 2*z2^2 + z1", precision))
+    resultant(f)
+    resultant_slog(f)
+    assert is_regular(f)
+    pullback_check(f, "torus:1,1", 1, (4, 4))
+    assert calls == ["bareiss_det" if precision == "exact" else "slogdet"]
+
+
+def _log_abs_reference(r: GaussianRational) -> float:
+    """log|Res| to 60 digits from the exact parts: ln(a^2 + b^2)/2 - ln c."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float(decimal.Decimal(r.a * r.a + r.b * r.b).ln() / 2 - decimal.Decimal(r.d).ln())
+
+
+def test_exact_log_abs_is_correctly_measured_at_any_size():
+    # the seeded maps have |Res| well inside the float range (e = 0); twenty
+    # of them with coefficients scaled by 10^400 and by 10^-100 have |Res|
+    # near 10^1600 and 10^-400, whose binary exponents pass +-1000 (e != 0)
+    maps = [random_generic_map(random.Random(seed), d) for d in (2, 3) for seed in range(1, 150)]
+    for c in ("1" + "0" * 400, "1/1" + "0" * 100):
+        for g in maps[:20]:
+            maps.append(M(f"({c})*({g.f1})", f"({c})*({g.f2})"))
+    logs = []
+    for f in maps:
+        _, log_abs = resultant_slog(f)
+        want = _log_abs_reference(resultant(f))
+        assert abs(log_abs - want) <= 1e-15 * max(1.0, abs(want)), (f, log_abs, want)
+        logs.append(log_abs)
+    exponents = [abs(v) / math.log(2) for v in logs]
+    assert min(exponents) < 1000 and sum(1 for e in exponents if e > 1300) == 40
 
 
 def test_bareiss_matches_float_det():
