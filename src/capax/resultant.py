@@ -7,7 +7,8 @@ integers over one common denominator on the exact path, numpy's slogdet on
 float, so no size of |Res| overflows its log.  resultant, resultant_slog and
 is_regular only read it; is_regular is the one regularity rule, which
 pullback_check asks too.  sylvester_stack is the one Sylvester layout: the
-top forms' matrix here, and the stacked z1-eliminants of sets.graph_lift.
+top forms' matrix here, and the sampled determinants behind the per-map
+eliminant table of sets.graph_lift.
 
 block_factorization certifies the one structural fact the estimators lean on:
 at weight k >= 2d - 1 the change of basis between the substituted w-bearing
@@ -108,7 +109,8 @@ def _record(f: GraphMap) -> tuple:
     """(Res, phase, log|Res|) from the map's one Sylvester determinant; phase
     0 means Res = 0.  An exact Res = (a + b i)/c reads as 2^e (x + y i), x and
     y correctly rounded, e its binary exponent if that passes +-1000, else 0.
-    A float Res is None when phase * exp(log) is not a finite float."""
+    A float Res is None when phase * exp(log) overflows, or underflows to 0
+    with a nonzero phase."""
 
     def compute():
         matrix = sylvester_matrix(f)
@@ -116,9 +118,10 @@ def _record(f: GraphMap) -> tuple:
             sign, logdet = np.linalg.slogdet(matrix)
             phase, logmag = complex(sign), float(logdet)
             try:
-                return phase * math.exp(logmag), phase, logmag
+                res = phase * math.exp(logmag)
             except OverflowError:
-                return None, phase, logmag
+                res = None
+            return (None if res == 0 and phase else res), phase, logmag
         res = bareiss_det(matrix)
         if not res:
             return res, 0.0j, -math.inf
@@ -135,7 +138,7 @@ def resultant(f: GraphMap):
     """Res of the top forms: GaussianRational on the exact path, complex on float."""
     res = _record(f)[0]
     if res is None:
-        raise EstimateError("resultant magnitude overflows a float; use the exact path")
+        raise EstimateError("resultant magnitude is outside float range; use the exact path")
     return res
 
 

@@ -5,13 +5,17 @@ from a graph lift, the matching z-coordinates on {w = f(z)}.  Estimators
 downstream only ever see these arrays.  A mesh pairs the samples of two
 coordinates; _KINDS gives each set kind its sampler of one coordinate.
 
-Fiber solving is numerical and batched over base points: one solver core per
-map eliminates z1 through Sylvester determinants (resultant.sylvester_stack)
-sampled on a circle and stacked over points and samples, one FFT per point,
-reads eliminant and z1 roots from stacked companion matrices,
-back-substitutes, runs Newton on every candidate at once, and then certifies
-each fiber on its own: residuals, root dedupe, and the near-discriminant
-flag.  The samples number the least power of two, and at least 16, that
+Fiber solving is numerical and batched over base points.  One solver core
+per map eliminates z1 once: each Sylvester row of f1 - w1 and f2 - w2 is
+affine in one w_k, so the eliminant's coefficients on w1^i w2^j z2^k form
+one table (resultant.sylvester_stack), sampled with w1, w2 and z2 on roots
+of unity and read by one FFT, or, for a map with a z2-only component, that
+component's row with -1 on w_k.  Every base point then takes one path: its
+w-powers contract the table, the trimmed eliminant's z2 roots and the z1
+roots of the component that keeps more z1-degree there come from stacked
+companion matrices, Newton runs on every candidate at once, and each fiber
+is certified on its own: residuals, root dedupe, and the near-discriminant
+flag.  The z2 samples number the least power of two, and at least 16, that
 is at least twice the eliminant's degree bound n2*d1 + n1*d2 - n1*n2
 (z1-degrees n_k, degrees d_k).  A candidate
 leaves Newton after a step below 1e-15 relative, on a Jacobian determinant
@@ -19,10 +23,10 @@ below 1e-14, or at a step no smaller than its previous one, which it does
 not take; so a root at its rounding floor keeps its better iterate, and a
 spurious candidate stops where the residual test rejects it.  fiber,
 graph_lift and fiber_average_poly all go through the core, in one pass over
-all their base points.  Only the two stacks that grow with points
-times work, the sampled Sylvester matrices and the Horner evaluation stack,
-are built in slices of at most _FIBER_BYTES; every step is elementwise or
-per matrix, so the slicing never changes a bit of the result.
+all their base points.  Only the Horner evaluation stack grows with
+candidates times work, so it alone is built in slices of at most
+_FIBER_BYTES; every step is elementwise or per matrix, so the slicing
+never changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ DUPLICATE_TOL = 1e-12
 FIBER_RESIDUAL_TOL = 1e-9
 NEAR_DISCRIMINANT_TOL = 1e-6
 ROOT_DEDUPE_TOL = 1e-8
-_FIBER_BYTES = 1 << 20  # one slice of the sampled Sylvester stack or of the Horner stack
+_FIBER_BYTES = 1 << 20  # one slice of the Horner stack
 
 
 def _count(n: int) -> int:
@@ -271,8 +275,8 @@ class _FiberBatch:
     errors: dict[int, str]    # point index -> why its fiber failed
 
 
-def _z1_coefficients(grids: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Coefficients in z1 of stacked z-grids after fixing z2 (broadcasting).
+def _z1_coefficients(grid: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Coefficients in z1 of a z-grid after fixing z2, one row per value of z2.
 
     Each row is its own matrix-vector product grid @ z2**arange, so it rounds
     the same in any batch, a batch of one included.  That matters: the
@@ -280,24 +284,24 @@ def _z1_coefficients(grids: np.ndarray, z2: np.ndarray) -> np.ndarray:
     under a last-bit change, and the order of the roots is the order of the
     lifted points.
     """
-    powers = z2[..., None] ** np.arange(grids.shape[-1])
-    return np.matmul(grids, powers[..., None])[..., 0]
+    powers = z2[..., None] ** np.arange(grid.shape[-1])
+    return np.matmul(grid, powers[..., None])[..., 0]
 
 
 class _FiberSolver:
     """Batched solver for f(z) = w over many base points w of one map.
 
     Per map it builds the z-coefficient grids of f1, f2 and of the Jacobian
-    and, when both components involve z1, the Sylvester matrices sampled on
-    the unit circle; a base point only moves the two constant terms.
+    and the eliminant table elim[i, j, k], the coefficient of the eliminant
+    on w1^i w2^j z2^k; a base point only picks its w-powers.
     """
 
     def __init__(self, f: GraphMap) -> None:
         g = f.to_float()
         self.g1, self.g2 = _poly_coeff_grid(g.f1), _poly_coeff_grid(g.f2)
         # z1-degrees of the two components
-        self.n1, self.n2 = self.g1.shape[0] - 1, self.g2.shape[0] - 1
-        if self.n1 == 0 and self.n2 == 0:
+        self.n1, self.n2 = n1, n2 = self.g1.shape[0] - 1, self.g2.shape[0] - 1
+        if n1 == 0 and n2 == 0:
             raise FiberError("neither component depends on z1; fiber is not finite")
         self.power = g.d1
         self.expected = g.d1 * g.d2
@@ -306,69 +310,64 @@ class _FiberSolver:
             1.0, *(float(np.abs(grid).ravel()[1:].max(initial=0.0)) for grid in (self.g1, self.g2))
         )
         # f1, f2, d1/dz1, d1/dz2, d2/dz1, d2/dz2 on one padded grid
-        stack = np.zeros((6, max(self.n1, self.n2) + 1, max(self.g1.shape[1], self.g2.shape[1])), dtype=complex)
+        stack = np.zeros((6, max(n1, n2) + 1, max(self.g1.shape[1], self.g2.shape[1])), dtype=complex)
         for k, grid in enumerate((self.g1, self.g2)):
             r, c = grid.shape
             stack[k, :r, :c] = grid
             stack[2 + 2 * k, : r - 1, :c] = grid[1:] * np.arange(1, r)[:, None]
             stack[3 + 2 * k, :r, : c - 1] = grid[:, 1:] * np.arange(1, c)
         self.stack = stack
-        if self.n1 and self.n2:
-            # the det's degree in z2: the z1^j coefficient of f_k has degree at
-            # most d_k - j, so a term of the det has degree at most
-            # n2*(d1 - n1) + n1*(d2 - n2) plus its column indices less its row
-            # indices, n1*n2; that is n2*d1 + n1*d2 - n1*n2 <= d1*d2
-            degree_cap = self.n2 * g.d1 + self.n1 * g.d2 - self.n1 * self.n2
-            m_samples = 1 << max(4, math.ceil(math.log2(2 * degree_cap)))
-            self.samples = np.exp(2j * np.pi * np.arange(m_samples) / m_samples)
+        if n1 == 0 or n2 == 0:
+            # one equation is z2-only: f_k - w_k is the eliminant
+            k = 0 if n1 == 0 else 1
+            row = (self.g1, self.g2)[k][0]
+            self.elim = np.zeros((2 - k, 1 + k, len(row)), dtype=complex)
+            self.elim[0, 0] = row
+            self.elim[1 - k, k, 0] = -1.0
+            return
+        # the det's degree in z2: the z1^j coefficient of f_k has degree at
+        # most d_k - j, so a term of the det has degree at most
+        # n2*(d1 - n1) + n1*(d2 - n2) plus its column indices less its row
+        # indices, n1*n2; that is n2*d1 + n1*d2 - n1*n2 <= d1*d2.  In w1 it
+        # has degree n2, in w2 degree n1: w_k sits once in each row of f_k.
+        degree_cap = n2 * g.d1 + n1 * g.d2 - n1 * n2
+        m = 1 << max(4, math.ceil(math.log2(2 * degree_cap)))
+        u1, u2, z2 = (np.exp(2j * np.pi * np.arange(n) / n) for n in (n2 + 1, n1 + 1, m))
+        a, b = (_z1_coefficients(grid, z2) for grid in (self.g1, self.g2))
+        a = np.broadcast_to(a, (n2 + 1, n1 + 1, m, n1 + 1)).copy()
+        a[..., 0] -= u1[:, None, None]
+        b = np.broadcast_to(b, (n2 + 1, n1 + 1, m, n2 + 1)).copy()
+        b[..., 0] -= u2[:, None]
+        dets = np.linalg.det(sylvester_stack(a, b))
+        # every sample runs counterclockwise, so the forward transform reads
+        # off the coefficients; ifftn would hand them back reversed
+        self.elim = np.fft.fftn(dets)[..., : degree_cap + 1] / dets.size
 
     @staticmethod
     def of(f: GraphMap) -> "_FiberSolver":
         """The map's one solver, built on first use."""
         return f.memo("fiber_solver", lambda: _FiberSolver(f))
 
-    def _shifted(self, k: int, w: np.ndarray) -> np.ndarray:
-        """Grids of f_k - w_k, one per value in w, stacked."""
-        grids = np.repeat((self.g1, self.g2)[k][None], len(w), axis=0)
-        grids[:, 0, 0] += -w
-        return grids
-
     def _z2_candidates(self, w: np.ndarray, errors: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
         """Distinct eliminant roots as (point index, z2) pairs, point-major."""
-        n1, n2 = self.n1, self.n2
-        if n1 == 0 or n2 == 0:
-            # one equation is z2-only: its roots give z2, the other solves z1
-            k = 0 if n1 == 0 else 1
-            elim = self._shifted(k, w[:, k])[:, 0]
-            lengths = _trimmed_lengths(elim, 1e-10)
-            for i in np.nonzero(lengths == 1)[0]:
-                errors[int(i)] = "degenerate fiber: a component reduced to a constant"
-        else:
-            size = n1 + n2
-            step = max(1, _FIBER_BYTES // (16 * len(self.samples) * size * size))
-            dets = np.empty((len(w), len(self.samples)), dtype=complex)
-            for s in range(0, len(w), step):
-                ws = w[s : s + step]
-                a, b = (_z1_coefficients(self._shifted(k, ws[:, k])[:, None], self.samples[None]) for k in (0, 1))
-                dets[s : s + step] = np.linalg.det(sylvester_stack(a, b))
-            # samples run counterclockwise, so the forward transform reads off
-            # the coefficients; ifft would hand them back reversed
-            elim = np.fft.fft(dets, axis=1) / len(self.samples)
-            lengths = _trimmed_lengths(elim, 1e-11)
-            vanished = np.abs(elim).max(axis=1) <= 1e-300
-            for i in np.nonzero(vanished)[0]:
-                errors[int(i)] = "eliminant vanished; the fiber is positive-dimensional here"
-            lengths[vanished] = 1
+        # Horner in w2, then in w1: elementwise, so a point's bits do not
+        # depend on its batch
+        elim = _horner(_horner(self.elim.transpose(2, 0, 1), w[:, 1, None, None]), w[:, 0, None])
+        lengths = _trimmed_lengths(elim, 1e-11)
+        for i in np.nonzero(lengths == 1)[0]:
+            errors[int(i)] = "eliminant reduced to a constant; the fiber is empty or positive-dimensional here"
         roots, valid = _stacked_roots(elim, lengths)
         keep, _ = _greedy_distinct(roots[:, :, None], valid, ROOT_DEDUPE_TOL)
         point, slot = np.nonzero(keep)
         return point, roots[point, slot]
 
     def _z1_candidates(self, w: np.ndarray, point: np.ndarray, z2: np.ndarray):
-        """Back-substitute each z2 into whichever component keeps z1-degree there."""
-        a, b = (_z1_coefficients(self._shifted(k, w[point, k]), z2) for k in (0, 1))
+        """Back-substitute each z2 into the component that keeps more z1-degree there."""
+        a, b = (_z1_coefficients(grid, z2) for grid in (self.g1, self.g2))
+        a[:, 0] -= w[point, 0]
+        b[:, 0] -= w[point, 1]
         la, lb = _trimmed_lengths(a, 1e-10), _trimmed_lengths(b, 1e-10)
-        use_b = la == 1
+        use_b = lb > la
         coeffs = np.zeros((len(z2), max(self.n1, self.n2) + 1), dtype=complex)
         coeffs[~use_b, : self.n1 + 1] = a[~use_b]
         coeffs[use_b, : self.n2 + 1] = b[use_b]

@@ -79,13 +79,16 @@ def test_resultant_beyond_float_range(map_file, capsys):
 
 
 def test_float_resultant_beyond_float_range(map_file, capsys):
-    # Res = 10^800 is no finite float, but its log is
-    path = map_file({"f1": "1.0e200*z1^2", "f2": "1.0e200*z2^2", "precision": "float"})
-    code, payload = run_json(capsys, ["resultant", "--map", path])
-    assert code == 0
-    assert payload["res"] is None
-    assert abs(payload["log_abs"] / (800 * math.log(10)) - 1.0) < 1e-12
-    assert main(["resultant", "--map", path, "--oracle"]) == 1
+    # Res = 10^800 overflows a float and Res = 10^-400 underflows to 0, but
+    # both logs are finite
+    for c, log10 in (("1.0e200", 800), ("1.0e-100", -400)):
+        path = map_file({"f1": f"{c}*z1^2", "f2": f"{c}*z2^2", "precision": "float"})
+        code, payload = run_json(capsys, ["resultant", "--map", path])
+        assert code == 0
+        assert payload["res"] is None
+        assert abs(payload["log_abs"] / (log10 * math.log(10)) - 1.0) < 1e-12
+        assert main(["resultant", "--map", path, "--oracle"]) == 1
+        assert "outside float range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("precision, det", [("exact", "bareiss_det"), ("float", "slogdet")])

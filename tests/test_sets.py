@@ -262,8 +262,8 @@ def test_graph_lift_matches_per_point_fibers(case, monkeypatch):
     assert np.array_equal(np.concatenate([h.z for h in halves]), lifted.z)
     for key in ("roots_missing", "near_discriminant_fibers"):
         assert sum(h.meta[key] for h in halves) == lifted.meta[key]
-    # so are the slices of the Sylvester and Horner stacks: a budget of one
-    # byte builds every slice from one base point or one candidate
+    # so are the slices of the Horner stack: a budget of one byte builds
+    # every slice from one candidate
     monkeypatch.setattr(capax.sets, "_FIBER_BYTES", 1)
     sliced = graph_lift(f, base)
     assert np.array_equal(sliced.w, lifted.w)
@@ -282,7 +282,7 @@ def test_graph_lift_error_names_the_first_failed_point():
 
 
 # ---------------------------------------------------------------------------
-# Newton's stop and the sampled eliminant
+# Newton's stop and the eliminant table
 
 
 def test_newton_stops_once_a_step_no_longer_shrinks(monkeypatch):
@@ -310,25 +310,40 @@ def test_newton_stops_once_a_step_no_longer_shrinks(monkeypatch):
             assert lifted.meta["residual_max"] <= 1e-12
 
 
+UNEVEN = ("z1*z2 + z2^2 + 1", "z1^2 + z2")  # z1-degrees 1 and 2
+
+
 @pytest.mark.parametrize("make_map", [
     lambda: random_generic_map(random.Random(7), 2),
     lambda: random_generic_map(random.Random(8), 3),
-    lambda: M("z1*z2 + z2^2 + 1", "z1^2 + z2"),  # z1-degrees 1 and 2
+    lambda: M(*UNEVEN),
 ], ids=["generic d=2", "generic d=3", "uneven z1-degrees"])
-def test_eliminant_samples_exceed_its_weighted_degree(make_map):
+def test_eliminant_table_is_the_sylvester_determinant(make_map):
     f = make_map()
     solver = _FiberSolver(f)
     n1, n2 = solver.n1, solver.n2
     degree = n2 * f.d1 + n1 * f.d2 - n1 * n2
     assert degree <= f.d1 * f.d2
-    assert len(solver.samples) > degree
-    # the eliminant over 4x the samples has nothing above that degree
-    m = 4 * len(solver.samples)
-    samples = np.exp(2j * np.pi * np.arange(m) / m)
+    assert solver.elim.shape == (n2 + 1, n1 + 1, degree + 1)
+    # base points off the unit circles the table was sampled on, and z2 on
+    # 64 points of the unit circle, which hold its 16 or 32 samples
     w = build_mesh("torus:0.8,1.2", 4).w
-    a, b = (capax.sets._z1_coefficients(solver._shifted(k, w[:, k])[:, None], samples[None]) for k in (0, 1))
-    elim = np.abs(np.fft.fft(np.linalg.det(sylvester_stack(a, b)), axis=1))
-    assert (elim[:, degree + 1 :] <= 1e-13 * elim.max(axis=1, keepdims=True)).all()
+    z2 = np.exp(2j * np.pi * np.arange(64) / 64)
+    a, b = (capax.sets._z1_coefficients(grid, z2) for grid in (solver.g1, solver.g2))
+    a, b = (c - np.eye(c.shape[1])[0] * w[:, k, None, None] for k, c in enumerate((a, b)))
+    det = np.linalg.det(sylvester_stack(a, b))
+    powers = [x[..., None] ** np.arange(n) for x, n in zip((w[:, 0], w[:, 1], z2), solver.elim.shape)]
+    table = np.einsum("ijk,pi,pj,zk->pz", solver.elim, *powers)
+    assert (np.abs(table - det) <= 1e-12 * np.abs(det).max(axis=1, keepdims=True)).all()
+
+
+def test_graph_lift_keeps_roots_over_a_double_eliminant_root():
+    # over w1 = 1 the eliminant z2^4 + z2^3 - w2*z2^2 has a double root at
+    # z2 = 0, where f1 - w1 = z1*z2 + z2^2 keeps z1-degree 1 in rounding
+    # only; f2 - w2 = z1^2 + z2 - w2 still gives both roots (+-sqrt(w2), 0)
+    lifted = graph_lift(M(*UNEVEN), build_mesh("torus:1,1", 8))
+    assert lifted.meta["roots_missing"] == 0
+    assert lifted.meta["near_discriminant_fibers"] == 0
 
 
 def test_fiber_average_redraws_points_without_a_fiber(monkeypatch):
