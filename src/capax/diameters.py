@@ -226,9 +226,9 @@ def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
     uses the w-basis diameter d3 of the base mesh and |Res| of the top forms.
     Regularity is resultant.is_regular, asked before any point is sampled,
     so a float map whose |Res| is lost in its coefficients' rounding is
-    refused too.  Nothing here needs the staircase, so float maps work.  mesh
-    gives the counts build_mesh takes; a points: set takes none, and its meta
-    has no mesh.
+    refused too.  Float maps work: the lift reads the staircase of a float
+    map's exact dyadic copy.  mesh gives the counts build_mesh takes; a
+    points: set takes none, and its meta has no mesh.
     """
     if not is_regular(f):
         raise EstimateError("the map is not regular; the pullback formula needs Res != 0")

@@ -7,10 +7,10 @@ module defines each precision's coefficient field once: ZERO and ONE hold its
 zero and one, _coerce_scalar brings a scalar into it, and `not c` is the one
 zero test (it means the same for both types, NaN and -0.0 included).  The two
 precisions never mix silently; convert with .to_float(), which refuses a
-coefficient that no finite float keeps.  monomial_values is the one
-evaluator of monomials, used by evaluation, substitution and monomial_matrix,
-the one builder of the monomial matrices of sampled sets and fiber-average
-fits.
+coefficient that no normal float keeps, or with .to_exact().
+monomial_values is the one evaluator of monomials, used by evaluation,
+substitution and monomial_matrix, the one builder of the monomial matrices
+of sampled sets and fiber-average fits.
 
 An order is a key function on monomials; a larger key is a larger monomial.
 There are two, both graded.  GREVLEX4 grades by total degree and runs all
@@ -23,6 +23,7 @@ by the filtration weight d|alpha| + |beta| and orders the graph basis streams.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from functools import reduce
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -319,7 +320,8 @@ class Polynomial:
 
     def to_float(self) -> "Polynomial":
         """PrecisionError when a nonzero part of an exact coefficient does not
-        become a finite nonzero float."""
+        become a finite float of at least sys.float_info.min in magnitude: a
+        subnormal keeps too few bits."""
         if self.precision == "float":
             return self
         terms = {}
@@ -328,9 +330,17 @@ class Polynomial:
                 terms[m] = v = complex(c)
             except OverflowError:
                 v = 0j
-            if (c.a and not v.real) or (c.b and not v.imag):
+            if (c.a and abs(v.real) < sys.float_info.min) or (c.b and abs(v.imag) < sys.float_info.min):
                 raise PrecisionError("an exact coefficient is beyond the float range")
         return Polynomial._of(terms, "float")
+
+    def to_exact(self) -> "Polynomial":
+        """The exact copy of a float polynomial: a finite float is a dyadic
+        rational, so Fraction reads it without rounding."""
+        if self.precision == "exact":
+            return self
+        terms = {m: GaussianRational(Fraction(c.real), Fraction(c.imag)) for m, c in self.terms.items()}
+        return Polynomial._of(terms, "exact")
 
     # -- evaluation and substitution --------------------------------------
 

@@ -6,9 +6,7 @@ pullback formula through |Res|^(-1/(2 d^2)).  Each map keeps one record,
 integers over one common denominator on the exact path, numpy's slogdet on
 float, so no size of |Res| overflows its log.  resultant, resultant_slog and
 is_regular only read it; is_regular is the one regularity rule, which
-pullback_check asks too.  sylvester_stack is the one Sylvester layout: the
-top forms' matrix here, and the sampled determinants behind the per-map
-eliminant table of sets.graph_lift.
+pullback_check and the fiber solver of sets.py ask too.
 
 block_factorization certifies the one structural fact the estimators lean on:
 at weight k >= 2d - 1 the change of basis between the substituted w-bearing
@@ -36,26 +34,20 @@ def _top_coeffs(f: GraphMap) -> tuple[list, list]:
     )
 
 
-def sylvester_stack(a: np.ndarray, b: np.ndarray, fill=0.0) -> np.ndarray:
-    """Sylvester matrices of stacked coefficient rows a and b of degrees n1
-    and n2 (lowest first), fill in the zeros: n2 shifted rows of a, then n1
-    of b, each with the degree descending."""
-    n1, n2 = a.shape[-1] - 1, b.shape[-1] - 1
-    mats = np.full(a.shape[:-1] + (n1 + n2, n1 + n2), fill, dtype=a.dtype)
-    for i in range(n2):
-        mats[..., i, i : i + n1 + 1] = a[..., ::-1]
-    for i in range(n1):
-        mats[..., n2 + i, i : i + n2 + 1] = b[..., ::-1]
-    return mats
-
-
 def sylvester_matrix(f: GraphMap) -> np.ndarray:
     """The (d1 + d2) square Sylvester matrix of the top forms, in z1 with z2
-    homogenizing: an object array of GaussianRationals on the exact path,
-    complex on the float path."""
+    homogenizing: d2 shifted rows of f1's coefficients, then d1 of f2's, each
+    with the degree descending.  An object array of GaussianRationals on the
+    exact path, complex on the float path."""
     dtype = object if f.precision == "exact" else complex
-    a, b = (np.array(c, dtype=dtype) for c in _top_coeffs(f))
-    return sylvester_stack(a, b, ZERO[f.precision])
+    a, b = (np.array(c[::-1], dtype=dtype) for c in _top_coeffs(f))
+    n = f.d1 + f.d2
+    mats = np.full((n, n), ZERO[f.precision], dtype=dtype)
+    for i in range(f.d2):
+        mats[i, i : i + f.d1 + 1] = a
+    for i in range(f.d1):
+        mats[f.d2 + i, i : i + f.d2 + 1] = b
+    return mats
 
 
 def bareiss_det(matrix) -> GaussianRational:

@@ -5,28 +5,27 @@ from a graph lift, the matching z-coordinates on {w = f(z)}.  Estimators
 downstream only ever see these arrays.  A mesh pairs the samples of two
 coordinates; _KINDS gives each set kind its sampler of one coordinate.
 
-Fiber solving is numerical and batched over base points.  One solver core
-per map eliminates z1 once: each Sylvester row of f1 - w1 and f2 - w2 is
-affine in one w_k, so the eliminant's coefficients on w1^i w2^j z2^k form
-one table (resultant.sylvester_stack), sampled with w1, w2 and z2 on roots
-of unity and read by one FFT, or, for a map with a z2-only component, that
-component's row with -1 on w_k.  Every base point then takes one path: its
-w-powers contract the table, the trimmed eliminant's z2 roots and the z1
-roots of the component that keeps more z1-degree there come from stacked
-companion matrices, Newton runs on every candidate at once, and each fiber
-is certified on its own: residuals, root dedupe, and the near-discriminant
-flag.  The z2 samples number the least power of two, and at least 16, that
-is at least twice the eliminant's degree bound n2*d1 + n1*d2 - n1*n2
-(z1-degrees n_k, degrees d_k).  A candidate
-leaves Newton after a step below 1e-15 relative, on a Jacobian determinant
-below 1e-14, or at a step no smaller than its previous one, which it does
-not take; so a root at its rounding floor keeps its better iterate, and a
-spurious candidate stops where the residual test rejects it.  fiber,
-graph_lift and fiber_average_poly all go through the core, in one pass over
-all their base points.  Only the Horner evaluation stack grows with
+Fiber solving is numerical and batched over base points.  Normal forms
+modulo <f - w> are a free C[w]-module on the staircase (variety.normal_form),
+so multiplication by z_i is a d1*d2 square matrix M_i(w) with entries
+polynomial in w, and at a regular value w the eigenvectors of M_i(w)^T are
+the evaluation vectors (z^beta) at the roots (Stickelberger's theorem).  One
+solver core per map reads the table of M1 and M2 off the memoized normal
+forms; a map that resultant.is_regular rejects is refused, since some fiber
+of it is not finite or loses roots at infinity.  Every base point then takes
+one path: its w-powers contract the table, one eigenproblem of
+(M1 + c*M2)^T gives d1*d2 eigenvectors, the Rayleigh quotients of M1^T and
+M2^T on each read its root's z1 and z2, Newton runs on every candidate at
+once, and each fiber is certified on its own: residuals, root dedupe, and
+the near-discriminant flag.  A candidate leaves Newton after a step below
+1e-15 relative, on a Jacobian determinant below 1e-14, or at a step no
+smaller than its previous one, which it does not take; so a root at its
+rounding floor keeps its better iterate.  fiber, graph_lift and
+fiber_average_poly all go through the core, in one pass over all their base
+points.  Only the Horner evaluation stack of the map's grids grows with
 candidates times work, so it alone is built in slices of at most
-_FIBER_BYTES; every step is elementwise or per matrix, so the slicing
-never changes a bit of the result.
+_FIBER_BYTES; every step is elementwise or per matrix, so the slicing never
+changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -39,15 +38,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FiberError, MeshError
-from .polynomials import Polynomial, monomial_matrix
-from .resultant import sylvester_stack
-from .variety import GraphMap, basis_stream
+from .polynomials import Polynomial, monomial_matrix, monomial_values, w_monomial
+from .resultant import is_regular
+from .variety import GraphMap, basis_stream, multiplication_table
 
 DUPLICATE_TOL = 1e-12
 FIBER_RESIDUAL_TOL = 1e-9
 NEAR_DISCRIMINANT_TOL = 1e-6
 ROOT_DEDUPE_TOL = 1e-8
 _FIBER_BYTES = 1 << 20  # one slice of the Horner stack
+# c in the pencil M1 + c*M2: irrational, so that roots exchanged by a
+# rational linear symmetry of the map, such as z1 <-> z2, keep apart
+_PENCIL = math.sqrt(2) - 1
 
 
 def _count(n: int) -> int:
@@ -215,38 +217,6 @@ def _horner(coeffs: np.ndarray, x) -> np.ndarray:
     return acc
 
 
-def _trimmed_lengths(coeffs: np.ndarray, rel: float) -> np.ndarray:
-    """Per row, the length left after dropping trailing coefficients at or
-    below rel times the row's largest magnitude; at least 1."""
-    mags = np.abs(coeffs)
-    big = mags > rel * mags.max(axis=1, keepdims=True)
-    last = coeffs.shape[1] - np.argmax(big[:, ::-1], axis=1)
-    return np.where(big.any(axis=1), last, 1)
-
-
-def _stacked_roots(coeffs: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.roots of each row's first lengths[i] coefficients (lowest first).
-
-    Rows whose trimmed polynomial has the same effective degree share one
-    stack of companion matrices, built as np.roots builds them; exact zeros at
-    the low end come back as zero roots after the eigenvalues.  Returns
-    (roots, valid), both of shape (rows, max(lengths) - 1).
-    """
-    width = int(lengths.max(initial=1)) - 1
-    roots = np.zeros((len(coeffs), width), dtype=complex)
-    valid = np.arange(width) < (lengths - 1)[:, None]
-    low_zeros = np.argmax(coeffs != 0, axis=1)
-    size = lengths - 1 - low_zeros
-    for m in np.unique(size[size > 0]):
-        idx = np.nonzero(size == m)[0]
-        p = coeffs[idx[:, None], low_zeros[idx, None] + np.arange(m + 1)][:, ::-1]
-        comp = np.zeros((len(idx), m, m), dtype=complex)
-        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
-        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        roots[idx, :m] = np.linalg.eigvals(comp)
-    return roots, valid
-
-
 def _greedy_distinct(values: np.ndarray, valid: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Keep, per row, each valid entry that is not within tol of an earlier kept one.
 
@@ -275,105 +245,70 @@ class _FiberBatch:
     errors: dict[int, str]    # point index -> why its fiber failed
 
 
-def _z1_coefficients(grid: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Coefficients in z1 of a z-grid after fixing z2, one row per value of z2.
-
-    Each row is its own matrix-vector product grid @ z2**arange, so it rounds
-    the same in any batch, a batch of one included.  That matters: the
-    eigenvalue order of a nearly real polynomial's companion matrix can flip
-    under a last-bit change, and the order of the roots is the order of the
-    lifted points.
-    """
-    powers = z2[..., None] ** np.arange(grid.shape[-1])
-    return np.matmul(grid, powers[..., None])[..., 0]
-
-
 class _FiberSolver:
     """Batched solver for f(z) = w over many base points w of one map.
 
-    Per map it builds the z-coefficient grids of f1, f2 and of the Jacobian
-    and the eliminant table elim[i, j, k], the coefficient of the eliminant
-    on w1^i w2^j z2^k; a base point only picks its w-powers.
+    Per map it builds the z-coefficient grids of f1, f2 and of the Jacobian,
+    and the table of the multiplication matrices: for each w-monomial
+    w^alpha, table[k][i, g, b] is the coefficient of w^alpha z^gamma in
+    NF(z_i * z^beta), for the g-th and b-th staircase members gamma and
+    beta, read by to_float.  A base point only picks its w-powers.
     """
 
     def __init__(self, f: GraphMap) -> None:
+        if not is_regular(f):
+            raise FiberError(
+                "the map is not regular: its top forms share a projective root, "
+                "so some fiber is not finite or loses roots at infinity"
+            )
         g = f.to_float()
         self.g1, self.g2 = _poly_coeff_grid(g.f1), _poly_coeff_grid(g.f2)
-        # z1-degrees of the two components
-        self.n1, self.n2 = n1, n2 = self.g1.shape[0] - 1, self.g2.shape[0] - 1
-        if n1 == 0 and n2 == 0:
-            raise FiberError("neither component depends on z1; fiber is not finite")
         self.power = g.d1
-        self.expected = g.d1 * g.d2
+        self.expected = n = g.d1 * g.d2
         self.constants = np.array([self.g1[0, 0], self.g2[0, 0]])
         self.scale_floor = max(
             1.0, *(float(np.abs(grid).ravel()[1:].max(initial=0.0)) for grid in (self.g1, self.g2))
         )
         # f1, f2, d1/dz1, d1/dz2, d2/dz1, d2/dz2 on one padded grid
-        stack = np.zeros((6, max(n1, n2) + 1, max(self.g1.shape[1], self.g2.shape[1])), dtype=complex)
+        shape = np.maximum(self.g1.shape, self.g2.shape)
+        stack = np.zeros((6, *shape), dtype=complex)
         for k, grid in enumerate((self.g1, self.g2)):
             r, c = grid.shape
             stack[k, :r, :c] = grid
             stack[2 + 2 * k, : r - 1, :c] = grid[1:] * np.arange(1, r)[:, None]
             stack[3 + 2 * k, :r, : c - 1] = grid[:, 1:] * np.arange(1, c)
         self.stack = stack
-        if n1 == 0 or n2 == 0:
-            # one equation is z2-only: f_k - w_k is the eliminant
-            k = 0 if n1 == 0 else 1
-            row = (self.g1, self.g2)[k][0]
-            self.elim = np.zeros((2 - k, 1 + k, len(row)), dtype=complex)
-            self.elim[0, 0] = row
-            self.elim[1 - k, k, 0] = -1.0
-            return
-        # the det's degree in z2: the z1^j coefficient of f_k has degree at
-        # most d_k - j, so a term of the det has degree at most
-        # n2*(d1 - n1) + n1*(d2 - n2) plus its column indices less its row
-        # indices, n1*n2; that is n2*d1 + n1*d2 - n1*n2 <= d1*d2.  In w1 it
-        # has degree n2, in w2 degree n1: w_k sits once in each row of f_k.
-        degree_cap = n2 * g.d1 + n1 * g.d2 - n1 * n2
-        m = 1 << max(4, math.ceil(math.log2(2 * degree_cap)))
-        u1, u2, z2 = (np.exp(2j * np.pi * np.arange(n) / n) for n in (n2 + 1, n1 + 1, m))
-        a, b = (_z1_coefficients(grid, z2) for grid in (self.g1, self.g2))
-        a = np.broadcast_to(a, (n2 + 1, n1 + 1, m, n1 + 1)).copy()
-        a[..., 0] -= u1[:, None, None]
-        b = np.broadcast_to(b, (n2 + 1, n1 + 1, m, n2 + 1)).copy()
-        b[..., 0] -= u2[:, None]
-        dets = np.linalg.det(sylvester_stack(a, b))
-        # every sample runs counterclockwise, so the forward transform reads
-        # off the coefficients; ifftn would hand them back reversed
-        self.elim = np.fft.fftn(dets)[..., : degree_cap + 1] / dets.size
+        stairs, forms = multiplication_table(f)
+        index = {s.beta: k for k, s in enumerate(stairs)}
+        table: dict = {}
+        for i, row in enumerate(forms):
+            for b, nf in enumerate(row):
+                for m, c in nf.to_float().terms.items():
+                    table.setdefault(m.alpha, np.zeros((2, n, n), dtype=complex))[i, index[m.beta], b] = c
+        self.monomials = [w_monomial(alpha) for alpha in sorted(table)]
+        self.table = [table[m.alpha] for m in self.monomials]
 
     @staticmethod
     def of(f: GraphMap) -> "_FiberSolver":
         """The map's one solver, built on first use."""
         return f.memo("fiber_solver", lambda: _FiberSolver(f))
 
-    def _z2_candidates(self, w: np.ndarray, errors: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct eliminant roots as (point index, z2) pairs, point-major."""
-        # Horner in w2, then in w1: elementwise, so a point's bits do not
-        # depend on its batch
-        elim = _horner(_horner(self.elim.transpose(2, 0, 1), w[:, 1, None, None]), w[:, 0, None])
-        lengths = _trimmed_lengths(elim, 1e-11)
-        for i in np.nonzero(lengths == 1)[0]:
-            errors[int(i)] = "eliminant reduced to a constant; the fiber is empty or positive-dimensional here"
-        roots, valid = _stacked_roots(elim, lengths)
-        keep, _ = _greedy_distinct(roots[:, :, None], valid, ROOT_DEDUPE_TOL)
-        point, slot = np.nonzero(keep)
-        return point, roots[point, slot]
+    def _matrices(self, w: np.ndarray) -> np.ndarray:
+        """(points, 2, n, n): M1(w) and M2(w) at the rows of w, one table
+        entry times its w-monomial at a time: elementwise, so a point's bits
+        do not depend on its batch."""
+        out = np.zeros((len(w), 2, self.expected, self.expected), dtype=complex)
+        for value, entry in zip(monomial_values(self.monomials, (w[:, 0], w[:, 1], None, None)), self.table):
+            out += np.multiply.outer(value, entry)
+        return out
 
-    def _z1_candidates(self, w: np.ndarray, point: np.ndarray, z2: np.ndarray):
-        """Back-substitute each z2 into the component that keeps more z1-degree there."""
-        a, b = (_z1_coefficients(grid, z2) for grid in (self.g1, self.g2))
-        a[:, 0] -= w[point, 0]
-        b[:, 0] -= w[point, 1]
-        la, lb = _trimmed_lengths(a, 1e-10), _trimmed_lengths(b, 1e-10)
-        use_b = lb > la
-        coeffs = np.zeros((len(z2), max(self.n1, self.n2) + 1), dtype=complex)
-        coeffs[~use_b, : self.n1 + 1] = a[~use_b]
-        coeffs[use_b, : self.n2 + 1] = b[use_b]
-        z1, valid = _stacked_roots(coeffs, np.where(use_b, lb, la))
-        cand, slot = np.nonzero(valid)
-        return point[cand], z1[cand, slot], z2[cand]
+    def _candidates(self, w: np.ndarray) -> np.ndarray:
+        """(points, 2, n): z1 and z2 at each eigenvector of (M1 + c*M2)^T, as
+        the Rayleigh quotients of M1^T and M2^T on it."""
+        mt = np.swapaxes(self._matrices(w), -1, -2)
+        _, vecs = np.linalg.eig(mt[:, 0] + _PENCIL * mt[:, 1])
+        quotients = np.einsum("pjl,pijk,pkl->pil", vecs.conj(), mt, vecs)
+        return quotients / (np.abs(vecs) ** 2).sum(axis=1)[:, None]
 
     def _values(self, z1: np.ndarray, z2: np.ndarray, parts: int = 6) -> np.ndarray:
         """(n, parts): the first parts of f1, f2 and the four partials, in
@@ -420,10 +355,10 @@ class _FiberSolver:
 
     def solve(self, w: np.ndarray) -> _FiberBatch:
         """Fibers over the rows of w, in one pass over all of them."""
-        npts = len(w)
-        errors: dict[int, str] = {}
-        point, z2 = self._z2_candidates(w, errors)
-        point, z1, z2 = self._z1_candidates(w, point, z2)
+        npts, n = len(w), self.expected
+        z = self._candidates(w)
+        z1, z2 = z[:, 0].ravel(), z[:, 1].ravel()
+        point = np.repeat(np.arange(npts), n)
         wq = w[point]
         with np.errstate(all="ignore"):
             self._newton(wq, z1, z2)
@@ -433,20 +368,15 @@ class _FiberSolver:
             res = np.abs(v).max(axis=1) / (coeff_scale[point] * local)
 
         # certify per fiber: residual acceptance, then dedupe in solve order
-        counts = np.bincount(point, minlength=npts)
-        slot = np.arange(len(point)) - (np.cumsum(counts) - counts)[point]
-        width = int(counts.max(initial=0))
-        roots = np.zeros((npts, width, 2), dtype=complex)
-        roots[point, slot] = np.stack([z1, z2], axis=1)
-        residuals = np.zeros((npts, width))
-        residuals[point, slot] = res
-        accepted = np.zeros((npts, width), dtype=bool)
-        accepted[point, slot] = res <= FIBER_RESIDUAL_TOL
-        keep, sep = _greedy_distinct(roots, accepted, ROOT_DEDUPE_TOL)
+        roots = np.stack([z1, z2], axis=1).reshape(npts, n, 2)
+        residuals = res.reshape(npts, n)
+        keep, sep = _greedy_distinct(roots, residuals <= FIBER_RESIDUAL_TOL, ROOT_DEDUPE_TOL)
         kept = keep.sum(axis=1)
-        near = (kept < self.expected) | (sep < NEAR_DISCRIMINANT_TOL)
-        for i in np.nonzero(kept == 0)[0]:
-            errors.setdefault(int(i), f"no certified roots for w = ({complex(w[i, 0])}, {complex(w[i, 1])})")
+        near = (kept < n) | (sep < NEAR_DISCRIMINANT_TOL)
+        errors = {
+            int(i): f"no certified roots for w = ({complex(w[i, 0])}, {complex(w[i, 1])})"
+            for i in np.nonzero(kept == 0)[0]
+        }
         return _FiberBatch(roots[keep], residuals[keep], kept, near, errors)
 
 

@@ -12,9 +12,9 @@ block, and the pure-w reduction certificates.
 
 Each map owns one memo, GraphMap.memo, which computes on first use what is
 derived from the map alone: here its float copy, staircase, graph basis
-prepared for division and normal forms NF(z^beta); in resultant.py the top
-forms' Sylvester determinant and products fhat1^a fhat2^b; in sets.py the
-fiber-solver core.
+prepared for division and normal forms NF(z^beta), and a float map's exact
+dyadic copy; in resultant.py the top forms' Sylvester determinant and
+products fhat1^a fhat2^b; in sets.py the fiber-solver core.
 """
 
 from __future__ import annotations
@@ -92,6 +92,12 @@ class GraphMap:
         if self.precision == "float":
             return self
         return self.memo("float", lambda: GraphMap(self.f1.to_float(), self.f2.to_float()))
+
+    def to_exact(self) -> "GraphMap":
+        """The exact dyadic copy of a float map, with the same coefficients."""
+        if self.precision == "exact":
+            return self
+        return self.memo("exact", lambda: GraphMap(self.f1.to_exact(), self.f2.to_exact()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphMap):
@@ -221,6 +227,16 @@ def _z_normal_form(f: GraphMap, beta: tuple[int, int]) -> Polynomial:
         return reduce_full(p, _graph_divisors(f))
 
     return f.memo(("z_nf", beta), compute)
+
+
+def multiplication_table(f: GraphMap) -> tuple[list[Monomial], list[list[Polynomial]]]:
+    """The staircase and, for z1 and then z2, the normal forms NF(z_i * z^beta)
+    over it: column beta of multiplication by z_i on the free C[w]-module of
+    normal forms (see normal_form), its entries polynomials in w.  A float
+    map is read through its exact dyadic copy."""
+    g = f.to_exact()
+    stairs = staircase(g)
+    return stairs, [[_z_normal_form(g, (s.b1 + e1, s.b2 + 1 - e1)) for s in stairs] for e1 in (1, 0)]
 
 
 # ---------------------------------------------------------------------------

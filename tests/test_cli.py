@@ -148,6 +148,13 @@ def test_fiber_json(map_file, capsys):
     assert payload["residual_max"] < 1e-9
 
 
+def test_fiber_refuses_a_map_that_is_not_regular(map_file, capsys):
+    # the top forms z1*z2 and z2 share a root, so a root of each fiber is lost
+    assert main(["fiber", "--map", map_file({"f1": "z1*z2", "f2": "z2"}), "--w", "1,0,1,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "not regular" in err
+
+
 def test_fiber_csv_layout(map_file, capsys):
     code = main(
         ["fiber", "--map", map_file(SQUARES), "--w", "4,0,9,0"]

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from capax import (
     GREVLEX4,
     DegreeOverflowError,
     GaussianRational,
+    GraphMap,
     GraphWeighted,
     Monomial,
     Polynomial,
@@ -121,6 +124,21 @@ def test_to_float_rejects_coefficients_beyond_the_float_range(text):
     p = P(text.replace("10^400", "1" + "0" * 400))
     with pytest.raises(PrecisionError):
         p.to_float()
+
+
+def test_to_float_rejects_subnormal_coefficients():
+    # 10^-317 is a subnormal float, which keeps 14 of 53 bits: the float copy
+    # of this map once had |Res| off by a factor of 6.3
+    t = "1/1" + "0" * 317
+    f = GraphMap(P(f"{t}*z1^2 + 3*{t}*z1*z2 + {t}*z2^2"), P(f"2*{t}*z1^2 + {t}*z2^2 + z1"))
+    with pytest.raises(PrecisionError):
+        f.to_float()
+    # an imaginary part alone
+    with pytest.raises(PrecisionError):
+        P(f"z1 + {t}*i*z1").to_float()
+    # the least normal float itself converts
+    least = Polynomial({z_monomial((1, 0)): GaussianRational(Fraction(1, 2**1022))}, "exact")
+    assert least.to_float().terms == {z_monomial((1, 0)): complex(sys.float_info.min)}
 
 
 def test_constructor_rejects_scalars_of_the_other_precision():

@@ -20,7 +20,6 @@ from capax import (
     graph_lift,
     parse_poly,
 )
-from capax.resultant import sylvester_stack
 from capax.sets import ROOT_DEDUPE_TOL, _FiberSolver, _greedy_distinct
 
 from conftest import random_generic_map
@@ -174,8 +173,7 @@ def test_fiber_frozen_triangular_map():
 
 
 def test_fiber_full_elimination_path_keeps_all_roots():
-    # both components involve z1, so the fiber goes through the sampled
-    # Sylvester eliminant; every one of the d^2 roots must come back
+    # both components involve z1; every one of the d^2 roots must come back
     f = M("-2/3*z2^2 - 3/2*z1*z2 - 3*z1^2 + z2 - 3*z1",
           "-z1*z2 - 2/3*z1^2 + 2*z2 + z1 + 1/3")
     result = fiber(f, (0.7 + 0.2j, -0.4 + 0.9j))
@@ -227,8 +225,7 @@ Z2_LEADING = ("z1^2*z2 + z2^3 + z1", "z1^2 + z1*z2 + 2*z2^2")
 
 
 def _mixed_base():
-    # w2 = w1^2 puts a root at z2 = 0, where f1 loses its z1^2 term, so these
-    # points back-substitute through a lower-degree group than their neighbours
+    # w2 = w1^2 puts a root at z2 = 0, where f1 loses its z1^2 term
     drops = np.array([[1, 1], [2, 4], [-1, 1], [0.5j, -0.25]], dtype=complex)
     torus = build_mesh("torus:0.7,1.3", (5, 7)).w
     return SampledSet(w=np.concatenate([torus[:20], drops, torus[20:]]))
@@ -271,18 +268,36 @@ def test_graph_lift_matches_per_point_fibers(case, monkeypatch):
     assert sliced.meta == lifted.meta
 
 
-def test_graph_lift_error_names_the_first_failed_point():
-    # over w2 = 0 the map (z1*z2, z2) forces z2 = 0, where z1*z2 = w1 has no
-    # root for w1 != 0; the error must name the lower of two such base points
+def test_graph_lift_error_names_the_first_failed_point(monkeypatch):
+    # spoil the candidates over the two base points with w2 = 0, so neither
+    # fiber certifies a root; the error must name the lower of the two
+    candidates = _FiberSolver._candidates
+
+    def spoiled(self, w):
+        z = candidates(self, w)
+        z[w[:, 1] == 0] = np.nan
+        return z
+
+    monkeypatch.setattr(_FiberSolver, "_candidates", spoiled)
     torus = build_mesh("torus:0.5,1.5", (6, 7)).w
     w = np.concatenate([torus[:20], [[1, 0]], torus[20:31], [[2, 0]], torus[31:]])
     assert len(w) == 44
     with pytest.raises(FiberError, match=re.escape("no certified roots for w = ((1+0j), 0j)")):
-        graph_lift(M("z1*z2", "z2"), SampledSet(w=w))
+        graph_lift(M("z1^2 + z1*z2 + z2^2", "z1*z2 + 1"), SampledSet(w=w))
+
+
+def test_a_map_that_is_not_regular_is_refused():
+    # the top forms z1*z2 and z2 share the root z2 = 0: every fiber of
+    # (z1*z2, z2) off w2 = 0 has one root, and the other went to infinity
+    f = M("z1*z2", "z2")
+    with pytest.raises(FiberError, match="not regular"):
+        graph_lift(f, build_mesh("torus:1,1", 4))
+    with pytest.raises(FiberError, match="not regular"):
+        fiber(f, (1, 1))
 
 
 # ---------------------------------------------------------------------------
-# Newton's stop and the eliminant table
+# Newton's stop and the multiplication matrices
 
 
 def test_newton_stops_once_a_step_no_longer_shrinks(monkeypatch):
@@ -299,15 +314,17 @@ def test_newton_stops_once_a_step_no_longer_shrinks(monkeypatch):
     # steps that stall at the rounding floor kept 3 of these 4 lifts going
     # for all 50 rounds before a step had to shrink to be taken
     rng = random.Random("lift-generic:13")
-    for _ in range(2):
-        for d, mesh in ((2, 16), (3, 8)):
-            f = random_generic_map(rng, d)
-            rounds.append(0)
-            lifted = graph_lift(f, build_mesh("torus:1,1", mesh))
-            assert 0 < rounds[-1] < 50
-            assert lifted.meta["roots_missing"] == 0
-            assert lifted.meta["near_discriminant_fibers"] == 0
-            assert lifted.meta["residual_max"] <= 1e-12
+    cases = [(random_generic_map(rng, d), mesh) for _ in range(2) for d, mesh in ((2, 16), (3, 8))]
+    # and a map whose spurious eliminant candidates over w2 = 1 once ran its
+    # 32 x 32 lift for all 50 rounds, until the residual test rejected them
+    cases.append((M("z1^2 + z1*z2 + z2^2", "z1*z2 + 1"), 32))
+    for f, mesh in cases:
+        rounds.append(0)
+        lifted = graph_lift(f, build_mesh("torus:1,1", mesh))
+        assert 0 < rounds[-1] < 50
+        assert lifted.meta["roots_missing"] == 0
+        assert lifted.meta["near_discriminant_fibers"] == 0
+        assert lifted.meta["residual_max"] <= 1e-12
 
 
 UNEVEN = ("z1*z2 + z2^2 + 1", "z1^2 + z2")  # z1-degrees 1 and 2
@@ -318,29 +335,30 @@ UNEVEN = ("z1*z2 + z2^2 + 1", "z1^2 + z2")  # z1-degrees 1 and 2
     lambda: random_generic_map(random.Random(8), 3),
     lambda: M(*UNEVEN),
 ], ids=["generic d=2", "generic d=3", "uneven z1-degrees"])
-def test_eliminant_table_is_the_sylvester_determinant(make_map):
+def test_fibers_are_complete_at_the_staircase_size(make_map):
     f = make_map()
     solver = _FiberSolver(f)
-    n1, n2 = solver.n1, solver.n2
-    degree = n2 * f.d1 + n1 * f.d2 - n1 * n2
-    assert degree <= f.d1 * f.d2
-    assert solver.elim.shape == (n2 + 1, n1 + 1, degree + 1)
-    # base points off the unit circles the table was sampled on, and z2 on
-    # 64 points of the unit circle, which hold its 16 or 32 samples
     w = build_mesh("torus:0.8,1.2", 4).w
-    z2 = np.exp(2j * np.pi * np.arange(64) / 64)
-    a, b = (capax.sets._z1_coefficients(grid, z2) for grid in (solver.g1, solver.g2))
-    a, b = (c - np.eye(c.shape[1])[0] * w[:, k, None, None] for k, c in enumerate((a, b)))
-    det = np.linalg.det(sylvester_stack(a, b))
-    powers = [x[..., None] ** np.arange(n) for x, n in zip((w[:, 0], w[:, 1], z2), solver.elim.shape)]
-    table = np.einsum("ijk,pi,pj,zk->pz", solver.elim, *powers)
-    assert (np.abs(table - det) <= 1e-12 * np.abs(det).max(axis=1, keepdims=True)).all()
+    m1, m2 = np.moveaxis(solver._matrices(w), 1, 0)
+    # multiplication by z1 and by z2 commute on the module, to rounding
+    bound = 1e-13 * (np.abs(m1) @ np.abs(m2) + np.abs(m2) @ np.abs(m1))
+    assert (np.abs(m1 @ m2 - m2 @ m1) <= bound).all()
+    # so every fiber has d1*d2 distinct roots, and they solve f = w
+    batch = solver.solve(w)
+    assert not batch.errors
+    assert (batch.counts == f.d1 * f.d2).all()
+    assert not batch.near.any()
+    g = f.to_float()
+    owner = np.repeat(np.arange(len(w)), batch.counts)
+    for k, p in enumerate((g.f1, g.f2)):
+        value = p.evaluate((0, 0), (batch.z[:, 0], batch.z[:, 1]))
+        assert np.abs(value - w[owner, k]).max() <= 1e-12
 
 
 def test_graph_lift_keeps_roots_over_a_double_eliminant_root():
-    # over w1 = 1 the eliminant z2^4 + z2^3 - w2*z2^2 has a double root at
-    # z2 = 0, where f1 - w1 = z1*z2 + z2^2 keeps z1-degree 1 in rounding
-    # only; f2 - w2 = z1^2 + z2 - w2 still gives both roots (+-sqrt(w2), 0)
+    # over w1 = 1 the z2 eliminant z2^4 + z2^3 - w2*z2^2 has a double root
+    # at z2 = 0, where f1 - w1 = z1*z2 + z2^2 vanishes for every z1; the
+    # roots (+-sqrt(w2), 0) still come back, one eigenvector each
     lifted = graph_lift(M(*UNEVEN), build_mesh("torus:1,1", 8))
     assert lifted.meta["roots_missing"] == 0
     assert lifted.meta["near_discriminant_fibers"] == 0
@@ -351,12 +369,10 @@ def test_fiber_average_redraws_points_without_a_fiber(monkeypatch):
     failed = []
 
     def two_points_fail_once(self, w):
-        if not failed:
-            # a NaN base point reduces its eliminant to a constant, so the
-            # solver reports that fiber failed and returns no root for it
-            w = w.copy()
-            w[[17, 25]] = np.nan
         batch = solve(self, w)
+        if not failed:
+            # the solver reports two failed fibers, whose points are drawn again
+            batch.errors.update({17: "spoiled", 25: "spoiled"})
         failed.append((len(w), sorted(batch.errors)))
         return batch
 
@@ -450,6 +466,16 @@ def _assert_z1_squared_averages_to_w1(avg, residual):
     assert abs(avg.coefficient(w1) - 1.0) < 1e-8
     others = [m for m in avg.terms if m != w1]
     assert all(abs(complex(avg.coefficient(m))) < 1e-8 for m in others)
+
+
+def test_graph_lift_of_a_scaled_float_map():
+    # the roots of (1e-200 z1^2, 1e-200 z2^2) have |z| = 1e100, and the
+    # table of its dyadic copy holds entries near 1e200
+    f = GraphMap(parse_poly("1.0e-200*z1^2", "float"), parse_poly("1.0e-200*z2^2", "float"))
+    lifted = graph_lift(f, build_mesh("torus:1,1", 8))
+    assert len(lifted) == 4 * 64
+    assert lifted.meta["roots_missing"] == 0
+    assert np.allclose(1.0e-200 * lifted.z**2, lifted.w, rtol=1e-12, atol=0)
 
 
 def test_fiber_average_of_z1_squared():
