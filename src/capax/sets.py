@@ -25,7 +25,9 @@ fiber_average_poly all go through the core, in one pass over all their base
 points.  Only the Horner evaluation stack of the map's grids grows with
 candidates times work, so it alone is built in slices of at most
 _FIBER_BYTES; every step is elementwise or per matrix, so the slicing never
-changes a bit of the result.
+changes a bit of the result.  A fiber average is exact, the trace of
+multiplication by p over d1*d2 (variety.fiber_average), and the fibers of
+one seeded grid only cross-check it: nothing is fitted or drawn again.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FiberError, MeshError
-from .polynomials import Polynomial, monomial_matrix, monomial_values, w_monomial
+from .polynomials import Polynomial, monomial_values, w_monomial
 from .resultant import is_regular
-from .variety import GraphMap, basis_stream, multiplication_table
+from .variety import GraphMap, fiber_average, multiplication_table
 
 DUPLICATE_TOL = 1e-12
 FIBER_RESIDUAL_TOL = 1e-9
@@ -436,60 +438,35 @@ def fiber_average_poly(
     deg_bound: int,
     seed: int = 0,
 ) -> tuple[Polynomial, float]:
-    """Least-squares model of w -> average of p over the fiber f^{-1}(w).
+    """The exact average of p over the fiber f^-1(w) (variety.fiber_average),
+    a polynomial in w at p's precision, and its cross-check residual.
 
-    The average of a polynomial over fibers is again a polynomial in w; fit it
-    on an oversampled random grid and report the worst fit residual.  The
-    grid is lifted in one batch; points whose fibers fail or sit near the
-    discriminant are redrawn together, and no point gets more than five draws.
-    The model's monomials are the w stream up to deg_bound, and its design
-    matrix comes from polynomials.monomial_matrix.
+    ValueError when the average's degree exceeds deg_bound.  The check draws
+    (deg_bound + 1)(deg_bound + 2) seeded base points in the bidisc of radius
+    1.5, solves their fibers in one batch, and returns the worst
+    |average(w) - mean of p over the fiber| over the fibers that neither
+    failed nor were flagged; no point is drawn again, and FiberError says
+    that no fiber was left to check.
     """
     if deg_bound < 0:
         raise ValueError("deg_bound must be >= 0")
-    pf = p.to_float()
-    monomials = basis_stream(None, "w").upto(deg_bound)
-    count = 2 * len(monomials)
-    rng = np.random.default_rng(seed)
-
-    def draw() -> tuple[complex, complex]:
-        rho = 1.5 * np.sqrt(rng.uniform(size=2))
-        ang = rng.uniform(0, 2 * np.pi, size=2)
-        return (
-            complex(rho[0] * np.cos(ang[0]), rho[0] * np.sin(ang[0])),
-            complex(rho[1] * np.cos(ang[1]), rho[1] * np.sin(ang[1])),
-        )
-
-    # The grid is drawn in the order of a point-by-point loop and lifted in
-    # one batch; rejected points are redrawn in index order and lifted again,
-    # for at most five rounds in all.
     solver = _FiberSolver.of(f)
-    points = [draw() for _ in range(count)]
-    values = np.empty(count, dtype=complex)
-    pending = np.arange(count)
-    for attempt in range(5):
-        if attempt:
-            for i in pending:
-                points[i] = draw()
-        w = np.array([points[i] for i in pending])
-        batch = solver.solve(w)
-        owner = np.repeat(np.arange(len(w)), batch.counts)
-        vals = pf.evaluate((w[owner, 0], w[owner, 1]), (batch.z[:, 0], batch.z[:, 1]))
-        sums = np.zeros(len(w), dtype=complex)
-        np.add.at(sums, owner, vals)
-        clean = ~batch.near
-        clean[list(batch.errors)] = False
-        values[pending[clean]] = sums[clean] / batch.counts[clean]
-        pending = pending[~clean]
-        if not pending.size:
-            break
-    else:
-        raise FiberError("could not draw a clean fiber grid in five attempts")
-
-    w = np.array(points)
-    a_mat = monomial_matrix(monomials, (w[:, 0], w[:, 1], None, None))
-    coeffs, *_ = np.linalg.lstsq(a_mat, values, rcond=None)
-    # row by row: each residual is one dot product over its row
-    residual = float(np.abs(np.ascontiguousarray(a_mat) @ coeffs - values).max())
-    terms = {m: complex(c) for m, c in zip(monomials, coeffs) if abs(c) > 0}
-    return Polynomial(terms, "float"), residual
+    avg = fiber_average(p, f)
+    if avg.degree() > deg_bound:
+        raise ValueError(f"the fiber average has degree {avg.degree()}, above deg_bound = {deg_bound}")
+    # per point two radii, then two angles, in the order of one stream
+    u = np.random.default_rng(seed).random(((deg_bound + 1) * (deg_bound + 2), 4))
+    rho, ang = 1.5 * np.sqrt(u[:, :2]), 2 * np.pi * u[:, 2:]
+    w = rho * np.cos(ang) + 1j * rho * np.sin(ang)
+    batch = solver.solve(w)
+    owner = np.repeat(np.arange(len(w)), batch.counts)
+    vals = p.to_float().evaluate((w[owner, 0], w[owner, 1]), (batch.z[:, 0], batch.z[:, 1]))
+    sums = np.zeros(len(w), dtype=complex)
+    np.add.at(sums, owner, vals)
+    clean = ~batch.near
+    clean[list(batch.errors)] = False
+    if not clean.any():
+        raise FiberError("no fiber of the seeded grid is clean enough to check the average")
+    want = avg.to_float().evaluate((w[clean, 0], w[clean, 1]), (None, None))
+    residual = float(np.abs(want - sums[clean] / batch.counts[clean]).max())
+    return avg, residual

@@ -6,9 +6,11 @@ d|alpha| + |beta|, and a monomial basis compatible with that filtration is
 obtained from the staircase of the top-form ideal: normal forms of w^a z^b
 with b restricted to the staircase.
 
-This module owns the map type, staircases, graph normal forms, the four basis
-streams used by the diameter estimators, the shape of the weight-k window
-block, and the pure-w reduction certificates.
+This module owns the map type, staircases, graph normal forms, the
+multiplication table and fiber averages, the four basis streams used by the
+diameter estimators, the shape of the weight-k window block, and the pure-w
+reduction certificates.  A float map is read through its exact dyadic copy
+everywhere but in graph normal forms and certificates, which refuse it.
 
 Each map owns one memo, GraphMap.memo, which computes on first use what is
 derived from the map alone: here its float copy, staircase, graph basis
@@ -133,15 +135,15 @@ def precondition(f: GraphMap, r1: Sequence[Sequence], r2: Sequence[Sequence]) ->
 def staircase(f: GraphMap) -> list[Monomial]:
     """Standard z-monomials of the top-form ideal, smallest first.
 
-    Needs exact coefficients.  Raises StaircaseError when the top forms share
-    a projective root (the leading ideal then fails to be zero-dimensional).
+    A float map is read through its exact dyadic copy.  Raises
+    StaircaseError when the top forms share a projective root (the leading
+    ideal then fails to be zero-dimensional).
     """
-    if f.precision != "exact":
-        raise PrecisionError("staircase needs an exact map")
+    g = f.to_exact()
 
     def compute() -> list[Monomial]:
         try:
-            stairs = staircase_of(buchberger(f.top_forms()))
+            stairs = staircase_of(buchberger(g.top_forms()))
         except ValueError as exc:
             raise StaircaseError(str(exc)) from None
         if len(stairs) != f.d1 * f.d2:
@@ -152,7 +154,7 @@ def staircase(f: GraphMap) -> list[Monomial]:
             )
         return stairs
 
-    return list(f.memo("staircase", compute))
+    return list(g.memo("staircase", compute))
 
 
 def generic_staircase(d: int) -> list[Monomial]:
@@ -232,11 +234,29 @@ def _z_normal_form(f: GraphMap, beta: tuple[int, int]) -> Polynomial:
 def multiplication_table(f: GraphMap) -> tuple[list[Monomial], list[list[Polynomial]]]:
     """The staircase and, for z1 and then z2, the normal forms NF(z_i * z^beta)
     over it: column beta of multiplication by z_i on the free C[w]-module of
-    normal forms (see normal_form), its entries polynomials in w.  A float
-    map is read through its exact dyadic copy."""
+    normal forms (see normal_form), its entries polynomials in w."""
     g = f.to_exact()
     stairs = staircase(g)
     return stairs, [[_z_normal_form(g, (s.b1 + e1, s.b2 + 1 - e1)) for s in stairs] for e1 in (1, 0)]
+
+
+def fiber_average(p: Polynomial, f: GraphMap) -> Polynomial:
+    """The average of p over the fiber f^-1(w), roots counted with
+    multiplicity, at p's precision: the trace of multiplication by p on the
+    free C[w]-module of normal forms over d1*d2 (Stickelberger's theorem), so
+    a term c*w^a*z^beta of p adds, per staircase member z^gamma, the
+    z^gamma-coefficient of c*w^a*NF(z^(beta + gamma))."""
+    g = f.to_exact()
+    stairs = staircase(g)
+    trace: dict[Monomial, GaussianRational] = {}
+    for m, c in p.to_exact().terms.items():
+        for s in stairs:
+            for t, e in _z_normal_form(g, (m.b1 + s.b1, m.b2 + s.b2)).terms.items():
+                if t.beta == s.beta:
+                    key = w_monomial((m.a1 + t.a1, m.a2 + t.a2))
+                    trace[key] = trace.get(key, 0) + c * e
+    avg = Polynomial({m: c / len(stairs) for m, c in trace.items()}, "exact")
+    return avg if p.precision == "exact" else avg.to_float()
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,19 @@ def test_tdiam_lifts_the_set_through_the_map(map_file, capsys):
     assert payload["estimates"] == series.estimates
 
 
+def test_tdiam_b_on_a_float_map_reads_its_exact_staircase(map_file, capsys):
+    # the float map's staircase and multiplication table come from its
+    # exact dyadic copy, which here is the exact map itself
+    mapping = {"f1": "z1^2 + z1*z2 + z2^2", "f2": "z1*z2 + 1"}
+    argv = ["tdiam", "--set", "torus:1,1", "--basis", "B", "--nmax", "2", "--mesh", "8", "--format", "json"]
+    code, exact = run_json(capsys, argv + ["--map", map_file(mapping)])
+    assert code == 0
+    code, floating = run_json(capsys, argv + ["--map", map_file({**mapping, "precision": "float"})])
+    assert code == 0
+    assert floating["estimates"] == exact["estimates"]
+    assert {k: v for k, v in floating.items() if k != "config"} == {k: v for k, v in exact.items() if k != "config"}
+
+
 def test_cheb_z_target_on_lifted_torus(map_file, capsys):
     code, payload = run_json(
         capsys,

@@ -364,25 +364,6 @@ def test_graph_lift_keeps_roots_over_a_double_eliminant_root():
     assert lifted.meta["near_discriminant_fibers"] == 0
 
 
-def test_fiber_average_redraws_points_without_a_fiber(monkeypatch):
-    solve = _FiberSolver.solve
-    failed = []
-
-    def two_points_fail_once(self, w):
-        batch = solve(self, w)
-        if not failed:
-            # the solver reports two failed fibers, whose points are drawn again
-            batch.errors.update({17: "spoiled", 25: "spoiled"})
-        failed.append((len(w), sorted(batch.errors)))
-        return batch
-
-    monkeypatch.setattr(_FiberSolver, "solve", two_points_fail_once)
-    f = M("z1^2 + z2", "z2^2 + 1")
-    avg, residual = fiber_average_poly(parse_poly("z1^2", "float"), f, 4)
-    assert failed == [(30, [17, 25]), (2, [])]  # 2 x 15 grid points, then the two drawn again
-    _assert_z1_squared_averages_to_w1(avg, residual)
-
-
 def _greedy_distinct_table(values, valid, tol):
     """The (rows, k, k) gap-table dedupe that _greedy_distinct replaced, and
     the least kept-pair gap read from that table."""
@@ -462,10 +443,7 @@ def _assert_z1_squared_averages_to_w1(avg, residual):
     # on w = f(z) with f1 = z1^2 + z2 the two z2 sheets average to zero,
     # leaving z1^2 -> w1
     assert residual < 1e-8
-    w1 = Monomial(1, 0, 0, 0)
-    assert abs(avg.coefficient(w1) - 1.0) < 1e-8
-    others = [m for m in avg.terms if m != w1]
-    assert all(abs(complex(avg.coefficient(m))) < 1e-8 for m in others)
+    assert avg == parse_poly("w1", "float")
 
 
 def test_graph_lift_of_a_scaled_float_map():
@@ -483,22 +461,85 @@ def test_fiber_average_of_z1_squared():
     _assert_z1_squared_averages_to_w1(*fiber_average_poly(parse_poly("z1^2", "float"), f, 1))
 
 
-def test_fiber_average_redraws_a_flagged_point(monkeypatch):
+def _spoil_fibers(monkeypatch, spoil):
+    """Patch _FiberSolver.solve so that spoil(batch, starts) marks fibers
+    failed or flagged after the solve; starts[i] is fiber i's first root.
+    Returns the list of batch sizes solved."""
     solve = _FiberSolver.solve
     sizes = []
 
-    def first_point_near_discriminant_once(self, w):
+    def spoiled(self, w):
         batch = solve(self, w)
-        if not sizes:
-            batch.near[0] = True
+        spoil(batch, np.concatenate([[0], np.cumsum(batch.counts)[:-1]]))
         sizes.append(len(w))
         return batch
 
-    monkeypatch.setattr(_FiberSolver, "solve", first_point_near_discriminant_once)
+    monkeypatch.setattr(_FiberSolver, "solve", spoiled)
+    return sizes
+
+
+def test_fiber_average_leaves_failed_and_flagged_fibers_out(monkeypatch):
     f = M("z1^2 + z2", "z2^2 + 1")
-    avg, residual = fiber_average_poly(parse_poly("z1^2", "float"), f, 1)
-    assert sizes == [6, 1]  # 2 x 3 grid points, then point 0 drawn again
+    p = parse_poly("z1^2", "float")
+    _, clean = fiber_average_poly(p, f, 4)
+
+    def fail_two_flag_one(batch, starts):
+        # each fiber keeps its roots, moved far off, so that a fiber the
+        # check still read would dominate its residual
+        for i in (0, 17, 25):
+            batch.z[starts[i]] += 10.0
+        batch.errors.update({17: "spoiled", 25: "spoiled"})
+        batch.near[0] = True
+
+    sizes = _spoil_fibers(monkeypatch, fail_two_flag_one)
+    avg, residual = fiber_average_poly(p, f, 4)
+    assert sizes == [30]  # 5 x 6 grid points, solved once, none drawn again
     _assert_z1_squared_averages_to_w1(avg, residual)
+    assert residual <= clean
+
+
+def test_fiber_average_of_an_all_flagged_grid_raises(monkeypatch):
+    def flag_all(batch, starts):
+        batch.near[:] = True
+
+    _spoil_fibers(monkeypatch, flag_all)
+    with pytest.raises(FiberError, match="no fiber"):
+        fiber_average_poly(parse_poly("z1^2", "float"), M("z1^2 + z2", "z2^2 + 1"), 1)
+
+
+@pytest.mark.parametrize("f, p, want", [
+    (("3/2*z1^2", "3/2*z2^2"), "z1^2", "2/3*w1"),
+    (("3/2*z1^2", "3/2*z2^2"), "z1", "0"),
+    (("3/2*z1^2", "3/2*z2^2"), "1", "1"),
+    (("z1^2 + z2", "z2^2 + 1"), "z1^2", "w1"),
+])
+def test_fiber_average_closed_forms(f, p, want):
+    avg, residual = fiber_average_poly(parse_poly(p), M(*f), 2)
+    assert avg == parse_poly(want)
+    assert residual < 1e-12
+
+
+def test_fiber_average_of_a_float_map_is_its_exact_copys():
+    g = GraphMap(parse_poly("0.5*z1^2 + z1*z2 - 0.25*z2^2 + 3*z1", "float"),
+                 parse_poly("z1*z2 + 1.5*z2 + 0.125", "float"))
+    for p in (parse_poly("w1*z1*z2 + z2^2", "float"), parse_poly("z1^3 + w2*z1", "exact")):
+        floating, exact = (fiber_average_poly(p, h, 3, seed=5) for h in (g, g.to_exact()))
+        assert floating[0] == exact[0]
+        assert floating[0].precision == p.precision
+        assert max(floating[1], exact[1]) < 1e-10
+
+
+def test_fiber_average_above_deg_bound_raises():
+    # the average of z1^2 over (3/2 z1^2, 3/2 z2^2) is 2/3 w1, of degree 1
+    with pytest.raises(ValueError, match="above deg_bound"):
+        fiber_average_poly(parse_poly("z1^2"), M("3/2*z1^2", "3/2*z2^2"), 0)
+
+
+def test_fiber_average_refuses_a_map_that_is_not_regular():
+    # neither component involves z1, so the staircase raises too; the
+    # fiber solver's refusal comes first
+    with pytest.raises(FiberError, match="fiber is not finite"):
+        fiber_average_poly(parse_poly("z2"), M("z2^2", "z2"), 2)
 
 
 def test_one_fiber_solver_per_map(monkeypatch):

@@ -125,9 +125,15 @@ def test_staircase_frozen_generic_example():
     assert is_generic(f)
 
 
-def test_staircase_needs_exact():
-    with pytest.raises(PrecisionError):
-        staircase(GraphMap(P("z1^2").to_float(), P("z2^2").to_float()))
+def test_float_map_staircase_is_its_exact_copys():
+    f = GraphMap(parse_poly("0.5*z1^2 + z1*z2 - 0.25*z2^2", "float"), parse_poly("z1*z2 + 1.5*z2", "float"))
+    exact = GraphMap(P("1/2*z1^2 + z1*z2 - 1/4*z2^2"), P("z1*z2 + 3/2*z2"))
+    assert staircase(f) == staircase(exact)
+    assert is_generic(f) and basis_stream(f, "B").upto(4) == basis_stream(exact, "B").upto(4)
+    # graph normal forms and certificates still take exact maps only
+    for call in (lambda: normal_form(P("z1^2"), f), lambda: check_star(f), lambda: star_certificate(f, (0, 0))):
+        with pytest.raises(PrecisionError):
+            call()
 
 
 def test_staircase_rejects_shared_top_factor():
