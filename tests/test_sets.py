@@ -478,24 +478,37 @@ def _spoil_fibers(monkeypatch, spoil):
     return sizes
 
 
-def test_fiber_average_leaves_failed_and_flagged_fibers_out(monkeypatch):
+def _assert_spoiled_fibers_left_out(monkeypatch, spoiled, mark):
+    """Move the first root of each fiber in spoiled far off, let mark(batch)
+    fail or flag them, and check that the cross-check reads none of them."""
     f = M("z1^2 + z2", "z2^2 + 1")
     p = parse_poly("z1^2", "float")
     _, clean = fiber_average_poly(p, f, 4)
 
-    def fail_two_flag_one(batch, starts):
+    def spoil(batch, starts):
         # each fiber keeps its roots, moved far off, so that a fiber the
         # check still read would dominate its residual
-        for i in (0, 17, 25):
+        for i in spoiled:
             batch.z[starts[i]] += 10.0
-        batch.errors.update({17: "spoiled", 25: "spoiled"})
-        batch.near[0] = True
+        mark(batch)
 
-    sizes = _spoil_fibers(monkeypatch, fail_two_flag_one)
+    sizes = _spoil_fibers(monkeypatch, spoil)
     avg, residual = fiber_average_poly(p, f, 4)
     assert sizes == [30]  # 5 x 6 grid points, solved once, none drawn again
     _assert_z1_squared_averages_to_w1(avg, residual)
     assert residual <= clean
+
+
+def test_fiber_average_leaves_failed_fibers_out(monkeypatch):
+    _assert_spoiled_fibers_left_out(
+        monkeypatch, (17, 25), lambda batch: batch.errors.update({17: "spoiled", 25: "spoiled"}))
+
+
+def test_fiber_average_leaves_a_flagged_fiber_out(monkeypatch):
+    def flag_first(batch):
+        batch.near[0] = True
+
+    _assert_spoiled_fibers_left_out(monkeypatch, (0,), flag_first)
 
 
 def test_fiber_average_of_an_all_flagged_grid_raises(monkeypatch):
