@@ -9,8 +9,9 @@ zero test (it means the same for both types, NaN and -0.0 included).  The two
 precisions never mix silently; convert with .to_float(), which refuses a
 coefficient that no normal float keeps, or with .to_exact().
 monomial_values is the one evaluator of monomials, used by evaluation,
-substitution and monomial_matrix, the one builder of the monomial matrices
-of sampled sets and fiber-average fits.
+substitution, the fiber solver's two coefficient tables (the multiplication
+matrices in w, the map and its Jacobian in z) and monomial_matrix, the one
+builder of the monomial matrices of sampled sets.
 
 An order is a key function on monomials; a larger key is a larger monomial.
 There are two, both graded.  GREVLEX4 grades by total degree and runs all

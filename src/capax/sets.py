@@ -22,12 +22,13 @@ the near-discriminant flag.  A candidate leaves Newton after a step below
 smaller than its previous one, which it does not take; so a root at its
 rounding floor keeps its better iterate.  fiber, graph_lift and
 fiber_average_poly all go through the core, in one pass over all their base
-points.  Only the Horner evaluation stack of the map's grids grows with
-candidates times work, so it alone is built in slices of at most
-_FIBER_BYTES; every step is elementwise or per matrix, so the slicing never
-changes a bit of the result.  A fiber average is exact, the trace of
-multiplication by p over d1*d2 (variety.fiber_average), and the fibers of
-one seeded grid only cross-check it: nothing is fitted or drawn again.
+points.  M1(w) and M2(w), and f with its Jacobian at the candidates, are
+each one contraction of a per-map coefficient table with the values of its
+monomials (monomial_values); every step is elementwise or per matrix, so a
+point's result does not depend on the batch it was solved in.  A fiber
+average is exact, the trace of multiplication by p over d1*d2
+(variety.fiber_average), and the fibers of one seeded grid only
+cross-check it: nothing is fitted or drawn again.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FiberError, MeshError
-from .polynomials import Polynomial, monomial_values, w_monomial
+from .polynomials import Polynomial, monomial_values, w_monomial, z_monomial
 from .resultant import is_regular
 from .variety import GraphMap, fiber_average, multiplication_table
 
@@ -48,7 +49,6 @@ DUPLICATE_TOL = 1e-12
 FIBER_RESIDUAL_TOL = 1e-9
 NEAR_DISCRIMINANT_TOL = 1e-6
 ROOT_DEDUPE_TOL = 1e-8
-_FIBER_BYTES = 1 << 20  # one slice of the Horner stack
 # c in the pencil M1 + c*M2: irrational, so that roots exchanged by a
 # rational linear symmetry of the map, such as z1 <-> z2, keep apart
 _PENCIL = math.sqrt(2) - 1
@@ -196,29 +196,6 @@ class FiberResult:
     defect: int
 
 
-def _poly_coeff_grid(p: Polynomial) -> np.ndarray:
-    """Coefficients of a z-polynomial as a (deg_z1 + 1, deg_z2 + 1) array."""
-    n1 = max((m.b1 for m in p.terms), default=0)
-    n2 = max((m.b2 for m in p.terms), default=0)
-    grid = np.zeros((n1 + 1, n2 + 1), dtype=complex)
-    for m, c in p.terms.items():
-        grid[m.b1, m.b2] = c
-    return grid
-
-
-def _horner(coeffs: np.ndarray, x) -> np.ndarray:
-    """sum_k coeffs[..., k] * x**k, with x broadcasting against coeffs[..., 0].
-
-    The sum is built in place, so an evaluation holds one array of the
-    broadcast shape and not three.
-    """
-    acc = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], np.shape(x)), dtype=complex)
-    for k in range(coeffs.shape[-1] - 1, -1, -1):
-        acc *= x
-        acc += coeffs[..., k]
-    return acc
-
-
 def _greedy_distinct(values: np.ndarray, valid: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Keep, per row, each valid entry that is not within tol of an earlier kept one.
 
@@ -247,14 +224,27 @@ class _FiberBatch:
     errors: dict[int, str]    # point index -> why its fiber failed
 
 
+def _contract(monomials: Sequence, values: Sequence, table: np.ndarray) -> np.ndarray:
+    """(points, *table.shape[1:]): sum_j monomial_j(values) * table[j] at
+    the points of values = (w1, w2, z1, z2), one outer product per monomial:
+    elementwise, so a point's bits do not depend on its batch."""
+    points = len(next(x for x in values if x is not None))
+    out = np.zeros((points, *table.shape[1:]), dtype=complex)
+    for value, entry in zip(monomial_values(monomials, values), table):
+        out += np.multiply.outer(value, entry)
+    return out
+
+
 class _FiberSolver:
     """Batched solver for f(z) = w over many base points w of one map.
 
-    Per map it builds the z-coefficient grids of f1, f2 and of the Jacobian,
-    and the table of the multiplication matrices: for each w-monomial
-    w^alpha, table[k][i, g, b] is the coefficient of w^alpha z^gamma in
+    Per map it builds two coefficient tables, each read by to_float.  For
+    the map, coeffs[j, k] is the coefficient of the j-th z-monomial of total
+    degree <= d1, the constant first, in f1, f2, df1/dz1, df1/dz2, df2/dz1
+    and df2/dz2.  For the multiplication matrices, table[k, i, g, b] is the
+    coefficient of the k-th w-monomial w^alpha times z^gamma in
     NF(z_i * z^beta), for the g-th and b-th staircase members gamma and
-    beta, read by to_float.  A base point only picks its w-powers.
+    beta.  Both are contracted with monomial_values at a batch of points.
     """
 
     def __init__(self, f: GraphMap) -> None:
@@ -264,22 +254,22 @@ class _FiberSolver:
                 "so some fiber is not finite or loses roots at infinity"
             )
         g = f.to_float()
-        self.g1, self.g2 = _poly_coeff_grid(g.f1), _poly_coeff_grid(g.f2)
         self.power = g.d1
         self.expected = n = g.d1 * g.d2
-        self.constants = np.array([self.g1[0, 0], self.g2[0, 0]])
-        self.scale_floor = max(
-            1.0, *(float(np.abs(grid).ravel()[1:].max(initial=0.0)) for grid in (self.g1, self.g2))
-        )
-        # f1, f2, d1/dz1, d1/dz2, d2/dz1, d2/dz2 on one padded grid
-        shape = np.maximum(self.g1.shape, self.g2.shape)
-        stack = np.zeros((6, *shape), dtype=complex)
-        for k, grid in enumerate((self.g1, self.g2)):
-            r, c = grid.shape
-            stack[k, :r, :c] = grid
-            stack[2 + 2 * k, : r - 1, :c] = grid[1:] * np.arange(1, r)[:, None]
-            stack[3 + 2 * k, :r, : c - 1] = grid[:, 1:] * np.arange(1, c)
-        self.stack = stack
+        betas = [(b1, s - b1) for s in range(g.d1 + 1) for b1 in range(s + 1)]
+        at = {beta: j for j, beta in enumerate(betas)}
+        coeffs = np.zeros((len(betas), 6), dtype=complex)
+        for k, p in enumerate((g.f1, g.f2)):
+            for m, c in p.terms.items():
+                coeffs[at[m.beta], k] = c
+                if m.b1:
+                    coeffs[at[(m.b1 - 1, m.b2)], 2 + 2 * k] = m.b1 * c
+                if m.b2:
+                    coeffs[at[(m.b1, m.b2 - 1)], 3 + 2 * k] = m.b2 * c
+        self.z_monomials = [z_monomial(beta) for beta in betas]
+        self.coeffs = coeffs
+        self.constants = coeffs[0, :2]
+        self.scale_floor = max(1.0, float(np.abs(coeffs[1:, :2]).max(initial=0.0)))
         stairs, forms = multiplication_table(f)
         index = {s.beta: k for k, s in enumerate(stairs)}
         table: dict = {}
@@ -288,7 +278,7 @@ class _FiberSolver:
                 for m, c in nf.to_float().terms.items():
                     table.setdefault(m.alpha, np.zeros((2, n, n), dtype=complex))[i, index[m.beta], b] = c
         self.monomials = [w_monomial(alpha) for alpha in sorted(table)]
-        self.table = [table[m.alpha] for m in self.monomials]
+        self.table = np.array([table[m.alpha] for m in self.monomials])
 
     @staticmethod
     def of(f: GraphMap) -> "_FiberSolver":
@@ -296,13 +286,8 @@ class _FiberSolver:
         return f.memo("fiber_solver", lambda: _FiberSolver(f))
 
     def _matrices(self, w: np.ndarray) -> np.ndarray:
-        """(points, 2, n, n): M1(w) and M2(w) at the rows of w, one table
-        entry times its w-monomial at a time: elementwise, so a point's bits
-        do not depend on its batch."""
-        out = np.zeros((len(w), 2, self.expected, self.expected), dtype=complex)
-        for value, entry in zip(monomial_values(self.monomials, (w[:, 0], w[:, 1], None, None)), self.table):
-            out += np.multiply.outer(value, entry)
-        return out
+        """(points, 2, n, n): M1(w) and M2(w) at the rows of w."""
+        return _contract(self.monomials, (w[:, 0], w[:, 1], None, None), self.table)
 
     def _candidates(self, w: np.ndarray) -> np.ndarray:
         """(points, 2, n): z1 and z2 at each eigenvector of (M1 + c*M2)^T, as
@@ -313,15 +298,9 @@ class _FiberSolver:
         return quotients / (np.abs(vecs) ** 2).sum(axis=1)[:, None]
 
     def _values(self, z1: np.ndarray, z2: np.ndarray, parts: int = 6) -> np.ndarray:
-        """(n, parts): the first parts of f1, f2 and the four partials, in
-        stack order, at the points (z1, z2); evaluated in slices of
-        candidates whose Horner stack stays under _FIBER_BYTES."""
-        stack = self.stack[:parts]
-        step = max(1, _FIBER_BYTES // (16 * stack[..., 0].size))
-        out = np.empty((len(z1), parts), dtype=complex)
-        for s in range(0, len(z1), step):
-            out[s : s + step] = _horner(_horner(stack, z2[s : s + step, None, None]), z1[s : s + step, None])
-        return out
+        """(n, parts): the first parts of f1, f2, df1/dz1, df1/dz2, df2/dz1
+        and df2/dz2 at the points (z1, z2)."""
+        return _contract(self.z_monomials, (None, None, z1, z2), self.coeffs[:, :parts])
 
     def _newton(self, w: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> None:
         """Polish in place, for at most 50 rounds.

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-import capax.sets
 from capax import (
     FiberError,
     GraphMap,
@@ -236,11 +235,16 @@ LIFT_CASES = {
     "generic d=3": (lambda: random_generic_map(random.Random(6), 3), lambda: build_mesh("polydisc:1,1", 7)),
     "z2-leading": (lambda: M(*Z2_LEADING), _mixed_base),
     "z-only": (lambda: M("z1^2 + z2", "z2^2 + 1"), lambda: build_mesh("box:-2,2,-1,1", 6)),
+    # d1 = 3 > d2 = 2: f2's monomials sit inside a table of degree d1
+    "degree (3, 2)": (
+        lambda: M("z1^3 + 2*z2^3 + z1*z2 + 1", "z1*z2 + z2^2 + z1"),
+        lambda: build_mesh("torus:1,1", 9),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LIFT_CASES))
-def test_graph_lift_matches_per_point_fibers(case, monkeypatch):
+def test_graph_lift_matches_per_point_fibers(case):
     make_map, make_base = LIFT_CASES[case]
     f, base = make_map(), make_base()
     lifted = graph_lift(f, base)
@@ -259,13 +263,44 @@ def test_graph_lift_matches_per_point_fibers(case, monkeypatch):
     assert np.array_equal(np.concatenate([h.z for h in halves]), lifted.z)
     for key in ("roots_missing", "near_discriminant_fibers"):
         assert sum(h.meta[key] for h in halves) == lifted.meta[key]
-    # so are the slices of the Horner stack: a budget of one byte builds
-    # every slice from one candidate
-    monkeypatch.setattr(capax.sets, "_FIBER_BYTES", 1)
-    sliced = graph_lift(f, base)
-    assert np.array_equal(sliced.w, lifted.w)
-    assert np.array_equal(sliced.z, lifted.z)
-    assert sliced.meta == lifted.meta
+
+
+def _term_by_term(p, i, z1, z2):
+    """p (i = None) or dp/dz_i at (z1, z2), one term at a time, and the sum
+    of the terms' magnitudes."""
+    value, size = np.zeros_like(z1), np.zeros(z1.shape)
+    for m, c in p.terms.items():
+        e = list(m.beta)
+        if i is not None:
+            if not e[i]:
+                continue
+            c, e[i] = e[i] * c, e[i] - 1
+        term = c * z1 ** e[0] * z2 ** e[1]
+        value, size = value + term, size + np.abs(term)
+    return value, size
+
+
+# the eigenvector candidates are good to about 1e-15, so Newton barely moves
+# them and a lift test would not notice a wrong entry of the Jacobian
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+def test_values_are_the_map_and_its_partials(case):
+    make_map, _ = LIFT_CASES[case]
+    f = make_map()
+    g = f.to_float()
+    rng = np.random.default_rng(4)
+    z1, z2 = 1.5 * (rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300)))
+    got = _FiberSolver.of(f)._values(z1, z2)
+    # f1 and f2 through Polynomial.evaluate, the partials written out here
+    want = [g.f1.evaluate((0, 0), (z1, z2)), g.f2.evaluate((0, 0), (z1, z2))]
+    sizes = [_term_by_term(p, None, z1, z2)[1] for p in (g.f1, g.f2)]
+    for p in (g.f1, g.f2):
+        for i in (0, 1):
+            value, size = _term_by_term(p, i, z1, z2)
+            want.append(value)
+            sizes.append(size)
+    assert (np.abs(got - np.stack(want, axis=1)) <= 1e-13 * np.stack(sizes, axis=1)).all()
+    # the residual check reads the same two parts that Newton does
+    assert np.array_equal(_FiberSolver.of(f)._values(z1, z2, parts=2), got[:, :2])
 
 
 def test_graph_lift_error_names_the_first_failed_point(monkeypatch):
