@@ -8,9 +8,11 @@ errors, 2 usage errors.
 
 Each flag and each subcommand is declared once, in the tables _FLAGS and
 _SUBCOMMANDS; parsing, RunConfig, checking and dispatch all read them, and a
-flag the command would not read is a usage error.  A report that carries a
-library record whole takes its keys from the record's fields: cheb --alpha
-from ChebyshevEstimate, block-check from BlockShape.
+flag the command would not read is a usage error.  A switch flag (type bool)
+takes no text on the command line and a JSON boolean in a config file.  run
+loads the --map file once and hands the map to the command's handler.  A
+report that carries a library record whole takes its keys from the record's
+fields: cheb --alpha from ChebyshevEstimate, block-check from BlockShape.
 """
 
 from __future__ import annotations
@@ -126,16 +128,10 @@ def _numbers_arg(kind: type, counts: tuple[int, ...], message: str) -> Callable[
     return parse
 
 
-def _switch_arg(text: str) -> bool:
-    # a switch flag takes no text; in a config file it must be a JSON boolean
-    if text not in ("True", "False"):
-        raise argparse.ArgumentTypeError("expected true or false")
-    return text == "True"
-
-
 @dataclass(frozen=True)
 class _Flag:
-    """A flag's argparse settings; type also parses its config-file value."""
+    """A flag's argparse settings; type also parses its config-file value
+    (bool marks a switch)."""
 
     type: Callable[[str], object] = str
     choices: Optional[tuple[str, ...]] = None
@@ -157,7 +153,7 @@ _FLAGS = {
                   help="z-exponent b1,b2 of the target"),
     "theta": _Flag(float, help="direction in (0, 1) for the transform"),
     "s": _Flag(int, help="transform degree, at least 2"),
-    "oracle": _Flag(_switch_arg, help="cross-check through root products"),
+    "oracle": _Flag(bool, help="cross-check through root products"),
     "config": _Flag(help="JSON file with defaults for any flag"),
     "out": _Flag(help="write the report to this path instead of stdout"),
     "format": _Flag(choices=("json", "csv")),
@@ -171,6 +167,10 @@ def _config_value(name: str, value):
     """Parse a config-file value as its flag's value would be parsed."""
     flag = _FLAGS.get(name)
     if flag is None or value is None:
+        return value
+    if flag.type is bool:
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {name}: expected true or false")
         return value
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     try:
@@ -255,8 +255,7 @@ def _lifted_set(cfg: RunConfig, f: Optional[GraphMap]):
 # subcommands
 
 
-def _cmd_resultant(cfg: RunConfig) -> None:
-    f = _load_map(cfg)
+def _cmd_resultant(cfg: RunConfig, f: GraphMap) -> None:
     phase, logmag = resultant_slog(f)
     try:
         res = resultant(f)
@@ -277,8 +276,7 @@ def _cmd_resultant(cfg: RunConfig) -> None:
     _emit(cfg, payload)
 
 
-def _cmd_staircase(cfg: RunConfig) -> None:
-    f = _load_map(cfg)
+def _cmd_staircase(cfg: RunConfig, f: GraphMap) -> None:
     stairs = staircase(f)
     payload = {
         "staircase": [[m.b1, m.b2] for m in stairs],
@@ -287,8 +285,7 @@ def _cmd_staircase(cfg: RunConfig) -> None:
     _emit(cfg, payload)
 
 
-def _cmd_basis(cfg: RunConfig) -> None:
-    f = _load_map(cfg) if cfg.map else None
+def _cmd_basis(cfg: RunConfig, f: Optional[GraphMap]) -> None:
     stream = basis_stream(f, cfg.basis)
     monomials = stream.upto(cfg.nmax * stream.d)
     payload = {
@@ -301,8 +298,7 @@ def _cmd_basis(cfg: RunConfig) -> None:
     _emit(cfg, payload)
 
 
-def _cmd_block_check(cfg: RunConfig) -> None:
-    f = _load_map(cfg)
+def _cmd_block_check(cfg: RunConfig, f: GraphMap) -> None:
     report = block_factorization(f, cfg.k)
     payload = {
         **asdict(report.shape),
@@ -314,8 +310,7 @@ def _cmd_block_check(cfg: RunConfig) -> None:
     _emit(cfg, payload)
 
 
-def _cmd_fiber(cfg: RunConfig) -> None:
-    f = _load_map(cfg)
+def _cmd_fiber(cfg: RunConfig, f: GraphMap) -> None:
     vals = cfg.w
     w = (complex(vals[0], vals[1]), complex(vals[2], vals[3]))
     result = fiber(f, w)
@@ -329,8 +324,7 @@ def _cmd_fiber(cfg: RunConfig) -> None:
     _emit(cfg, payload, csv_rows=(["z1_re", "z1_im", "z2_re", "z2_im"], rows))
 
 
-def _cmd_cheb(cfg: RunConfig) -> None:
-    f = _load_map(cfg) if cfg.map else None
+def _cmd_cheb(cfg: RunConfig, f: Optional[GraphMap]) -> None:
     points = _lifted_set(cfg, f)
     stream = basis_stream(f, cfg.basis)
     if cfg.alpha is not None:
@@ -348,8 +342,7 @@ def _cmd_cheb(cfg: RunConfig) -> None:
     _emit(cfg, payload)
 
 
-def _cmd_tdiam(cfg: RunConfig) -> None:
-    f = _load_map(cfg) if cfg.map else None
+def _cmd_tdiam(cfg: RunConfig, f: Optional[GraphMap]) -> None:
     points = _lifted_set(cfg, f)
     series = transfinite_diameter(points, cfg.basis, cfg.nmax)
     payload = {
@@ -368,8 +361,7 @@ def _cmd_tdiam(cfg: RunConfig) -> None:
     _emit(cfg, payload, csv_rows=(["n", "m_n", "l_n", "logVan", "estimate"], rows))
 
 
-def _cmd_pullback(cfg: RunConfig) -> None:
-    f = _load_map(cfg)
+def _cmd_pullback(cfg: RunConfig, f: GraphMap) -> None:
     report = pullback_check(f, cfg.set, cfg.nmax, cfg.mesh)
     payload = {
         "lhs": report.lhs,
@@ -389,7 +381,7 @@ def _cmd_pullback(cfg: RunConfig) -> None:
 @dataclass(frozen=True)
 class _Subcommand:
     help: str
-    handler: Callable[[RunConfig], None]
+    handler: Callable[[RunConfig, Optional[GraphMap]], None]  # given the loaded map, if any
     flags: tuple[str, ...]  # besides the common ones
     required: tuple[str, ...]
     csv: bool = False  # has a CSV report, which is then its default format
@@ -425,7 +417,8 @@ def run(config: RunConfig) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        _SUBCOMMANDS[config.command].handler(config)
+        f = _load_map(config) if config.map else None
+        _SUBCOMMANDS[config.command].handler(config, f)
     except (CapaxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -443,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=spec.help)
         for name in spec.flags + _COMMON_FLAGS:
             flag = _FLAGS[name]
-            if flag.type is _switch_arg:
+            if flag.type is bool:
                 p.add_argument(f"--{name}", action="store_const", const=True, help=flag.help)
             else:
                 p.add_argument(f"--{name}", type=flag.type, choices=flag.choices, help=flag.help)

@@ -8,9 +8,12 @@ Grammar (whitespace free between any two tokens):
     number  :=  uint ['/' uint]  |  decimal
     var     :=  'w1' | 'w2' | 'z1' | 'z2'
 
-Multiplication is always explicit.  Decimals may carry an exponent part
-("2.5e-3") so that printed float coefficients round-trip.  parse errors carry
-the character offset.
+The tokens (uint, decimal, names and the operators) are the groups of one
+pattern, _TOKEN, which states the lexical rules once: a decimal has one dot
+and, only after it, an optional exponent part ("2.5e-3"), so that printed
+float coefficients round-trip while "2e3" reads as 2 followed by the name
+e3.  Multiplication is always explicit.  parse errors carry the character
+offset.
 
 The printer emits terms largest-first in the graded order on all four
 variables, so equal polynomials print identically.
@@ -18,6 +21,7 @@ variables, so equal polynomials print identically.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -26,64 +30,44 @@ from .polynomials import GREVLEX4, VARIABLES, ZERO, Monomial, Polynomial
 
 _VAR_NAMES = set(VARIABLES)
 
+_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<op>[-+*^()/])
+      | (?P<malformed>\d*\.\d*\.)                 # a second dot, raised at that dot
+      | (?P<number>\d*\.\d*(?:[eE][+-]?\d+)?|\d+)  # an exponent part only after a dot
+      | (?P<name>[^\W\d_][^\W_]*)                 # a letter, then letters or digits
+      | (?P<end>\Z)
+      | (?P<other>\S)
+    )""",
+    re.VERBOSE,
+)
 
-class _Tokenizer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def next_token(self) -> tuple[str, str, int]:
-        """Returns (kind, value, offset); kind in op/number/name/end."""
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        start = self.pos
-        ch = self.text[start]
-        if ch in "+-*^()/":
-            self.pos += 1
-            return ("op", ch, start)
-        if ch.isdigit() or ch == ".":
-            j = start
-            seen_dot = False
-            while j < len(self.text) and (self.text[j].isdigit() or self.text[j] == "."):
-                if self.text[j] == ".":
-                    if seen_dot:
-                        raise ParseError("malformed number", j)
-                    seen_dot = True
-                j += 1
-            if j < len(self.text) and self.text[j] in "eE" and seen_dot:
-                k = j + 1
-                if k < len(self.text) and self.text[k] in "+-":
-                    k += 1
-                if k < len(self.text) and self.text[k].isdigit():
-                    while k < len(self.text) and self.text[k].isdigit():
-                        k += 1
-                    j = k
-            self.pos = j
-            return ("number", self.text[start:j], start)
-        if ch.isalpha():
-            j = start
-            while j < len(self.text) and (self.text[j].isalnum()):
-                j += 1
-            self.pos = j
-            return ("name", self.text[start:j], start)
-        raise ParseError(f"unexpected character {ch!r}", start)
+def _tokens(text: str):
+    """Yield (kind, value, offset), kind in op/number/name, then
+    ("end", "", len(text)); lazily, so a parse error comes before the scanner
+    error of any later character."""
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, offset = m.group(kind), m.start(kind)
+        if kind == "malformed":
+            raise ParseError("malformed number", m.end() - 1)
+        # re has no class of letters: [^\W\d_] also admits numerals such as ½
+        if kind == "other" or kind == "name" and not value[0].isalpha():
+            raise ParseError(f"unexpected character {value[0]!r}", offset)
+        yield kind, value, offset
 
 
 class _Parser:
     def __init__(self, text: str, precision: str) -> None:
         if precision not in ZERO:
             raise ValueError(f"unknown precision {precision!r}")
-        self.tok = _Tokenizer(text)
+        self.tokens = _tokens(text)
         self.precision = precision
-        self.current = self.tok.next_token()
+        self.current = next(self.tokens)
 
     def advance(self) -> None:
-        self.current = self.tok.next_token()
+        self.current = next(self.tokens)
 
     def expect_op(self, op: str) -> None:
         kind, value, offset = self.current
@@ -138,7 +122,7 @@ class _Parser:
             num = self._number(value, offset)
             k2, v2, _ = self.current
             if k2 == "op" and v2 == "/":
-                if "." in value or "e" in value or "E" in value:
+                if "." in value:
                     raise ParseError("rational with a decimal numerator", offset)
                 self.advance()
                 k3, v3, o3 = self.current

@@ -545,6 +545,8 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     "key, value",
     [
         ("nmax", "two"), ("nmax", 2.5), ("mesh", [8, 8, 8]), ("k", "3,"), ("oracle", "false"),
+        # a switch takes a JSON boolean, not its Python spelling
+        ("oracle", "True"), ("oracle", ["True"]), ("oracle", "False"), ("oracle", 1),
         # values outside the flag's choices
         ("format", "xml"), ("precision", "double"), ("basis", "Q"),
     ],
@@ -552,11 +554,22 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
 def test_bad_config_value_is_usage_error(key, value, map_file, tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"map": map_file(SQUARES), "k": 3, key: value}))
-    # block-check has no --basis; the basis command has
-    command = "basis" if key == "basis" else "block-check"
+    # block-check has neither --basis nor --oracle; the basis and resultant commands have
+    command = {"basis": "basis", "oracle": "resultant"}.get(key, "block-check")
     code = main([command, "--config", str(cfg)])
     assert code == 2
-    assert f"config key {key}" in capsys.readouterr().err
+    assert f"config key {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_config_switch_json_boolean_accepted(value, map_file, tmp_path, capsys):
+    path = map_file({"f1": "z1^2 + z2^2", "f2": "z1^2 + z1*z2 + 2*z2^2"})
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"map": path, "oracle": value}))
+    code, payload = run_json(capsys, ["resultant", "--config", str(cfg)])
+    assert code == 0
+    assert payload["config"]["oracle"] is value
+    assert ("oracle" in payload) is value
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,10 @@ def test_decimal_literals_in_both_precisions():
     # exact mode reads the same text as a fraction with a power-of-ten denominator
     q = parse_poly("0.5*z1", precision="exact")
     assert q.coefficient(Monomial(0, 0, 1, 0)) == GaussianRational(Fraction(1, 2))
+    # an exponent part after the dot, a dot with no digits after it or none before it
+    assert parse_poly("2.5e-3*z1") == Fraction(1, 400) * parse_poly("z1")
+    assert parse_poly("1.e5*w1") == 100000 * parse_poly("w1")
+    assert parse_poly(".5*w1") == Fraction(1, 2) * parse_poly("w1")
 
 
 def test_float_rationals_round_as_division():
@@ -72,6 +76,33 @@ def test_error_offsets():
         parse_poly("w1^")
     with pytest.raises(ParseError):
         parse_poly("(z1")
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("1.2.3", "malformed number", 3),  # a second dot, at that dot
+        ("2e3", "trailing input 'e3'", 1),  # an exponent part only after a dot
+        ("2.5e", "trailing input 'e'", 3),  # an exponent part needs digits
+        (".", "malformed number: Invalid literal for Fraction: '.'", 0),
+        ("z_1", "unexpected character '_'", 1),  # names have no underscore
+        ("z1 $", "unexpected character '$'", 3),
+        ("zé", "unknown name 'zé'", 0),  # a name is letters, then letters or digits
+        ("1.5/2", "rational with a decimal numerator", 0),
+        ("w1^1.5", "expected integer exponent", 3),
+        ("z1 + + $", "expected a factor", 5),  # tokens are read lazily
+        # a superscript digit is no decimal digit, in a number, a denominator or an exponent
+        ("²*z1", "unexpected character '²'", 0),
+        ("1/²", "unexpected character '²'", 2),
+        ("w1^²", "unexpected character '²'", 3),
+    ],
+)
+def test_scanner_errors_frozen(text, message, offset):
+    for precision in ("exact", "float"):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, precision)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
 
 
 def test_float_literal_that_overflows_is_rejected():
