@@ -11,18 +11,23 @@ the level sum l_n.  The per-step table holds, per monomial, the discrete
 Chebyshev value (step_cheb) and the greedy log ratio (ledger.step_logs, -inf
 at a step that is dependent on the sample).  Every per-level number is a
 reduction of a per-step column over the level's m_n-step prefix under one
-dependency rule: a level whose prefix holds a dependent step reads -inf as
+dependency rule, read off the basis: a step is dependent where basis.rank
+does not grow, and a level whose prefix holds a dependent step reads -inf as
 a log and 0.0 as an estimate.  The reported diameter estimate exponentiates
 the Chebyshev sum against the graded weight l_n, which is the normalization
 that converges at desk-scale levels (the raw determinant root carries the
 m_n! combinatorial factor and is reported alongside, unnormalized).
-telescoping_check reads the per-step table row by row.
+The greedy ledger and the two tables read from it are computed on their
+first read, once, so a caller that reads only the estimates (pullback_check)
+runs no greedy selection.  telescoping_check reads the per-step table row
+by row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,20 +80,44 @@ def greedy_fekete(
 
 @dataclass
 class DiameterSeries:
+    """Diameter estimates at levels 1..n_max on one sample.
+
+    basis is the orthonormalized monomial matrix the series was computed
+    from.  ledger, log_vandermonde and van_root_estimates are read off the
+    greedy Fekete selection on it, which runs on the first read of any of
+    them, once; estimates and step_cheb need no greedy.
+    """
+
     kind: str
     levels: list[int]
     m_counts: list[int]
     l_counts: list[int]
-    log_vandermonde: list[float]
     estimates: list[float]
-    van_root_estimates: list[float]
     step_cheb: np.ndarray
-    ledger: VandermondeLedger
+    monomials: list[Monomial]
+    basis: Basis
     meta: dict = field(default_factory=dict)
 
     @property
     def final(self) -> float:
         return self.estimates[-1]
+
+    @cached_property
+    def ledger(self) -> VandermondeLedger:
+        return VandermondeLedger(self.monomials, *greedy_select(self.basis))
+
+    @cached_property
+    def log_vandermonde(self) -> list[float]:
+        # -inf at exactly the levels where estimates read 0.0: a dependent
+        # step's log is -inf, and every other step's is finite
+        return [float(self.ledger.step_logs[:m].sum()) for m in self.m_counts]
+
+    @cached_property
+    def van_root_estimates(self) -> list[float]:
+        return [
+            math.exp(v / l) if math.isfinite(v) else 0.0
+            for v, l in zip(self.log_vandermonde, self.l_counts)
+        ]
 
 
 def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterSeries:
@@ -96,11 +125,15 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
 
     Level n runs through weight n*d for B and C and through degree n for z
     and w; stream.levels gives each level's m_n and l_n.  The per-step table
-    is step_cheb and ledger.step_logs.  Per level, log_vandermonde sums the
-    step logs over the m_n-step prefix; estimates divide the prefix's sum of
-    log Chebyshev values by l_n and exponentiate, and van_root_estimates do
-    the same with the step logs (the raw determinant root).  A level whose
-    prefix holds a dependent step reads -inf and 0.0 in all three.
+    is step_cheb and ledger.step_logs.  Per level, estimates divide the
+    m_n-step prefix's sum of log Chebyshev values by l_n and exponentiate;
+    log_vandermonde sums the step logs over the prefix, and
+    van_root_estimates divide that by l_n and exponentiate (the raw
+    determinant root).  A level whose prefix holds a dependent step, one
+    where basis.rank does not grow, reads -inf and 0.0 in all three.  The
+    minimax solves run here; the greedy selection behind ledger,
+    log_vandermonde and van_root_estimates runs on their first read.  A set
+    with fewer points than monomials raises EstimateError before any solve.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -108,32 +141,27 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
         raise MapError(f"basis kind {kind!r} needs a graph-lifted set with its map attached")
     stream = basis_stream(points.map, kind)
     monomials, m_counts, l_counts = stream.levels(n_max)
+    if len(points) < len(monomials):
+        raise EstimateError(f"set has {len(points)} points, fewer than n = {len(monomials)}")
 
-    # the one read of the matrix; the greedy and the minimax read the basis
+    # the one read of the matrix; the minimax and the greedy read the basis
     basis = Basis(evaluate_monomials(monomials, points))
-    ledger = VandermondeLedger(monomials, *greedy_select(basis))
     steps = minimax_series(basis)
     step_cheb = np.array([basis.sup[0], *(est.value for est in steps)])
-    log_vandermonde = [float(ledger.step_logs[:m].sum()) for m in m_counts]
-
-    def per_level(prefix_log) -> list[float]:
-        # the one dependency rule: log_vandermonde is -inf at a level whose
-        # prefix holds a dependent step, and the level reads 0.0
-        return [
-            math.exp(prefix_log(m) / l) if math.isfinite(v) else 0.0
-            for m, l, v in zip(m_counts, l_counts, log_vandermonde)
-        ]
-
     return DiameterSeries(
         kind=kind,
         levels=list(range(1, n_max + 1)),
         m_counts=m_counts,
         l_counts=l_counts,
-        log_vandermonde=log_vandermonde,
-        estimates=per_level(lambda m: float(np.log(step_cheb[:m]).sum())),
-        van_root_estimates=per_level(lambda m: float(ledger.step_logs[:m].sum())),
+        # the one dependency rule: a level whose prefix holds a step where
+        # the rank does not grow reads 0.0
+        estimates=[
+            math.exp(float(np.log(step_cheb[:m]).sum()) / l) if basis.rank[m] == m else 0.0
+            for m, l in zip(m_counts, l_counts)
+        ],
         step_cheb=step_cheb,
-        ledger=ledger,
+        monomials=monomials,
+        basis=basis,
         meta={
             "points": len(points),
             "provenance": points.provenance,

@@ -280,6 +280,14 @@ def test_pullback_refuses_a_float_map_that_is_not_regular(map_file, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "not regular" in err
 
 
+def test_pullback_on_a_too_coarse_sample_is_domain_error(map_file, capsys):
+    # the 4 x 4 base mesh has 16 points for the 66 w monomials through n = 10
+    path = map_file({"f1": "3/2*z1^2", "f2": "3/2*z2^2"})
+    assert main(["pullback", "--map", path, "--set", "torus:1,1", "--mesh", "4", "--nmax", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: set has 16 points, fewer than n = 66\n"
+
+
 def test_tdiam_json_carries_series_meta(capsys):
     code, payload = run_json(
         capsys,

@@ -225,6 +225,18 @@ def test_z_series_needs_lifted_set():
         transfinite_diameter(mesh, "z", 2)
 
 
+def test_too_coarse_sample_raises_before_any_solve(monkeypatch):
+    import capax.diameters as diameters
+
+    def refuse(*args):
+        raise AssertionError("evaluated the monomials of a too-coarse sample")
+
+    monkeypatch.setattr(diameters, "evaluate_monomials", refuse)
+    # 16 points for the 21 monomials through degree 5
+    with pytest.raises(EstimateError, match="set has 16 points, fewer than n = 21"):
+        transfinite_diameter(build_mesh("torus:1,1", 4), "w", 5)
+
+
 def test_graph_basis_series_on_lifted_torus():
     f = M("z1^2", "z2^2")
     lifted = graph_lift(f, build_mesh("torus:1,1", 10))
@@ -293,10 +305,13 @@ def test_telescoping_lower_bound_on_badly_scaled_lift():
 
 def assert_one_dependency_rule(series, dependent):
     # log_vandermonde is -inf at exactly the dependent levels, where both
-    # estimates read 0.0, and the step logs' prefix sum at every other level
+    # estimates read 0.0, and the step logs' prefix sum at every other level;
+    # a step log is -inf exactly where the basis rank does not grow
+    rank = series.basis.rank
+    assert np.array_equal(np.isfinite(series.ledger.step_logs), rank[1:] > rank[:-1])
     for n, m in enumerate(series.m_counts):
         log_van = series.log_vandermonde[n]
-        assert (log_van == -math.inf) == dependent[n]
+        assert (log_van == -math.inf) == dependent[n] == (rank[m] < m)
         assert (series.estimates[n] == 0.0) == dependent[n]
         assert (series.van_root_estimates[n] == 0.0) == dependent[n]
         if not dependent[n]:
@@ -330,6 +345,21 @@ def test_telescoping_goes_on_after_a_dependent_step():
     assert [row.step for row in report.rows if row.ratio == 0.0] == [2, 4, 5]
     row = report.rows[2]
     assert row.step == 3 and row.ratio > 0.0 and row.lower_ok and row.upper_ok
+
+
+@pytest.mark.parametrize("first", ["ledger", "estimates"])
+@pytest.mark.parametrize(
+    "spec, mesh, n_max, dependent",
+    [("torus:1,1", (4, 4), 4, [False, False, False, True]), ("box:-2,2,0,0", (8, 1), 2, [True, True])],
+    ids=["torus-4", "box"],
+)
+def test_one_dependency_rule_in_either_read_order(spec, mesh, n_max, dependent, first):
+    # estimates read the basis rank and log_vandermonde reads the greedy's
+    # step logs: either read first, they mark the same levels
+    series = transfinite_diameter(build_mesh(spec, mesh), "w", n_max)
+    getattr(series, first)
+    assert [e == 0.0 for e in series.estimates] == [v == -math.inf for v in series.log_vandermonde]
+    assert_one_dependency_rule(series, dependent)
 
 
 def test_telescoping_reads_only_the_series_it_names():
@@ -373,6 +403,48 @@ def test_pullback_on_doubled_squares_map():
     assert abs(report.rhs - want) < 1e-9
     assert abs(report.ratio - 1.0) < 1e-9
     assert abs(report.res_log_abs - math.log(16.0)) < 1e-12
+
+
+def test_pullback_runs_no_greedy(monkeypatch):
+    import capax.diameters as diameters
+
+    f = M("3/2*z1^2", "3/2*z2^2")
+    series_calls = []
+    real_series = diameters.transfinite_diameter
+
+    def counted_series(*args):
+        series_calls.append(args[1])
+        return real_series(*args)
+
+    def refuse(basis):
+        raise AssertionError("the pullback ran a greedy selection")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diameters, "transfinite_diameter", counted_series)
+        patch.setattr(diameters, "greedy_select", refuse)
+        without = pullback_check(f, "torus:1,1", 3, (16, 16))
+    assert series_calls == ["w", "z"]
+    report = pullback_check(f, "torus:1,1", 3, (16, 16))
+    assert (without.lhs, without.rhs, without.ratio) == (report.lhs, report.rhs, report.ratio)
+
+    # the ledger, read afterwards, is greedy_fekete's on the same lift, and
+    # a second read runs no second selection
+    greedy_calls = []
+    real_greedy = diameters.greedy_select
+
+    def counted_greedy(basis):
+        greedy_calls.append(basis)
+        return real_greedy(basis)
+
+    monkeypatch.setattr(diameters, "greedy_select", counted_greedy)
+    d1 = report.d1
+    ledger = d1.ledger
+    assert d1.ledger is ledger and d1.log_vandermonde and d1.van_root_estimates
+    assert greedy_calls == [d1.basis]
+    lift = graph_lift(f, build_mesh("torus:1,1", (16, 16)))
+    direct = greedy_fekete(lift, d1.monomials, len(d1.monomials))
+    assert direct.selected == ledger.selected
+    assert np.array_equal(direct.step_logs, ledger.step_logs)
 
 
 def test_pullback_float_map_matches_exact():
