@@ -200,14 +200,15 @@ class Basis:
                 self.rank[t + 1] = k
 
 
-def greedy_select(basis: Basis) -> tuple[list[int], np.ndarray]:
+def greedy_select(basis: Basis, rank: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Greedy Fekete selection on the columns of e, by LU with row pivoting
     on its basis qc = conj(Q).  Elimination commutes with the triangular
     change of basis, so the picks are those of e, and step t's determinant
     ratio is its basis column's pivot times norm[t].  Each step takes the
     largest available |value|; candidates within the relative _TIE of it
-    tie, and ties go to the earliest point.  A dependent step takes no point
-    and has log ratio -inf.  Q is orthonormal, so an eliminated column keeps
+    tie, and ties go to the least rank (the sample's SampledSet.rank), so
+    the picks do not depend on the order of the points.  A dependent step
+    takes no point and has log ratio -inf.  Q is orthonormal, so an eliminated column keeps
     all of its own q and no pivot falls below 1 / sqrt(N).  Returns the
     selected points and every step's log ratio."""
     npts, m = len(basis.qc), len(basis.norm)
@@ -227,7 +228,8 @@ def greedy_select(basis: Basis) -> tuple[list[int], np.ndarray]:
         for j, col in enumerate(block.T):
             col[selected] = 0.0
             size = np.abs(col)
-            idx = int(np.argmax(size >= (1.0 - _TIE) * size.max()))
+            tied = np.flatnonzero(size >= (1.0 - _TIE) * size.max())
+            idx = int(tied[np.argmin(rank[tied])])
             selected.append(idx)
             logs[k0 + j] = math.log(size[idx])
             mult = np.divide(col, col[idx], out=low[:, k0 + j])

@@ -62,7 +62,7 @@ def greedy_fekete(
     """Greedily select points for the first n monomials, maximizing the
     Vandermonde determinant, by chebyshev.greedy_select on their basis.
 
-    Ties go to the earliest point in mesh order.  A monomial that is
+    Ties go to the point of least SampledSet.rank.  A monomial that is
     dependent on the sample (the set lies on a zero set of the basis) takes
     no point and has step log -inf, and the selection goes on.
     """
@@ -71,7 +71,8 @@ def greedy_fekete(
     monomials = list(basis)[:n]
     if len(monomials) < n:
         raise ValueError("basis does not provide enough monomials")
-    return VandermondeLedger(monomials, *greedy_select(Basis(evaluate_monomials(monomials, points))))
+    basis = Basis(evaluate_monomials(monomials, points))
+    return VandermondeLedger(monomials, *greedy_select(basis, points.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,8 @@ class DiameterSeries:
     """Diameter estimates at levels 1..n_max on one sample.
 
     basis is the orthonormalized monomial matrix the series was computed
-    from.  ledger, log_vandermonde and van_root_estimates are read off the
+    from, and rank the sample's SampledSet.rank, which breaks the greedy's
+    ties.  ledger, log_vandermonde and van_root_estimates are read off the
     greedy Fekete selection on it, which runs on the first read of any of
     them, once; estimates and step_cheb need no greedy.
     """
@@ -96,6 +98,7 @@ class DiameterSeries:
     step_cheb: np.ndarray
     monomials: list[Monomial]
     basis: Basis
+    rank: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -104,7 +107,7 @@ class DiameterSeries:
 
     @cached_property
     def ledger(self) -> VandermondeLedger:
-        return VandermondeLedger(self.monomials, *greedy_select(self.basis))
+        return VandermondeLedger(self.monomials, *greedy_select(self.basis, self.rank))
 
     @cached_property
     def log_vandermonde(self) -> list[float]:
@@ -162,6 +165,7 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
         step_cheb=step_cheb,
         monomials=monomials,
         basis=basis,
+        rank=points.rank,
         meta={
             "points": len(points),
             "provenance": points.provenance,

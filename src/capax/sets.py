@@ -124,6 +124,10 @@ class SampledSet:
     provenance: str = "mesh"
     map: Optional[GraphMap] = None
     meta: dict = field(default_factory=dict)
+    # each point's place in the descending lexicographic order of its
+    # rounded coordinates: a function of the point set, whatever order it
+    # comes in; rank 0 on a torus mesh is its first point, (r1, r2)
+    rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.w = np.asarray(self.w, dtype=complex)
@@ -140,11 +144,13 @@ class SampledSet:
         coords = self.z if self.z is not None else self.w
         scale = max(1.0, float(np.abs(coords).max()))
         rounded = np.round(coords / (DUPLICATE_TOL * scale)) + 0.0  # + 0.0 folds -0.0 into 0.0
-        # one opaque key per point: its bytes are equal exactly when its
-        # finite coordinates are, so a 1-D unique serves for a row unique
-        keys = np.ascontiguousarray(rounded).view(np.dtype((np.void, 2 * rounded.itemsize)))[:, 0]
-        if len(np.unique(keys)) != len(coords):
+        keys = np.column_stack([rounded.real, rounded.imag])
+        order = np.lexsort(keys.T[::-1])  # by Re of the first coordinate first
+        ordered = keys[order]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise MeshError("duplicate points in the sample (closer than 1e-12)")
+        self.rank = np.empty(len(coords), dtype=int)
+        self.rank[order] = np.arange(len(coords))[::-1]
 
     def __len__(self) -> int:
         return len(self.w)

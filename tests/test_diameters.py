@@ -9,6 +9,7 @@ from capax import (
     EstimateError,
     GraphMap,
     Monomial,
+    SampledSet,
     basis_stream,
     build_mesh,
     graph_lift,
@@ -95,11 +96,11 @@ def test_greedy_truncates_when_basis_degenerates():
     assert math.isfinite(ledger.step_logs[2])
 
 
-def greedy_select_right_looking(values):
+def greedy_select_right_looking(values, rank):
     """Oracle for chebyshev.greedy_select: the same greedy selection by
     unblocked right-looking elimination on the monomial matrix itself, one
     rank-one update of every later column per step, ties within _TIE to the
-    earliest point; a step whose pivot vanishes takes no point.  Returns the
+    least rank; a step whose pivot vanishes takes no point.  Returns the
     selected rows, the step logs and each step's |column| (0 on taken rows)."""
     e = values.copy()
     npts, n = e.shape
@@ -108,7 +109,8 @@ def greedy_select_right_looking(values):
     for t in range(n):
         size = np.abs(e[:, t])
         size[selected] = 0.0
-        idx = int(np.argmax(size >= (1.0 - _TIE) * size.max()))
+        tied = [i for i in range(npts) if size[i] >= (1.0 - _TIE) * size.max()]
+        idx = min(tied, key=lambda i: rank[i])
         pivot = e[idx, t]
         if abs(pivot) <= 1e-300:
             continue
@@ -124,7 +126,7 @@ def assert_greedy_matches_oracle(points, monomials):
     1e-12; returns the ledger and the oracle's step columns."""
     ledger = greedy_fekete(points, monomials, len(monomials))
     selected, step_logs, sizes = greedy_select_right_looking(
-        evaluate_monomials(monomials, points)
+        evaluate_monomials(monomials, points), points.rank
     )
     assert ledger.selected == selected
     assert ledger.truncated == (len(selected) < len(monomials))
@@ -158,7 +160,7 @@ def test_greedy_matches_right_looking_oracle(seed, count, exponents):
 
 
 @pytest.mark.parametrize("case", ["torus-w", "squares"])
-def test_greedy_ties_go_to_the_earliest_point(case):
+def test_greedy_ties_go_to_the_least_rank(case):
     # on symmetric meshes whole orbits tie up to rounding
     if case == "torus-w":
         points, monomials = build_mesh("torus:1,1", (8, 8)), basis_stream(None, "w").upto(5)
@@ -168,16 +170,49 @@ def test_greedy_ties_go_to_the_earliest_point(case):
         points = graph_lift(f, build_mesh("torus:1,1", (32, 32)))
         monomials = basis_stream(f, "B").upto(6 * f.d)
     ledger, sizes = assert_greedy_matches_oracle(points, monomials)
-    # no available point before a step's pick comes within _TIE of its pivot
-    ties = 0
+    # no available point of lower rank than a step's pick comes within _TIE
+    # of its pivot; on the lift some step's pick is not its earliest tied
+    # point, while on the mesh rank 0 is the first point, (1, 1)
+    ties = late = 0
     for idx, size in zip(ledger.selected, sizes):
-        assert not (size[:idx] >= (1.0 - _TIE) * size[idx]).any()
-        ties += int((size[idx:] >= (1.0 - _TIE) * size[idx]).sum() > 1)
-    assert ties > 0
+        tied = size >= (1.0 - _TIE) * size[idx]
+        assert not (tied & (points.rank < points.rank[idx])).any()
+        ties += int(tied.sum() > 1)
+        late += int(np.argmax(tied) != idx)
+    assert ties > 0 and (late > 0) == (case == "squares")
     # the greedy eliminates orthonormal basis columns, so each one keeps all
     # of its own q and no pivot on the basis falls below 1 / sqrt(N)
     pivots = np.exp(ledger.step_logs) / Basis(evaluate_monomials(monomials, points)).norm
     assert pivots.min() >= (1.0 - 1e-12) / math.sqrt(len(points))
+
+
+@pytest.mark.parametrize("case", ["squares", "generic d=2", "uneven", "torus-w"])
+def test_greedy_ledger_is_a_function_of_the_sample(case):
+    # torus samples tie across whole orbits, so the picks, and the ledger
+    # with them, once followed the order of the points
+    if case == "torus-w":
+        points, kind, n_max = build_mesh("torus:1,1", 4), "w", 3
+    else:
+        f = {
+            "squares": lambda: M("3/2*z1^2", "3/2*z2^2"),
+            "generic d=2": lambda: random_generic_map(random.Random(107), 2),
+            "uneven": lambda: M("z1*z2 + z2^2 + 1", "z1^2 + z2"),
+        }[case]()
+        points, kind, n_max = graph_lift(f, build_mesh("torus:1,1", 8)), "B", 2
+    series = transfinite_diameter(points, kind, n_max)
+    report = telescoping_check(points, kind, n_max, series=series)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        perm = rng.permutation(len(points))
+        z = None if points.z is None else points.z[perm]
+        shuffled = SampledSet(w=points.w[perm], z=z, provenance=points.provenance, map=points.map)
+        other = transfinite_diameter(shuffled, kind, n_max)
+        assert [int(perm[i]) for i in other.ledger.selected] == series.ledger.selected
+        for key in ("log_vandermonde", "van_root_estimates"):
+            assert np.allclose(getattr(other, key), getattr(series, key), rtol=1e-12, atol=0)
+        rows = telescoping_check(shuffled, kind, n_max, series=other).rows
+        assert np.allclose([r.ratio for r in rows], [r.ratio for r in report.rows], rtol=1e-12, atol=0)
+        assert [(r.lower_ok, r.upper_ok) for r in rows] == [(r.lower_ok, r.upper_ok) for r in report.rows]
 
 
 def test_greedy_rejects_bad_n():
@@ -416,7 +451,7 @@ def test_pullback_runs_no_greedy(monkeypatch):
         series_calls.append(args[1])
         return real_series(*args)
 
-    def refuse(basis):
+    def refuse(basis, rank):
         raise AssertionError("the pullback ran a greedy selection")
 
     with monkeypatch.context() as patch:
@@ -432,9 +467,9 @@ def test_pullback_runs_no_greedy(monkeypatch):
     greedy_calls = []
     real_greedy = diameters.greedy_select
 
-    def counted_greedy(basis):
+    def counted_greedy(basis, rank):
         greedy_calls.append(basis)
-        return real_greedy(basis)
+        return real_greedy(basis, rank)
 
     monkeypatch.setattr(diameters, "greedy_select", counted_greedy)
     d1 = report.d1
