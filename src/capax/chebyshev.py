@@ -208,12 +208,12 @@ def greedy_select(basis: Basis, rank: np.ndarray) -> tuple[list[int], np.ndarray
     largest available |value|; candidates within the relative _TIE of it
     tie, and ties go to the least rank (the sample's SampledSet.rank), so
     the picks do not depend on the order of the points.  A dependent step
-    takes no point and has log ratio -inf.  Q is orthonormal, so an eliminated column keeps
-    all of its own q and no pivot falls below 1 / sqrt(N).  Returns the
-    selected points and every step's log ratio."""
+    takes no point and has log ratio -inf.  Q is orthonormal, so an
+    eliminated column keeps all of its own q and no pivot falls below
+    1 / sqrt(N).  Returns the selected points and every step's log ratio."""
     npts, m = len(basis.qc), len(basis.norm)
     if npts < m:
-        raise EstimateError(f"set has {npts} points, fewer than n = {m}")
+        raise EstimateError(f"set has {npts} points, fewer than its {m} monomials")
     k = basis.rank[-1]
     qc = basis.qc[:, :k]
     # _BLOCK columns at a time: one solve and one product against the steps

@@ -145,7 +145,9 @@ def transfinite_diameter(points: SampledSet, kind: str, n_max: int) -> DiameterS
     stream = basis_stream(points.map, kind)
     monomials, m_counts, l_counts = stream.levels(n_max)
     if len(points) < len(monomials):
-        raise EstimateError(f"set has {len(points)} points, fewer than n = {len(monomials)}")
+        raise EstimateError(
+            f"set has {len(points)} points, fewer than the {len(monomials)} monomials through level {n_max}"
+        )
 
     # the one read of the matrix; the minimax and the greedy read the basis
     basis = Basis(evaluate_monomials(monomials, points))
@@ -260,16 +262,18 @@ def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
     so a float map whose |Res| is lost in its coefficients' rounding is
     refused too.  Float maps work: the lift reads the staircase of a float
     map's exact dyadic copy.  mesh gives the counts build_mesh takes; a
-    points: set takes none, and its meta has no mesh.
+    points: set takes none, and its meta has no mesh.  The base series runs
+    before the lift, and a sample with fewer points than monomials raises
+    EstimateError naming it, base or lift.
     """
     if not is_regular(f):
         raise EstimateError("the map is not regular; the pullback formula needs Res != 0")
     d = f.d
     _, log_res = resultant_slog(f)
     base = build_mesh(spec, mesh)
+    d3 = _named_series("base", base, "w", n_max)
     lifted = graph_lift(f, base)
-    d3 = transfinite_diameter(base, "w", n_max)
-    d1 = transfinite_diameter(lifted, "z", n_max)
+    d1 = _named_series("lift", lifted, "z", n_max)
     rhs = math.exp(-log_res / (2 * d * d)) * d3.final ** (1.0 / d)
     lhs = d1.final
     ratio = lhs / rhs if rhs > 0 else math.inf
@@ -288,5 +292,14 @@ def pullback_check(f: GraphMap, spec, n_max: int, mesh) -> PullbackReport:
             "levels": n_max,
             "near_discriminant_fibers": lifted.meta["near_discriminant_fibers"],
             "roots_missing": lifted.meta["roots_missing"],
+            "eig_fibers": lifted.meta["eig_fibers"],
         },
     )
+
+
+def _named_series(name: str, points: SampledSet, kind: str, n_max: int) -> DiameterSeries:
+    """transfinite_diameter, with its errors prefixed by the sample's name."""
+    try:
+        return transfinite_diameter(points, kind, n_max)
+    except EstimateError as exc:
+        raise EstimateError(f"{name} sample: {exc}") from exc

@@ -12,23 +12,32 @@ polynomial in w, and at a regular value w the eigenvectors of M_i(w)^T are
 the evaluation vectors (z^beta) at the roots (Stickelberger's theorem).  One
 solver core per map reads the table of M1 and M2 off the memoized normal
 forms; a map that resultant.is_regular rejects is refused, since some fiber
-of it is not finite or loses roots at infinity.  Every base point then takes
-one path: its w-powers contract the table, one eigenproblem of
-(M1 + c*M2)^T gives d1*d2 eigenvectors, the Rayleigh quotients of M1^T and
-M2^T on each read its root's z1 and z2, Newton runs on every candidate at
-once, and each fiber is certified on its own: residuals, root dedupe, and
-the near-discriminant flag.  A candidate leaves Newton after a step below
-1e-15 relative, on a Jacobian determinant below 1e-14, or at a step no
-smaller than its previous one, which it does not take; so a root at its
-rounding floor keeps its better iterate.  fiber, graph_lift and
-fiber_average_poly all go through the core, in one pass over all their base
-points.  M1(w) and M2(w), and f with its Jacobian at the candidates, are
-each one contraction of a per-map coefficient table with the values of its
-monomials (monomial_values); every step is elementwise or per matrix, so a
-point's result does not depend on the batch it was solved in.  A fiber
-average is exact, the trace of multiplication by p over d1*d2
-(variety.fiber_average), and the fibers of one seeded grid only
-cross-check it: nothing is fitted or drawn again.
+of it is not finite or loses roots at infinity.
+
+A batch solves most of its fibers by continuation from a few (Sommese and
+Wampler, The Numerical Solution of Systems of Polynomials, 2005).  It cuts
+its base points into cells of about SEED_SPACING by bisection in w, and
+each cell's seed takes the eigenproblem path: its w-powers contract the
+table, one eigenproblem of (M1 + c*M2)^T gives d1*d2 eigenvectors, and the
+Rayleigh quotients of M1^T and M2^T on each read its root's z1 and z2.
+Every other point of a cell starts Newton from its seed's roots.  Each
+fiber is then certified on its own: a backward error per root, root
+dedupe, and the near-discriminant flag; and a continued fiber that comes
+back flagged or short takes the eigenproblem path after all, so every
+fiber meets the same rule.  A batch too small for two cells, such as one
+fiber, takes the eigenproblem path throughout.  A candidate leaves Newton
+after a step below 1e-15 relative, on a Jacobian determinant below 1e-14
+of its terms, or at a step no smaller than its previous one, which it
+does not take; so a root at its rounding floor keeps its better iterate.
+fiber, graph_lift and fiber_average_poly all go through the core.  M1(w)
+and M2(w), and f with its Jacobian at the candidates, are each one
+contraction of a per-map coefficient table with the values of its
+monomials (monomial_values).  A point's roots are the same whatever batch
+it is solved in, to rounding, but their bits and their order within the
+fiber follow the seed that started them.  A fiber average is exact, the
+trace of multiplication by p over d1*d2 (variety.fiber_average), and the
+fibers of one seeded grid only cross-check it: nothing is fitted or drawn
+again.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ DUPLICATE_TOL = 1e-12
 FIBER_RESIDUAL_TOL = 1e-9
 NEAR_DISCRIMINANT_TOL = 1e-6
 ROOT_DEDUPE_TOL = 1e-8
+SEED_SPACING = 16  # base points per seed fiber, whose eigenproblem starts the others' Newton
 # c in the pencil M1 + c*M2: irrational, so that roots exchanged by a
 # rational linear symmetry of the map, such as z1 <-> z2, keep apart
 _PENCIL = math.sqrt(2) - 1
@@ -228,17 +238,50 @@ class _FiberBatch:
     counts: np.ndarray        # (points,) roots kept per fiber
     near: np.ndarray          # (points,) near-discriminant flags
     errors: dict[int, str]    # point index -> why its fiber failed
+    eig_fibers: int           # fibers that took an eigenproblem
+
+
+def _seed_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seed points of a batch, and each point's cell, by bisection of the
+    (points, 4) real view of w.
+
+    A cell of at least 2 * SEED_SPACING points splits at the median of its
+    widest real coordinate, all cells of a round at once, so each final
+    cell holds SEED_SPACING to 2 * SEED_SPACING - 1 points.  A cell's seed
+    is its point nearest the cell's mean.  Returns the seeds' indices, one
+    per cell, and each point's cell.
+    """
+    x = np.column_stack([w.real, w.imag])
+    order = np.arange(len(x))  # the points, cell after cell
+    starts = np.zeros(1, dtype=int)
+    while True:
+        sizes = np.diff(starts, append=len(x))
+        cell = np.repeat(np.arange(len(starts)), sizes)
+        split = sizes >= 2 * SEED_SPACING
+        if not split.any():
+            break
+        xo = x[order]
+        widest = (np.maximum.reduceat(xo, starts) - np.minimum.reduceat(xo, starts)).argmax(axis=1)
+        order = order[np.lexsort((xo[np.arange(len(x)), widest[cell]], cell))]
+        starts = np.sort(np.concatenate([starts, starts[split] + sizes[split] // 2]))
+    xo = x[order]
+    mean = np.add.reduceat(xo, starts) / sizes[:, None]
+    nearest = np.lexsort((((xo - mean[cell]) ** 2).sum(axis=1), cell))[starts]
+    owner = np.empty(len(x), dtype=int)
+    owner[order] = cell
+    return order[nearest], owner
 
 
 def _contract(monomials: Sequence, values: Sequence, table: np.ndarray) -> np.ndarray:
     """(points, *table.shape[1:]): sum_j monomial_j(values) * table[j] at
     the points of values = (w1, w2, z1, z2), one outer product per monomial:
-    elementwise, so a point's bits do not depend on its batch."""
+    elementwise, so a point's bits do not depend on its batch.  The sum is
+    held with the points last, so that each product runs along them."""
     points = len(next(x for x in values if x is not None))
-    out = np.zeros((points, *table.shape[1:]), dtype=complex)
+    out = np.zeros((*table.shape[1:], points), dtype=complex)
     for value, entry in zip(monomial_values(monomials, values), table):
-        out += np.multiply.outer(value, entry)
-    return out
+        out += value * entry[..., None]
+    return np.moveaxis(out, -1, 0)
 
 
 class _FiberSolver:
@@ -260,7 +303,6 @@ class _FiberSolver:
                 "so some fiber is not finite or loses roots at infinity"
             )
         g = f.to_float()
-        self.power = g.d1
         self.expected = n = g.d1 * g.d2
         betas = [(b1, s - b1) for s in range(g.d1 + 1) for b1 in range(s + 1)]
         at = {beta: j for j, beta in enumerate(betas)}
@@ -274,8 +316,7 @@ class _FiberSolver:
                     coeffs[at[(m.b1, m.b2 - 1)], 3 + 2 * k] = m.b2 * c
         self.z_monomials = [z_monomial(beta) for beta in betas]
         self.coeffs = coeffs
-        self.constants = coeffs[0, :2]
-        self.scale_floor = max(1.0, float(np.abs(coeffs[1:, :2]).max(initial=0.0)))
+        self.sizes = np.abs(coeffs[:, :2])
         stairs, forms = multiplication_table(f)
         index = {s.beta: k for k, s in enumerate(stairs)}
         table: dict = {}
@@ -311,10 +352,10 @@ class _FiberSolver:
     def _newton(self, w: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> None:
         """Polish in place, for at most 50 rounds.
 
-        A root leaves the loop on a near-singular Jacobian (|det| < 1e-14),
-        after a step below 1e-15 relative, or on a step no smaller than its
-        previous one: that step is not taken, so a root at its rounding floor
-        keeps its better iterate.
+        A root leaves the loop on a near-singular Jacobian (|det| at most
+        1e-14 of |j11*j22| + |j12*j21|), after a step below 1e-15 relative,
+        or on a step no smaller than its previous one: that step is not
+        taken, so a root at its rounding floor keeps its better iterate.
         """
         active = np.arange(len(z1))
         last = np.full(len(z1), np.inf)  # each root's previous step size
@@ -324,7 +365,7 @@ class _FiberSolver:
             v = self._values(z1[active], z2[active])
             j11, j12, j21, j22 = v[:, 2], v[:, 3], v[:, 4], v[:, 5]
             det = j11 * j22 - j12 * j21
-            moving = np.abs(det) >= 1e-14
+            moving = np.abs(det) > 1e-14 * (np.abs(j11 * j22) + np.abs(j12 * j21))
             active, det = active[moving], det[moving]
             v1 = v[moving, 0] - w[active, 0]
             v2 = v[moving, 1] - w[active, 1]
@@ -340,37 +381,75 @@ class _FiberSolver:
             small = step < 1e-15 * (1 + np.abs(z1[active]) + np.abs(z2[active]))
             active = active[~small]
 
-    def solve(self, w: np.ndarray) -> _FiberBatch:
-        """Fibers over the rows of w, in one pass over all of them."""
-        npts, n = len(w), self.expected
-        z = self._candidates(w)
-        z1, z2 = z[:, 0].ravel(), z[:, 1].ravel()
-        point = np.repeat(np.arange(npts), n)
-        wq = w[point]
+    def _polish(self, w: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Newton from starts (points, n, 2) over the rows of w: the roots
+        and each root's backward error, the worst over k of
+        |f_k(z) - w_k| / (sum over beta of |c_k,beta| |z^beta| + |w_k|)."""
+        npts, n = starts.shape[:2]
+        z1, z2 = starts[:, :, 0].ravel(), starts[:, :, 1].ravel()
+        wq = np.repeat(w, n, axis=0)
         with np.errstate(all="ignore"):
             self._newton(wq, z1, z2)
-            v = self._values(z1, z2, parts=2) - wq
-            coeff_scale = np.maximum(self.scale_floor, np.abs(self.constants - w).max(axis=1))
-            local = np.maximum(1.0, np.maximum(np.abs(z1), np.abs(z2))) ** self.power
-            res = np.abs(v).max(axis=1) / (coeff_scale[point] * local)
+            gap = np.abs(self._values(z1, z2, parts=2) - wq)
+            size = _contract(self.z_monomials, (None, None, np.abs(z1), np.abs(z2)), self.sizes).real
+            res = (gap / np.maximum(size + np.abs(wq), np.finfo(float).tiny)).max(axis=1)
+        return np.stack([z1, z2], axis=1).reshape(npts, n, 2), res.reshape(npts, n)
 
-        # certify per fiber: residual acceptance, then dedupe in solve order
-        roots = np.stack([z1, z2], axis=1).reshape(npts, n, 2)
-        residuals = res.reshape(npts, n)
+    def _by_eig(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_polish from the eigenvector candidates of each fiber."""
+        return self._polish(w, np.swapaxes(self._candidates(w), 1, 2))
+
+    def _certify(self, roots: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per fiber, residual acceptance, then dedupe in root order: the
+        kept roots, and the near-discriminant flags."""
         keep, sep = _greedy_distinct(roots, residuals <= FIBER_RESIDUAL_TOL, ROOT_DEDUPE_TOL)
+        return keep, (keep.sum(axis=1) < self.expected) | (sep < NEAR_DISCRIMINANT_TOL)
+
+    def solve(self, w: np.ndarray) -> _FiberBatch:
+        """Fibers over the rows of w.
+
+        The seed fibers of _seed_cells take an eigenproblem each.  Every
+        other point starts Newton from its seed's roots, when the seed kept
+        all of them unflagged, and a fiber that then comes back flagged or
+        short, or whose seed did, is solved again by eigenproblem.  In a
+        batch of fewer than 2 * SEED_SPACING points every fiber takes an
+        eigenproblem.
+        """
+        npts, n = len(w), self.expected
+        if npts < 2 * SEED_SPACING:
+            roots, residuals = self._by_eig(w)
+            keep, near = self._certify(roots, residuals)
+            eig_fibers = npts
+        else:
+            seeds, owner = _seed_cells(w)
+            roots = np.empty((npts, n, 2), dtype=complex)
+            residuals = np.empty((npts, n))
+            keep = np.empty((npts, n), dtype=bool)
+            near = np.empty(npts, dtype=bool)
+            roots[seeds], residuals[seeds] = self._by_eig(w[seeds])
+            keep[seeds], near[seeds] = self._certify(roots[seeds], residuals[seeds])
+            others = np.setdiff1d(np.arange(npts), seeds)
+            started = ~near[seeds][owner[others]]
+            go = others[started]
+            roots[go], residuals[go] = self._polish(w[go], roots[seeds[owner[go]]])
+            keep[go], near[go] = self._certify(roots[go], residuals[go])
+            redo = np.concatenate([others[~started], go[near[go]]])
+            roots[redo], residuals[redo] = self._by_eig(w[redo])
+            keep[redo], near[redo] = self._certify(roots[redo], residuals[redo])
+            eig_fibers = len(seeds) + len(redo)
         kept = keep.sum(axis=1)
-        near = (kept < n) | (sep < NEAR_DISCRIMINANT_TOL)
         errors = {
             int(i): f"no certified roots for w = ({complex(w[i, 0])}, {complex(w[i, 1])})"
             for i in np.nonzero(kept == 0)[0]
         }
-        return _FiberBatch(roots[keep], residuals[keep], kept, near, errors)
+        return _FiberBatch(roots[keep], residuals[keep], kept, near, errors, eig_fibers)
 
 
 def fiber(f: GraphMap, w: Sequence[complex]) -> FiberResult:
     """All solutions of f(z) = w, polished and certified.
 
-    Residual acceptance is 1e-9 relative to the coefficient scale; closer
+    A root is accepted at a backward error of at most 1e-9: |f_k(z) - w_k|
+    against the sum of |w_k| and the magnitudes of f_k's terms at z.  Closer
     root pairs than 1e-6 or a count below d1*d2 raise the near-discriminant
     flag (not an error).
     """
@@ -393,7 +472,8 @@ def graph_lift(f: GraphMap, base: SampledSet) -> SampledSet:
     """f^{-1}(K) as a sampled set with both coordinate charts attached.
 
     meta records the flagged fibers, the roots missing against d1*d2 per
-    fiber, and the worst certified residual.
+    fiber, the worst certified residual, and the fibers that took an
+    eigenproblem (seeds and fallbacks).
     """
     solver = _FiberSolver.of(f)
     batch = solver.solve(base.w)
@@ -409,6 +489,7 @@ def graph_lift(f: GraphMap, base: SampledSet) -> SampledSet:
             "near_discriminant_fibers": int(batch.near.sum()),
             "roots_missing": int((solver.expected - batch.counts).sum()),
             "residual_max": float(batch.residuals.max()),
+            "eig_fibers": batch.eig_fibers,
         },
     )
 

@@ -243,6 +243,8 @@ def test_pullback_squares(map_file, capsys):
     assert "oracle" not in payload["config"]  # only resultant has --oracle
     assert payload["meta"]["near_discriminant_fibers"] == 0
     assert payload["meta"]["roots_missing"] == 0
+    # the 144-point base splits into 8 cells of 18, and no fiber fell back
+    assert payload["meta"]["eig_fibers"] == 8
 
 
 def test_pullback_float_map_matches_exact(map_file, capsys):
@@ -285,7 +287,7 @@ def test_pullback_on_a_too_coarse_sample_is_domain_error(map_file, capsys):
     path = map_file({"f1": "3/2*z1^2", "f2": "3/2*z2^2"})
     assert main(["pullback", "--map", path, "--set", "torus:1,1", "--mesh", "4", "--nmax", "10"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: set has 16 points, fewer than n = 66\n"
+    assert err == "error: base sample: set has 16 points, fewer than the 66 monomials through level 10\n"
 
 
 def test_tdiam_json_carries_series_meta(capsys):

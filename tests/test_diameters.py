@@ -268,8 +268,13 @@ def test_too_coarse_sample_raises_before_any_solve(monkeypatch):
 
     monkeypatch.setattr(diameters, "evaluate_monomials", refuse)
     # 16 points for the 21 monomials through degree 5
-    with pytest.raises(EstimateError, match="set has 16 points, fewer than n = 21"):
+    message = "set has 16 points, fewer than the 21 monomials through level 5"
+    with pytest.raises(EstimateError, match=f"^{message}$"):
         transfinite_diameter(build_mesh("torus:1,1", 4), "w", 5)
+    # the pullback names the sample, and its base series runs before the lift
+    monkeypatch.setattr(diameters, "graph_lift", refuse)
+    with pytest.raises(EstimateError, match=f"^base sample: {message}$"):
+        pullback_check(M("3/2*z1^2", "3/2*z2^2"), "torus:1,1", 5, 4)
 
 
 def test_graph_basis_series_on_lifted_torus():

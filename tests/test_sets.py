@@ -243,6 +243,16 @@ LIFT_CASES = {
 }
 
 
+def _assert_same_fibers(got, fibers):
+    """Each fiber's roots in got match the roots of its FiberResult as sets,
+    within 1e-12 relative; got holds the fibers in order."""
+    bounds = np.cumsum([len(r.z) for r in fibers])[:-1]
+    for mine, r in zip(np.split(got, bounds), fibers):
+        gap = np.abs(mine[:, None, :] - r.z[None, :, :]).sum(axis=-1)
+        tol = 1e-12 * max(1.0, np.abs(r.z).max())
+        assert (gap.min(axis=0) <= tol).all() and (gap.min(axis=1) <= tol).all()
+
+
 @pytest.mark.parametrize("case", sorted(LIFT_CASES))
 def test_graph_lift_matches_per_point_fibers(case):
     make_map, make_base = LIFT_CASES[case]
@@ -250,19 +260,83 @@ def test_graph_lift_matches_per_point_fibers(case):
     lifted = graph_lift(f, base)
     fibers = [fiber(f, w) for w in base.w]
     assert np.array_equal(lifted.w, np.repeat(base.w, [len(r.z) for r in fibers], axis=0))
-    per_point = np.concatenate([r.z for r in fibers])
-    assert per_point.shape == lifted.z.shape
-    assert np.abs(lifted.z - per_point).max() <= 1e-12 * max(1.0, np.abs(per_point).max())
+    _assert_same_fibers(lifted.z, fibers)
     assert lifted.meta["near_discriminant_fibers"] == sum(r.near_discriminant for r in fibers)
     assert lifted.meta["roots_missing"] == sum(r.defect for r in fibers)
-    # the batches are independent to the last bit: the order of the lifted
-    # points follows the eigenvalue order, which one bit can flip
+    # a point's start comes from a seed of its own batch, so two batches
+    # give the same root sets, not the same bits or root order
     k = len(base) // 2 + 3
     halves = [graph_lift(f, SampledSet(w=w)) for w in (base.w[:k], base.w[k:])]
     assert np.array_equal(np.concatenate([h.w for h in halves]), lifted.w)
-    assert np.array_equal(np.concatenate([h.z for h in halves]), lifted.z)
+    _assert_same_fibers(np.concatenate([h.z for h in halves]), fibers)
     for key in ("roots_missing", "near_discriminant_fibers"):
         assert sum(h.meta[key] for h in halves) == lifted.meta[key]
+
+
+def _patch_continued_newton(monkeypatch, spoil):
+    """Run spoil(self, w, z1, z2) in place of Newton on the continued starts,
+    the Newton batches that no eigenproblem started."""
+    by_eig, newton = _FiberSolver._by_eig, _FiberSolver._newton
+    in_eig = []
+
+    def counted_by_eig(self, w):
+        in_eig.append(True)
+        try:
+            return by_eig(self, w)
+        finally:
+            in_eig.pop()
+
+    def patched(self, w, z1, z2):
+        (newton if in_eig else spoil)(self, w, z1, z2)
+
+    monkeypatch.setattr(_FiberSolver, "_by_eig", counted_by_eig)
+    monkeypatch.setattr(_FiberSolver, "_newton", patched)
+
+
+SCALED = ("1.0e-200*z1^2", "1.0e-200*z2^2")  # roots of modulus 1e100
+
+
+@pytest.mark.parametrize("spoil", ["collapse", "no-op"])
+@pytest.mark.parametrize("case", ["generic d=2", "scaled"])
+def test_continued_fibers_that_fail_fall_back_to_eig(monkeypatch, case, spoil):
+    if case == "scaled":
+        f = GraphMap(parse_poly(SCALED[0], "float"), parse_poly(SCALED[1], "float"))
+    else:
+        f = random_generic_map(random.Random(5), 2)
+    base = build_mesh("torus:1,1", 8)
+    want = graph_lift(f, base)
+    assert want.meta["eig_fibers"] < len(base)
+    newton = _FiberSolver._newton
+    if spoil == "collapse":
+        # two starts that converge to one root leave their fiber short
+        def spoiled(self, w, z1, z2):
+            newton(self, w, z1, z2)
+            n = self.expected
+            z1.reshape(-1, n)[:, 1] = z1.reshape(-1, n)[:, 0]
+            z2.reshape(-1, n)[:, 1] = z2.reshape(-1, n)[:, 0]
+    else:
+        # the seed's roots, copied and not polished, solve another fiber:
+        # the backward error must reject every one of them
+        def spoiled(self, w, z1, z2):
+            pass
+    _patch_continued_newton(monkeypatch, spoiled)
+    got = graph_lift(f, base)
+    assert got.meta["eig_fibers"] == len(base)
+    for key in ("roots_missing", "near_discriminant_fibers"):
+        assert got.meta[key] == want.meta[key] == 0
+    fibers = [fiber(f, w) for w in base.w]
+    _assert_same_fibers(got.z, fibers)
+    _assert_same_fibers(want.z, fibers)
+
+
+def test_eig_fibers_counts_the_eigenproblems():
+    f = M("3/2*z1^2", "3/2*z2^2")
+    lifted = graph_lift(f, build_mesh("torus:1,1", 16))
+    assert 0 < lifted.meta["eig_fibers"] < lifted.meta["base_size"] == 256
+    assert graph_lift(f, SampledSet(w=np.array([[1.0, 2.0]]))).meta["eig_fibers"] == 1
+    # a batch of fewer than two seeds' worth of points takes no continuation
+    small = build_mesh("torus:1,1", (4, 7))
+    assert graph_lift(f, small).meta["eig_fibers"] == len(small) == 28
 
 
 def _term_by_term(p, i, z1, z2):
@@ -304,16 +378,16 @@ def test_values_are_the_map_and_its_partials(case):
 
 
 def test_graph_lift_error_names_the_first_failed_point(monkeypatch):
-    # spoil the candidates over the two base points with w2 = 0, so neither
-    # fiber certifies a root; the error must name the lower of the two
-    candidates = _FiberSolver._candidates
+    # spoil Newton over the two base points with w2 = 0, from eigenproblems
+    # and from seeds alike, so neither fiber certifies a root; the error
+    # must name the lower of the two
+    newton = _FiberSolver._newton
 
-    def spoiled(self, w):
-        z = candidates(self, w)
-        z[w[:, 1] == 0] = np.nan
-        return z
+    def spoiled(self, w, z1, z2):
+        newton(self, w, z1, z2)
+        z1[w[:, 1] == 0] = np.nan
 
-    monkeypatch.setattr(_FiberSolver, "_candidates", spoiled)
+    monkeypatch.setattr(_FiberSolver, "_newton", spoiled)
     torus = build_mesh("torus:0.5,1.5", (6, 7)).w
     w = np.concatenate([torus[:20], [[1, 0]], torus[20:31], [[2, 0]], torus[31:]])
     assert len(w) == 44
@@ -488,6 +562,9 @@ def test_graph_lift_of_a_scaled_float_map():
     lifted = graph_lift(f, build_mesh("torus:1,1", 8))
     assert len(lifted) == 4 * 64
     assert lifted.meta["roots_missing"] == 0
+    # Newton's determinant floor is relative, so continued fibers converge
+    # where |det| ~ 1e-200 and need no eigenproblem of their own
+    assert lifted.meta["eig_fibers"] == 4
     assert np.allclose(1.0e-200 * lifted.z**2, lifted.w, rtol=1e-12, atol=0)
 
 
